@@ -140,22 +140,31 @@ def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
 
 
 def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
-    """Schmidt data of an amplitude: (weights beta, idler modes, signal modes).
+    """Schmidt data of an amplitude: (weights beta, idler modes).
 
-    beta_j sums to one; the mode arrays are continuum-normalized rows, or None
-    when ``compute_modes`` is false.  Idler modes are the left singular
-    vectors, signal modes the right ones; for a transpose-symmetric amplitude
-    they agree up to per-mode signs.
+    beta_j sums to one; the idler modes are the left singular vectors as
+    continuum-normalized rows, or None when ``compute_modes`` is false.  The
+    signal side is the :func:`mirrored` idler basis, so the right singular
+    vectors are not kept.
+
+    Each amplitude is decomposed at most once per kind of request: the result
+    is stored on the (immutable) amplitude, a values-only request reuses a
+    full decomposition, and a full request replaces a values-only one.
     """
-    h = amp.grid.spacing
-    scaled = amp.values * h
-    if not compute_modes:
-        sv = np.linalg.svd(scaled, compute_uv=False)
-        return sv**2, None, None
-    u, sv, vt = np.linalg.svd(scaled)
-    modes_i = (u / np.sqrt(h)).T
-    modes_s = vt / np.sqrt(h)
-    return sv**2, modes_i, modes_s
+    cached = amp._schmidt
+    if cached is None or (compute_modes and cached[1] is None):
+        h = amp.grid.spacing
+        scaled = amp.values * h
+        if compute_modes:
+            u, sv, _ = np.linalg.svd(scaled)
+            modes = (u / np.sqrt(h)).T
+            modes.flags.writeable = False
+        else:
+            sv, modes = np.linalg.svd(scaled, compute_uv=False), None
+        beta = sv**2
+        beta.flags.writeable = False
+        cached = amp._schmidt = (beta, modes)
+    return cached if compute_modes else (cached[0], None)
 
 
 def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
@@ -170,7 +179,7 @@ def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
         raise BasisError("need d >= 1 Schmidt modes")
     if d > amp.grid.n_points:
         raise RankError(f"d = {d} exceeds the grid rank {amp.grid.n_points}")
-    beta, modes_i, _ = amplitude_svd(amp)
+    beta, modes_i = amplitude_svd(amp)
     if beta[d - 1] < SCHMIDT_RANK_FLOOR:
         raise RankError(
             f"d = {d} exceeds the numerical Schmidt rank: weight {beta[d - 1]:.3g} "

@@ -65,11 +65,12 @@ def schmidt_decompose(amp: JointAmplitude, modes: bool = True):
     """Entanglement report of an amplitude, optionally with its mode set.
 
     Returns (report, BasisSet | None).  With ``modes`` false only the singular
-    values are computed, which is much faster on large grids.
+    values are computed, which is much faster on large grids; with ``modes``
+    true one full decomposition serves both the report and the mode set.
     """
     if not np.all(np.isfinite(amp.values)):
         raise ValueError("amplitude contains non-finite values")
-    beta, _, _ = amplitude_svd(amp, compute_modes=False)
+    beta, _ = amplitude_svd(amp, compute_modes=modes)
     report = _spectrum_metrics(beta)
     mode_set = None
     if modes:
@@ -248,9 +249,14 @@ def fit_cos4(source) -> FitResult:
 def fit_gamma(source) -> FitResult:
     """Fit the one-/two-photon interference model (scale, gamma1, gamma2, phi0).
 
-    For gamma1 -> 0 the model is invariant under gamma2 -> 1/gamma2 (with the
-    scale absorbing gamma2^2), so a converged gamma2 > 1 is re-fit from the
-    reciprocal branch and the lower-residual solution kept.
+    For every gamma1 the model is exactly invariant under
+    (gamma1, gamma2, scale) -> (gamma1/gamma2, 1/gamma2, scale*gamma2^2) with
+    phi0 unchanged, and :func:`bell_i2` is the same on both branches.  A
+    converged gamma2 > 1 is re-fit from (scale*gamma2^2, gamma1, 1/gamma2,
+    phi0) and the re-fit kept unless its residual is larger by more than 1e-9
+    relative.  Both branches fit equally well, so on noise-free scans the
+    branch returned is decided by two residuals at rounding level (about
+    1e-15), and gamma2 may still come back above 1.
     """
     phi, y, sigma, meta = _fit_inputs(source)
     _check_coverage(phi, 4, 2.0 * np.pi)

@@ -482,9 +482,24 @@ EXPERIMENT_RUNNERS = {
 }
 
 
+def _amplitudes_needing_modes(scenario: Scenario):
+    """``use_psf`` flags of the amplitudes whose Schmidt modes an experiment reads."""
+    flags = set()
+    for req in scenario.experiments:
+        if req.id == "fig3_schmidt":
+            flags.add(True)
+        elif req.id == "schmidt_fringes":
+            flags.add(req.params["use_psf"])
+    return sorted(flags)
+
+
 def run_scenario_experiments(scenario: Scenario, parallel: bool = False):
     """Run every experiment of the scenario; returns results in config order."""
     ctx = ScenarioContext(scenario)
+    # Decompose with modes before any values-only request, so that one SVD
+    # per amplitude serves every experiment, and none runs in the thread pool.
+    for use_psf in _amplitudes_needing_modes(scenario):
+        bases.amplitude_svd(ctx.amplitude(use_psf))
     if parallel and len(scenario.experiments) > 1:
         # Prime the shared amplitudes once to keep the cache thread-safe.
         ctx.gamma_psf

@@ -220,13 +220,17 @@ class JointAmplitude:
 
     Normalized so that sum(|values|^2) * spacing^2 = 1.  ``kind`` is one of
     "lambda" (source), "gamma" (source times detector acceptance),
-    "gamma_psf" (after spectral-resolution blur).
+    "gamma_psf" (after spectral-resolution blur).  ``values`` is read-only
+    after normalization, so the Schmidt data that
+    :func:`biphoton_shaper.bases.amplitude_svd` stores on the instance can
+    never go stale.
     """
 
     grid: SpectralGrid
     values: np.ndarray
     kind: str = "lambda"
     metadata: dict = field(default_factory=dict)
+    _schmidt: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -240,6 +244,7 @@ class JointAmplitude:
         if norm == 0.0:
             raise ValueError("amplitude is identically zero")
         self.values = self.values / norm
+        self.values.flags.writeable = False
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2))

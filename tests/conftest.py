@@ -43,6 +43,20 @@ def gamma_psf_small(gamma_small):
     return apply_psf(gamma_small, PSF_WIDTH)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record the ``compute_uv`` flag of every np.linalg.svd call."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def antidiagonal_ridge(small_grid):
     """Amplitude supported exactly on the energy-conservation anti-diagonal."""

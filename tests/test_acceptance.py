@@ -68,7 +68,7 @@ def paper_1025():
 
 
 def spectrum_metrics(amp):
-    beta, _, _ = amplitude_svd(amp, compute_modes=False)
+    beta, _ = amplitude_svd(amp, compute_modes=False)
     kept = beta[beta > 1e-15]
     entropy = float(-(kept * np.log2(kept)).sum())
     return entropy, float(1.0 / (kept**2).sum())
@@ -105,8 +105,8 @@ def test_criterion_3_cw_limit_oracle():
     max_rel = 0.0
     for a, b in pairs:
         grid = SpectralGrid(n_points=2049, omega_max=6.0 * max(a, b))
-        beta, _, _ = amplitude_svd(double_gaussian_amplitude(grid, a, b),
-                                   compute_modes=False)
+        beta, _ = amplitude_svd(double_gaussian_amplitude(grid, a, b),
+                                compute_modes=False)
         k_svd = 1.0 / np.sum(beta**2)
         k_cf = double_gaussian_oracle(a, b)
         max_rel = max(max_rel, abs(k_svd - k_cf) / k_cf)
@@ -119,8 +119,8 @@ def test_criterion_3_cw_limit_oracle():
 
     # one grid spot check along the sweep
     grid = SpectralGrid(n_points=2049, omega_max=0.6)
-    beta, _, _ = amplitude_svd(double_gaussian_amplitude(grid, 0.01, 0.1),
-                               compute_modes=False)
+    beta, _ = amplitude_svd(double_gaussian_amplitude(grid, 0.01, 0.1),
+                            compute_modes=False)
     k_spot = 1.0 / np.sum(beta**2)
     spot_ok = abs(k_spot - double_gaussian_oracle(0.01, 0.1)) / k_spot < 5e-3
 
@@ -307,7 +307,7 @@ def test_criterion_11_property_suites(paper_1025):
     checks["orthonormality"] = all(
         np.max(np.abs(gram_matrix(b) - np.eye(b.d))) < 1e-6 for b in (bins, modes))
 
-    beta, _, _ = amplitude_svd(gamma_psf, compute_modes=False)
+    beta, _ = amplitude_svd(gamma_psf, compute_modes=False)
     checks["spectrum_normalized"] = abs(beta.sum() - 1.0) < 1e-6
 
     basis_s = mirrored(modes)

@@ -112,7 +112,7 @@ class TestTimeBins:
 class TestSchmidtModes:
     def test_separable_gaussian_single_mode(self, small_grid):
         amp = double_gaussian_amplitude(small_grid, 0.05, 0.05)
-        beta, _, _ = amplitude_svd(amp, compute_modes=False)
+        beta, _ = amplitude_svd(amp, compute_modes=False)
         assert np.isclose(beta[0], 1.0, atol=1e-10)
         assert beta[1] < 1e-10
 
@@ -122,7 +122,7 @@ class TestSchmidtModes:
             schmidt_modes(amp, 10)
 
     def test_weights_normalized_and_sorted(self, gamma_psf_small):
-        beta, _, _ = amplitude_svd(gamma_psf_small, compute_modes=False)
+        beta, _ = amplitude_svd(gamma_psf_small, compute_modes=False)
         assert abs(beta.sum() - 1.0) < 1e-6
         assert np.all(np.diff(beta) <= 1e-15)
 
@@ -149,7 +149,7 @@ class TestSchmidtModes:
     def test_double_gaussian_geometric_spectrum(self, small_grid):
         a, b = 0.012, 0.09
         amp = double_gaussian_amplitude(small_grid, a, b)
-        beta, _, _ = amplitude_svd(amp, compute_modes=False)
+        beta, _ = amplitude_svd(amp, compute_modes=False)
         mu = ((a - b) / (a + b)) ** 2
         ratios = beta[1:8] / beta[:7]
         assert np.allclose(ratios, mu, rtol=1e-3)
@@ -161,8 +161,8 @@ class TestSchmidtModes:
         ks = []
         for n in (513, 1025):
             grid = SpectralGrid(n_points=n, omega_max=0.35)
-            beta, _, _ = amplitude_svd(double_gaussian_amplitude(grid, a, b),
-                                       compute_modes=False)
+            beta, _ = amplitude_svd(double_gaussian_amplitude(grid, a, b),
+                                    compute_modes=False)
             ks.append(1.0 / np.sum(beta**2))
         assert abs(ks[1] - ks[0]) / ks[0] < 5e-3
         assert abs(ks[1] - want) / want < 5e-3
@@ -193,6 +193,45 @@ class TestSchmidtModes:
             recon += np.sqrt(beta[j]) * np.outer(f, f)
         err2 = np.sum((amp.values - recon) ** 2) * h * h
         assert err2 <= 1.0 - beta.sum() + 1e-6
+
+
+class TestSchmidtCache:
+    def test_values_request_reuses_full_decomposition(self, small_grid, svd_calls):
+        amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
+        beta, modes = amplitude_svd(amp)
+        values_beta, no_modes = amplitude_svd(amp, compute_modes=False)
+        assert values_beta is beta and no_modes is None
+        assert amplitude_svd(amp)[1] is modes
+        assert svd_calls == [True]
+
+    def test_full_request_replaces_values_only(self, small_grid, svd_calls):
+        amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
+        amplitude_svd(amp, compute_modes=False)
+        _, modes = amplitude_svd(amp)
+        assert modes.shape == (small_grid.n_points, small_grid.n_points)
+        amplitude_svd(amp, compute_modes=False)
+        amplitude_svd(amp)
+        assert svd_calls == [False, True]
+
+    def test_cached_beta_bit_identical_to_fresh_decomposition(self, small_grid):
+        amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
+        for compute_modes in (False, True):
+            first = amplitude_svd(amp, compute_modes)
+            cached = amplitude_svd(amp, compute_modes)
+            copy = double_gaussian_amplitude(small_grid, 0.012, 0.09)
+            assert np.array_equal(copy.values, amp.values)
+            fresh = amplitude_svd(copy, compute_modes)
+            assert cached[0] is first[0]
+            assert np.array_equal(cached[0], fresh[0])
+            if compute_modes:
+                assert np.array_equal(cached[1], fresh[1])
+
+    def test_amplitude_and_cached_data_are_read_only(self, small_grid):
+        amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
+        beta, modes = amplitude_svd(amp)
+        for array in (amp.values, beta, modes):
+            with pytest.raises(ValueError):
+                array[0, ...] = 0.0
 
 
 class TestMirrored:

@@ -20,6 +20,18 @@ QUICK_CONFIG = {
     ],
 }
 
+SCHMIDT_CONFIG = {
+    "version": 1,
+    "seed": 7,
+    "grid": {"n_points": 257, "omega_max": 0.35},
+    "experiments": [
+        {"id": "fig2_amplitude", "export_stride": 32},
+        {"id": "fig3_schmidt"},
+        {"id": "schmidt_fringes", "d": 2, "phi_points": 12},
+        {"id": "schmidt_fringes", "d": 3, "phi_points": 12},
+    ],
+}
+
 
 def write_config(tmp_path, tree, name="scenario.yaml"):
     path = tmp_path / name
@@ -197,6 +209,14 @@ class TestCli:
         assert main(["run", path, "--out", str(out_b), "--parallel"]) == 0
         assert (out_a / "manifest.json").read_text() == \
             (out_b / "manifest.json").read_text()
+
+    @pytest.mark.parametrize("flags", [[], ["--parallel"]])
+    def test_each_amplitude_decomposed_once(self, tmp_path, svd_calls, flags):
+        # values only for gamma (fig2), with modes for gamma_psf (fig2, fig3
+        # and both Schmidt fringes)
+        path = write_config(tmp_path, SCHMIDT_CONFIG)
+        assert main(["run", path, "--out", str(tmp_path / "out"), *flags]) == 0
+        assert sorted(svd_calls) == [False, True]
 
     def test_csv_dialect(self, tmp_path):
         path = write_config(tmp_path, QUICK_CONFIG)

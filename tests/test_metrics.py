@@ -76,7 +76,7 @@ class TestDoubleGaussianOracle:
         for a, b in ((0.02, 0.02), (0.05, 0.02), (0.1, 0.02), (0.02, 0.12),
                      (0.03, 0.2)):
             amp = double_gaussian_amplitude(grid, a, b)
-            beta, _, _ = amplitude_svd(amp, compute_modes=False)
+            beta, _ = amplitude_svd(amp, compute_modes=False)
             k_svd = 1.0 / np.sum(beta**2)
             k_oracle = double_gaussian_oracle(a, b)
             assert abs(k_svd - k_oracle) / k_oracle < 5e-3
@@ -186,6 +186,21 @@ class TestFitGamma:
         fit = fit_gamma(scan)
         assert abs(fit.parameters["gamma1"] - 0.35) < 1e-6
         assert abs(fit.parameters["gamma2"] - 0.87) < 1e-6
+
+    def test_reciprocal_branch_symmetry(self):
+        # (g1, g2, s) -> (g1/g2, 1/g2, s*g2^2) with phi0 fixed leaves the
+        # fringe and I2 unchanged for every g1, not only as g1 -> 0
+        phi = np.linspace(0, 2 * np.pi, 72, endpoint=False)
+        rng = np.random.default_rng(11)
+        for g1, g2, scale, phi0 in zip(rng.uniform(0.0, 2.0, 50),
+                                       rng.uniform(0.05, 3.0, 50),
+                                       rng.uniform(0.1, 10.0, 50),
+                                       rng.uniform(-np.pi, np.pi, 50)):
+            direct = scale * gamma_fringe_model(phi, g1, g2, phi0)
+            image = scale * g2**2 * gamma_fringe_model(phi, g1 / g2, 1.0 / g2, phi0)
+            assert np.allclose(image, direct, rtol=1e-12, atol=1e-12 * direct.max())
+            assert np.isclose(bell_i2(g1 / g2, 1.0 / g2).value,
+                              bell_i2(g1, g2).value, rtol=0.0, atol=1e-12)
 
     def test_cos4_fit(self):
         phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)

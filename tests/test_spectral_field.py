@@ -183,7 +183,7 @@ class TestBuildJointAmplitude:
         pump = PumpSpec(bandwidth=1e8)
         spdc, _ = make_crystals(a2=0.0)
         amp = build_joint_amplitude(small_grid, pump, spdc)
-        beta, _, _ = amplitude_svd(amp, compute_modes=False)
+        beta, _ = amplitude_svd(amp, compute_modes=False)
         assert beta[1] < 1e-9  # single Schmidt mode
 
     def test_default_amplitude_is_narrow_antidiagonal_ridge(self, gamma_small):
@@ -283,7 +283,7 @@ class TestApplyPsf:
         widths = [0.0, 0.005, 0.01, 0.02, 0.04]
         ks = []
         for w in widths:
-            beta, _, _ = amplitude_svd(apply_psf(gamma_small, w), compute_modes=False)
+            beta, _ = amplitude_svd(apply_psf(gamma_small, w), compute_modes=False)
             ks.append(1.0 / np.sum(beta**2))
         assert all(k2 <= k1 + 1e-9 for k1, k2 in zip(ks, ks[1:]))
 
@@ -296,7 +296,7 @@ class TestApplyPsf:
         ks, es = [], []
         for bw in (psf / 100, psf / 10):
             amp = build_joint_amplitude(grid, PumpSpec(bandwidth=bw), spdc, sfg)
-            beta, _, _ = amplitude_svd(apply_psf(amp, psf), compute_modes=False)
+            beta, _ = amplitude_svd(apply_psf(amp, psf), compute_modes=False)
             kept = beta[beta > 1e-15]
             es.append(-(kept * np.log2(kept)).sum())
             ks.append(1.0 / (kept**2).sum())
