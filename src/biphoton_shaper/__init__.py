@@ -19,6 +19,7 @@ from .measurement import (
     CountRecord,
     FringeScan,
     QuditState,
+    coincidence_scan,
     coincidence_signal,
     fringe_scan,
     gamma_model_state,
@@ -52,7 +53,6 @@ from .shaper import (
     SlmModel,
     TransferFunction,
     TransferSpec,
-    combined_modulation,
     franson_transfer,
     pixelate,
     transfer_from_coefficients,

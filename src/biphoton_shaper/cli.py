@@ -1,6 +1,6 @@
 """Command-line scenario runner.
 
-    biphoton-shaper run <config.yaml> [--out DIR] [--force] [--seed N] [--parallel]
+    biphoton-shaper run <config.yaml> [--out DIR] [--force] [--seed N]
     biphoton-shaper validate <config.yaml>
 
 Exit codes: 0 success, 1 I/O problems, 2 invalid configuration (the message
@@ -33,23 +33,24 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--force", action="store_true",
                      help="overwrite existing output files")
     run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--parallel", action="store_true",
-                     help="run experiments concurrently")
 
     val = sub.add_parser("validate", help="check a scenario config and exit")
     val.add_argument("config", help="path to the YAML scenario file")
     return parser
 
 
-def _load_scenario(path):
+def _load_scenario(path, seed=None):
     tree = load_config(path)
+    if seed is not None:
+        # the override passes the same checks as the config's own seed
+        tree["seed"] = seed
     return validate_config(tree)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = _load_scenario(args.config)
+        scenario = _load_scenario(args.config, getattr(args, "seed", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -61,12 +62,10 @@ def main(argv=None) -> int:
         print(f"{args.config}: OK ({len(scenario.experiments)} experiments)")
         return EXIT_OK
 
-    if args.seed is not None:
-        scenario.seed = args.seed
     out_dir = args.out if args.out is not None else scenario.output_dir
 
     try:
-        results = run_scenario_experiments(scenario, parallel=args.parallel)
+        results = run_scenario_experiments(scenario)
     except ShaperSimError as exc:
         print(f"simulation error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -4,7 +4,8 @@ The upconversion detector measures S = |integral of Gamma * M_i * M_s|^2,
 which for transfer functions built from an orthonormal basis equals the
 projection probability of the discretized two-photon state.  This module
 evaluates both routes, runs phase-ladder fringe scans, synthesizes Poissonian
-count records, and computes equalizing filter amplitudes.
+count records, and computes equalizing filter amplitudes.  Every full-field
+scan goes through :func:`coincidence_scan`.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,13 @@ import numpy as np
 
 from .bases import BasisSet
 from .errors import BasisError, GridError
-from .shaper import TransferFunction, TransferSpec, transfer_from_coefficients
+from .shaper import (
+    SlmModel,
+    TransferFunction,
+    TransferSpec,
+    pixelate,
+    transfer_from_coefficients,
+)
 from .spectral_field import JointAmplitude
 
 
@@ -171,14 +178,31 @@ def _scan_amplitude_scale(spec: TransferSpec) -> float:
     return min(1.0, 1.0 / worst) if worst > 0 else 1.0
 
 
-def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None) -> FringeScan:
+def _unit_mean(values: np.ndarray) -> np.ndarray:
+    mean = values.mean()
+    return values / mean if mean > 0 else values
+
+
+def coincidence_scan(amp: JointAmplitude, transfer_pairs) -> np.ndarray:
+    """Coincidence signals of a sequence of (M_i, M_s) settings, unit mean.
+
+    The full-field scan engine: every point is its own double integral over
+    the grid (:func:`coincidence_signal`), never a projection of the state.
+    """
+    values = np.array([coincidence_signal(amp, m_i, m_s) for m_i, m_s in transfer_pairs])
+    return _unit_mean(values)
+
+
+def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None,
+                slm: SlmModel | None = None) -> FringeScan:
     """Phase-ladder interference scan, both photons at the same phase.
 
     ``source`` is either a QuditState (state-space route: projection onto the
     phase ladder exp(i*j*phi)) or a tuple (JointAmplitude, TransferSpec,
-    TransferSpec) (full-field route: transfer functions rebuilt at each phase
-    and fed to the coincidence integral).  Values are normalized to unit mean;
-    metadata reports the weight truncated by the discretization.
+    TransferSpec) (full-field route: transfer functions rebuilt at each phase,
+    quantized onto the modulator pixels when ``slm`` is given, and fed to
+    :func:`coincidence_scan`).  Values are normalized to unit mean; metadata
+    reports the weight truncated by the discretization.
     """
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 2:
@@ -190,14 +214,14 @@ def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None) -> FringeScan
     if isinstance(source, QuditState):
         state = source
         d = state.d
-        values = np.array([
+        values = _unit_mean(np.array([
             projection_probability(
                 state,
                 _ladder(d, p, amplitudes_i),
                 _ladder(d, p, amplitudes_s),
             )
             for p in phi
-        ])
+        ]))
         kind = state.basis_idler.kind if state.basis_idler is not None else "synthetic"
         meta = {"truncation_weight": state.truncation_weight}
         route = "state_space"
@@ -212,24 +236,23 @@ def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None) -> FringeScan
         scale_i = _scan_amplitude_scale(spec_i)
         scale_s = _scan_amplitude_scale(spec_s)
         ladder = np.arange(d)
-        values = np.empty(phi.shape)
-        for n, p in enumerate(phi):
-            m_i = transfer_from_coefficients(
-                TransferSpec(spec_i.basis, spec_i.amplitudes * scale_i,
-                             spec_i.phases + ladder * p, side="idler"))
-            m_s = transfer_from_coefficients(
-                TransferSpec(spec_s.basis, spec_s.amplitudes * scale_s,
-                             spec_s.phases + ladder * p, side="signal"))
-            values[n] = coincidence_signal(amp, m_i, m_s)
+
+        def transfer(spec, scale, p, side):
+            m = transfer_from_coefficients(
+                TransferSpec(spec.basis, spec.amplitudes * scale,
+                             spec.phases + ladder * p, side=side))
+            return m if slm is None else pixelate(m, slm)
+
+        values = coincidence_scan(amp, ((transfer(spec_i, scale_i, p, "idler"),
+                                         transfer(spec_s, scale_s, p, "signal"))
+                                        for p in phi))
         kind = spec_i.basis.kind
         state = project_state(amp, spec_i.basis, spec_s.basis)
         meta = {"truncation_weight": state.truncation_weight,
-                "common_amplitude_scale": (scale_i, scale_s)}
+                "common_amplitude_scale": (scale_i, scale_s),
+                "pixelated": slm is not None}
         route = "full_field"
 
-    mean = values.mean()
-    if mean > 0:
-        values = values / mean
     return FringeScan(phi=phi, values=values, route=route, d=d, basis_kind=kind,
                       metadata=meta)
 

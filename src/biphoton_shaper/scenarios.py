@@ -8,7 +8,6 @@ fixed config and seed.
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,10 +70,6 @@ def _symmetric_centers(d: int, spacing: float):
 
 def _fringe_rows(scan: FringeScan):
     return [(p, v) for p, v in zip(scan.phi, scan.values)]
-
-
-def _verdict(v, v_c):
-    return "PASS" if v > v_c else "FAIL"
 
 
 # --- experiments -------------------------------------------------------------
@@ -166,22 +161,11 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     })
 
 
-def _procrustean_filter(state) -> np.ndarray:
-    """Equalizing amplitudes from the diagonal single-projection signals."""
-    d = state.d
-    signals = [measurement.projection_probability(
-        state, np.eye(d)[k], np.eye(d)[k]) for k in range(d)]
-    return measurement.procrustean_amplitudes(signals)
-
-
-def _dual_route_fringes(ctx, amp, basis_i, basis_s, amplitudes, phi):
-    spec_i = shaper.TransferSpec(basis_i, amplitudes, np.zeros(basis_i.d), side="idler")
-    spec_s = shaper.TransferSpec(basis_s, amplitudes, np.zeros(basis_s.d), side="signal")
-    scan_ff = measurement.fringe_scan((amp, spec_i, spec_s), phi)
-    state = measurement.project_state(amp, basis_i, basis_s)
-    scan_ss = measurement.fringe_scan(state, phi, amplitudes_i=amplitudes,
-                                      amplitudes_s=amplitudes)
-    return scan_ff, scan_ss, state
+def _diagonal_signals(state) -> np.ndarray:
+    """Single-projection signals onto each diagonal basis pair (k, k)."""
+    eye = np.eye(state.d)
+    return np.array([measurement.projection_probability(state, eye[k], eye[k])
+                     for k in range(state.d)])
 
 
 def _transfer_table(m: shaper.TransferFunction):
@@ -191,23 +175,51 @@ def _transfer_table(m: shaper.TransferFunction):
     return (["omega", "re_m", "im_m", "abs_m"], rows)
 
 
-def _pixelated_fringe(ctx, amp, basis_i, basis_s, amplitudes, phi) -> FringeScan:
-    """Full-field scan with the transfers quantized onto the modulator pixels."""
+def _qudit_fringes(req, amp, basis_i, slm=None):
+    """Shared body of the qudit fringe experiments.
+
+    Projects ``amp`` onto ``basis_i`` and its mirror, equalizes the diagonal
+    signals with the Procrustean filter, and scans the phase ladder on both
+    routes: full field (quantized onto ``slm`` when given) and state space
+    from the projected state.  Fits lambda to the full-field scan and judges
+    it against the CGLMP critical visibility.  Returns the result, carrying
+    the report keys and tables both experiments share, and the full-field
+    scan.
+    """
     d = basis_i.d
-    ladder = np.arange(d)
-    values = np.empty(len(phi))
-    for n, p in enumerate(phi):
-        m_i = shaper.pixelate(shaper.transfer_from_coefficients(
-            shaper.TransferSpec(basis_i, amplitudes, ladder * p, side="idler")),
-            ctx.scenario.slm)
-        m_s = shaper.pixelate(shaper.transfer_from_coefficients(
-            shaper.TransferSpec(basis_s, amplitudes, ladder * p, side="signal")),
-            ctx.scenario.slm)
-        values[n] = measurement.coincidence_signal(amp, m_i, m_s)
-    mean = values.mean()
-    return FringeScan(phi=phi, values=values / mean if mean > 0 else values,
-                      route="full_field", d=d, basis_kind=basis_i.kind,
-                      metadata={"pixelated": True})
+    basis_s = bases.mirrored(basis_i)
+    state = measurement.project_state(amp, basis_i, basis_s)
+    filt = measurement.procrustean_amplitudes(_diagonal_signals(state))
+    phi = np.linspace(0.0, np.pi, req.params["phi_points"], endpoint=False)
+    spec_i = shaper.TransferSpec(basis_i, filt, np.zeros(d), side="idler")
+    spec_s = shaper.TransferSpec(basis_s, filt, np.zeros(d), side="signal")
+    scan_ff = measurement.fringe_scan((amp, spec_i, spec_s), phi, slm=slm)
+    scan_ss = measurement.fringe_scan(state, phi, amplitudes_i=filt, amplitudes_s=filt)
+
+    fit = metrics.fit_fringe(scan_ff, d)
+    lam = fit.parameters["lambda"]
+    vis = metrics.visibility_from_lambda(lam, d)
+    v_c = metrics.cglmp_thresholds(d).visibility_critical
+    passed = vis > v_c
+    report = {
+        "d": d,
+        "procrustean_amplitudes": filt.tolist(),
+        "lambda": lam,
+        "lambda_err": fit.uncertainties["lambda"],
+        "visibility": vis,
+        "visibility_critical": v_c,
+        "bell_violation": passed,
+        "truncation_weight": scan_ff.metadata["truncation_weight"],
+        "route_max_gap": float(np.max(np.abs(scan_ff.values - scan_ss.values))),
+    }
+    summary = (f"{req.name}: lambda={lam:.3f} V={vis:.3f} vs "
+               f"Vc={v_c:.3f} -> {'PASS' if passed else 'FAIL'}")
+    tables = {
+        "fringe_full_field": (["phi_rad", "signal"], _fringe_rows(scan_ff)),
+        "fringe_state_space": (["phi_rad", "signal"], _fringe_rows(scan_ss)),
+        "transfer_idler": _transfer_table(shaper.transfer_from_coefficients(spec_i)),
+    }
+    return ExperimentResult(req.name, req.id, summary, passed, report, tables), scan_ff
 
 
 def run_freq_bin_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
@@ -217,45 +229,11 @@ def run_freq_bin_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
     centers = _symmetric_centers(d, p["bin_spacing"])
     widths = np.full(d, p["bin_width"])
     basis_i = bases.frequency_bins(centers, widths, ctx.grid)
-    basis_s = bases.mirrored(basis_i)
-
-    state = measurement.project_state(amp, basis_i, basis_s)
-    filt = _procrustean_filter(state)
-    phi = np.linspace(0.0, np.pi, p["phi_points"], endpoint=False)
-    if p["pixelate"]:
-        scan_ff = _pixelated_fringe(ctx, amp, basis_i, basis_s, filt, phi)
-        scan_ss = measurement.fringe_scan(state, phi, amplitudes_i=filt,
-                                          amplitudes_s=filt)
-        scan_ff.metadata["truncation_weight"] = state.truncation_weight
-    else:
-        scan_ff, scan_ss, _ = _dual_route_fringes(ctx, amp, basis_i, basis_s, filt, phi)
-
-    fit = metrics.fit_fringe(scan_ff, d)
-    lam = fit.parameters["lambda"]
-    vis = metrics.visibility_from_lambda(lam, d)
-    thresholds = metrics.cglmp_thresholds(d)
-    route_gap = float(np.max(np.abs(scan_ff.values - scan_ss.values)))
-
-    report = {
-        "d": d,
-        "bin_centers": centers.tolist(),
-        "bin_widths": widths.tolist(),
-        "procrustean_amplitudes": filt.tolist(),
-        "pixelated": p["pixelate"],
-        "lambda": lam,
-        "lambda_err": fit.uncertainties["lambda"],
-        "visibility": vis,
-        "visibility_critical": thresholds.visibility_critical,
-        "bell_violation": vis > thresholds.visibility_critical,
-        "truncation_weight": scan_ff.metadata["truncation_weight"],
-        "route_max_gap": route_gap,
-    }
-    tables = {
-        "fringe_full_field": (["phi_rad", "signal"], _fringe_rows(scan_ff)),
-        "fringe_state_space": (["phi_rad", "signal"], _fringe_rows(scan_ss)),
-        "transfer_idler": _transfer_table(shaper.transfer_from_coefficients(
-            shaper.TransferSpec(basis_i, filt, np.zeros(d), side="idler"))),
-    }
+    result, scan_ff = _qudit_fringes(req, amp, basis_i,
+                                     slm=ctx.scenario.slm if p["pixelate"] else None)
+    report = result.report
+    report.update(bin_centers=centers.tolist(), bin_widths=widths.tolist(),
+                  pixelated=p["pixelate"])
     if p["counts"]:
         record = measurement.synthesize_counts(
             scan_ff, ctx.scenario.counting.peak_rate,
@@ -264,28 +242,12 @@ def run_freq_bin_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
         noisy = metrics.fit_fringe(record, d)
         report["lambda_from_counts"] = noisy.parameters["lambda"]
         report["lambda_from_counts_err"] = noisy.uncertainties["lambda"]
-        tables["counts"] = (["phi_rad", "gross", "background", "duration_s"],
-                            [(ph, int(gc), int(bc), record.duration)
-                             for ph, gc, bc in zip(record.phi, record.gross,
-                                                   record.background)])
-    verdict = _verdict(vis, thresholds.visibility_critical)
-    summary = (f"{req.name}: lambda={lam:.3f} V={vis:.3f} vs "
-               f"Vc={thresholds.visibility_critical:.3f} -> {verdict} "
-               f"(leakage {report['truncation_weight']:.2e})")
-    return ExperimentResult(req.name, req.id, summary,
-                            vis > thresholds.visibility_critical, report, tables)
-
-
-def _franson_fringe(amp, t1, phi) -> FringeScan:
-    values = np.empty(len(phi))
-    for n, p in enumerate(phi):
-        m_i = shaper.franson_transfer(0.5, 0.5, t1, p, amp.grid)
-        m_s = shaper.franson_transfer(0.5, 0.5, t1, p, amp.grid)
-        values[n] = measurement.coincidence_signal(amp, m_i, m_s)
-    mean = values.mean()
-    return FringeScan(phi=phi, values=values / mean if mean > 0 else values,
-                      route="full_field", d=2, basis_kind="time_bin",
-                      metadata={"t1_fs": t1})
+        result.tables["counts"] = (["phi_rad", "gross", "background", "duration_s"],
+                                   [(ph, int(gc), int(bc), record.duration)
+                                    for ph, gc, bc in zip(record.phi, record.gross,
+                                                          record.background)])
+    result.summary += f" (leakage {report['truncation_weight']:.2e})"
+    return result
 
 
 def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
@@ -297,8 +259,12 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
     cos4_residual = None
     for t1 in t1_values:
         entry = {"t1_fs": t1}
+        # both photons pass identical interferometers, one transfer per phase
+        transfers = [shaper.franson_transfer(0.5, 0.5, t1, ph, ctx.grid) for ph in phi]
         for label, amp in (("no_psf", ctx.gamma), ("psf", ctx.gamma_psf)):
-            scan = _franson_fringe(amp, t1, phi)
+            values = measurement.coincidence_scan(amp, [(m, m) for m in transfers])
+            scan = FringeScan(phi=phi, values=values, route="full_field", d=2,
+                              basis_kind="time_bin", metadata={"t1_fs": t1})
             per_t1[f"fringe_t{t1:g}_{label}"] = (["phi_rad", "signal"],
                                                  _fringe_rows(scan))
             if t1 == 0.0:
@@ -362,42 +328,11 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
 
 
 def run_schmidt_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
-    p = req.params
-    d = p["d"]
-    amp = ctx.amplitude(p["use_psf"])
-    basis_i = bases.schmidt_modes(amp, d)
-    basis_s = bases.mirrored(basis_i)
-    state = measurement.project_state(amp, basis_i, basis_s)
-    filt = _procrustean_filter(state)
-    phi = np.linspace(0.0, np.pi, p["phi_points"], endpoint=False)
-    scan_ff, scan_ss, _ = _dual_route_fringes(ctx, amp, basis_i, basis_s, filt, phi)
-    fit = metrics.fit_fringe(scan_ff, d)
-    lam = fit.parameters["lambda"]
-    vis = metrics.visibility_from_lambda(lam, d)
-    thresholds = metrics.cglmp_thresholds(d)
-    report = {
-        "d": d,
-        "mode_weights": [float(b) for b in basis_i.metadata["eigenvalues"]],
-        "procrustean_amplitudes": filt.tolist(),
-        "lambda": lam,
-        "lambda_err": fit.uncertainties["lambda"],
-        "visibility": vis,
-        "visibility_critical": thresholds.visibility_critical,
-        "bell_violation": vis > thresholds.visibility_critical,
-        "truncation_weight": scan_ff.metadata["truncation_weight"],
-        "route_max_gap": float(np.max(np.abs(scan_ff.values - scan_ss.values))),
-    }
-    verdict = _verdict(vis, thresholds.visibility_critical)
-    summary = (f"{req.name}: lambda={lam:.3f} V={vis:.3f} vs "
-               f"Vc={thresholds.visibility_critical:.3f} -> {verdict}")
-    tables = {
-        "fringe_full_field": (["phi_rad", "signal"], _fringe_rows(scan_ff)),
-        "fringe_state_space": (["phi_rad", "signal"], _fringe_rows(scan_ss)),
-        "transfer_idler": _transfer_table(shaper.transfer_from_coefficients(
-            shaper.TransferSpec(basis_i, filt, np.zeros(d), side="idler"))),
-    }
-    return ExperimentResult(req.name, req.id, summary,
-                            vis > thresholds.visibility_critical, report, tables)
+    amp = ctx.amplitude(req.params["use_psf"])
+    basis_i = bases.schmidt_modes(amp, req.params["d"])
+    result, _ = _qudit_fringes(req, amp, basis_i)
+    result.report["mode_weights"] = [float(b) for b in basis_i.metadata["eigenvalues"]]
+    return result
 
 
 def run_bell_i2_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
@@ -439,9 +374,7 @@ def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
     basis_s = bases.mirrored(basis_i)
     state = measurement.project_state(amp, basis_i, basis_s)
 
-    eye = np.eye(d)
-    before = np.array([measurement.projection_probability(state, eye[k], eye[k])
-                       for k in range(d)])
+    before = _diagonal_signals(state)
     filt = measurement.procrustean_amplitudes(before)
     after = filt**4 * before
     spread = float(after.max() / after.min() - 1.0)
@@ -493,20 +426,13 @@ def _amplitudes_needing_modes(scenario: Scenario):
     return sorted(flags)
 
 
-def run_scenario_experiments(scenario: Scenario, parallel: bool = False):
+def run_scenario_experiments(scenario: Scenario):
     """Run every experiment of the scenario; returns results in config order."""
     ctx = ScenarioContext(scenario)
     # Decompose with modes before any values-only request, so that one SVD
-    # per amplitude serves every experiment, and none runs in the thread pool.
+    # per amplitude serves every experiment.
     for use_psf in _amplitudes_needing_modes(scenario):
         bases.amplitude_svd(ctx.amplitude(use_psf))
-    if parallel and len(scenario.experiments) > 1:
-        # Prime the shared amplitudes once to keep the cache thread-safe.
-        ctx.gamma_psf
-        with ThreadPoolExecutor(max_workers=min(4, len(scenario.experiments))) as pool:
-            futures = [pool.submit(EXPERIMENT_RUNNERS[req.id], ctx, req)
-                       for req in scenario.experiments]
-            return [f.result() for f in futures]
     return [EXPERIMENT_RUNNERS[req.id](ctx, req) for req in scenario.experiments]
 
 
@@ -562,8 +488,8 @@ def emit_outputs(results, directory, force: bool = False) -> dict:
             planned.append((f"{result.name}_{table}_{index:03d}.csv",
                             (columns, rows), result))
 
-    for filename, _, _ in planned:
-        target = out / filename
+    manifest_path = out / "manifest.json"
+    for target in [out / filename for filename, _, _ in planned] + [manifest_path]:
         if target.exists() and not force:
             raise FileExistsError(
                 f"{target}: output exists; pass --force to overwrite")
@@ -586,9 +512,6 @@ def emit_outputs(results, directory, force: bool = False) -> dict:
         digest = hashlib.sha256(target.read_bytes()).hexdigest()
         manifest["files"].append({"name": filename, "sha256": digest})
 
-    manifest_path = out / "manifest.json"
-    if manifest_path.exists() and not force:
-        raise FileExistsError(f"{manifest_path}: output exists; pass --force to overwrite")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                              encoding="utf-8", newline="\n")
     return manifest

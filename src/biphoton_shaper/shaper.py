@@ -201,10 +201,3 @@ def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     values[in_pixel] = means[idx]
     return TransferFunction(grid=m.grid, values=values, metadata=meta)
-
-
-def combined_modulation(m_i: TransferFunction, m_s: TransferFunction) -> np.ndarray:
-    """Two-photon modulation M(w_i, w_s) = M_i(w_i) * M_s(w_s) as an outer product."""
-    if not m_i.grid.same_axis(m_s.grid):
-        raise GridError("idler and signal transfer functions live on different grids")
-    return np.outer(m_i.values, m_s.values)

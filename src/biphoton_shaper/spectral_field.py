@@ -45,18 +45,13 @@ class SpectralGrid:
 
     n_points: int
     omega_max: float
-    omega_min: float | None = None
     center_wavelength: float = 1064.0  # nm, degenerate emission
 
     def __post_init__(self):
-        if self.omega_min is None:
-            object.__setattr__(self, "omega_min", -self.omega_max)
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise GridError(f"n_points must be odd and >= 3, got {self.n_points}")
-        if not (self.omega_min < 0.0 < self.omega_max):
-            raise GridError("window must straddle zero")
-        if not np.isclose(self.omega_min, -self.omega_max, rtol=0, atol=1e-12):
-            raise GridError("window must be symmetric: omega_min = -omega_max")
+        if not self.omega_max > 0.0:
+            raise GridError(f"omega_max must be positive, got {self.omega_max}")
 
     @property
     def spacing(self) -> float:

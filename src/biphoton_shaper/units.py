@@ -22,11 +22,6 @@ def bandwidth_nm_to_rad_fs(delta_lambda_nm, center_nm):
     return 2.0 * np.pi * C_NM_PER_FS * delta_lambda_nm / center_nm**2
 
 
-def bandwidth_rad_fs_to_nm(delta_omega, center_nm):
-    """Inverse of :func:`bandwidth_nm_to_rad_fs`."""
-    return delta_omega * center_nm**2 / (2.0 * np.pi * C_NM_PER_FS)
-
-
 def linewidth_mhz_to_rad_fs(linewidth_mhz):
     """Convert a frequency linewidth in MHz to angular rad/fs."""
     return 2.0 * np.pi * linewidth_mhz * 1e6 * 1e-15

@@ -130,6 +130,13 @@ class TestCli:
         assert "experiments[0].powr_uw" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_override_exits_2_without_outputs(self, tmp_path, capsys):
+        path = write_config(tmp_path, QUICK_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--seed", "-1"]) == 2
+        assert "config error: seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.yaml")]) == 1
 
@@ -202,20 +209,11 @@ class TestCli:
         assert report["report"]["route_max_gap"] > 1e-6
         assert report["report"]["visibility"] > report["report"]["visibility_critical"]
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        path = write_config(tmp_path, QUICK_CONFIG)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", path, "--out", str(out_a)]) == 0
-        assert main(["run", path, "--out", str(out_b), "--parallel"]) == 0
-        assert (out_a / "manifest.json").read_text() == \
-            (out_b / "manifest.json").read_text()
-
-    @pytest.mark.parametrize("flags", [[], ["--parallel"]])
-    def test_each_amplitude_decomposed_once(self, tmp_path, svd_calls, flags):
+    def test_each_amplitude_decomposed_once(self, tmp_path, svd_calls):
         # values only for gamma (fig2), with modes for gamma_psf (fig2, fig3
         # and both Schmidt fringes)
         path = write_config(tmp_path, SCHMIDT_CONFIG)
-        assert main(["run", path, "--out", str(tmp_path / "out"), *flags]) == 0
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert sorted(svd_calls) == [False, True]
 
     def test_csv_dialect(self, tmp_path):
@@ -241,6 +239,15 @@ class TestEmitOutputs:
         listed = {f["name"] for f in manifest["files"]}
         on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert listed == on_disk
+
+    def test_stale_manifest_blocks_every_write(self, tmp_path):
+        path = write_config(tmp_path, QUICK_CONFIG)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("stale\n")
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_text() == "stale\n"
 
     def test_empty_result_set_gives_empty_manifest(self, tmp_path):
         from biphoton_shaper.scenarios import emit_outputs

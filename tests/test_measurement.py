@@ -6,22 +6,27 @@ import pytest
 from biphoton_shaper import (
     BasisError,
     GridError,
+    SlmModel,
     SpectralGrid,
     TransferFunction,
     TransferSpec,
+    coincidence_scan,
     coincidence_signal,
     double_gaussian_amplitude,
+    franson_transfer,
     fringe_scan,
     frequency_bins,
     gamma_model_state,
     max_entangled_state,
     mirrored,
+    pixelate,
     procrustean_amplitudes,
     project_state,
     projection_probability,
     schmidt_modes,
     synthesize_counts,
     time_bins,
+    transfer_from_coefficients,
 )
 from biphoton_shaper.measurement import QuditState
 
@@ -67,6 +72,26 @@ class TestCoincidenceSignal:
         with pytest.raises(GridError):
             coincidence_signal(gamma_small, ones_transfer(other),
                                ones_transfer(gamma_small.grid))
+
+
+class TestCoincidenceScan:
+    def test_franson_pairs_match_signal_loop_bitwise(self, gamma_small):
+        grid = gamma_small.grid
+        phi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        transfers = [franson_transfer(0.5, 0.5, 35.0, p, grid) for p in phi]
+        values = coincidence_scan(gamma_small, [(m, m) for m in transfers])
+        loop = np.empty(len(phi))
+        for n, p in enumerate(phi):
+            m_i = franson_transfer(0.5, 0.5, 35.0, p, grid)
+            m_s = franson_transfer(0.5, 0.5, 35.0, p, grid)
+            loop[n] = coincidence_signal(gamma_small, m_i, m_s)
+        assert np.array_equal(values, loop / loop.mean())
+
+    def test_dark_scan_stays_zero(self, gamma_small):
+        dark = TransferFunction(gamma_small.grid, np.zeros(gamma_small.grid.n_points))
+        ones = ones_transfer(gamma_small.grid)
+        values = coincidence_scan(gamma_small, [(dark, ones), (ones, dark)])
+        assert np.array_equal(values, np.zeros(2))
 
 
 class TestProjectState:
@@ -191,6 +216,30 @@ class TestFringeScan:
         ff = fringe_scan((gamma_psf_small, spec_i, spec_s), phi)
         ss = fringe_scan(project_state(gamma_psf_small, basis_i, basis_s), phi)
         assert np.max(np.abs(ff.values - ss.values)) < 1e-10
+
+    def test_pixelated_scan_matches_per_point_reference(self, gamma_psf_small):
+        # disjoint bins: the common amplitude scale equals every per-point
+        # rescale, so the scan agrees with quantizing each transfer separately
+        grid = gamma_psf_small.grid
+        slm = SlmModel(n_pixels=128, pixel_width=100.0, gap=3.0)
+        basis_i = frequency_bins([-0.1, 0.0, 0.1], [0.04] * 3, grid)
+        basis_s = mirrored(basis_i)
+        amps = np.array([1.0, 0.7, 0.9])
+        spec_i = TransferSpec(basis_i, amps, np.zeros(3))
+        spec_s = TransferSpec(basis_s, amps, np.zeros(3), side="signal")
+        phi = np.linspace(0, np.pi, 12, endpoint=False)
+        scan = fringe_scan((gamma_psf_small, spec_i, spec_s), phi, slm=slm)
+        ladder = np.arange(3)
+        ref = np.array([coincidence_signal(
+            gamma_psf_small,
+            pixelate(transfer_from_coefficients(TransferSpec(basis_i, amps, ladder * p)), slm),
+            pixelate(transfer_from_coefficients(
+                TransferSpec(basis_s, amps, ladder * p, side="signal")), slm))
+            for p in phi])
+        assert np.max(np.abs(scan.values - ref / ref.mean())) < 1e-12
+        plain = fringe_scan((gamma_psf_small, spec_i, spec_s), phi)
+        assert np.max(np.abs(scan.values - plain.values)) > 1e-6  # quantization shows
+        assert scan.metadata["pixelated"] and not plain.metadata["pixelated"]
 
     def test_short_phase_grid_rejected(self):
         state = max_entangled_state(2)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from biphoton_shaper import (
-    GridError,
     MappingError,
     SlmModel,
     SpectralGrid,
     TransferFunction,
     TransferSpec,
-    combined_modulation,
     franson_transfer,
     frequency_bins,
     pixelate,
@@ -153,17 +151,7 @@ class TestPixelate:
 
 
 class TestCombinedModulation:
-    def test_identity(self, small_grid):
-        ones = TransferFunction(small_grid, np.ones(small_grid.n_points))
-        assert np.allclose(combined_modulation(ones, ones), 1.0)
-
-    def test_phases_add(self, small_grid):
-        ax = small_grid.axis()
-        t = 17.0
-        m = TransferFunction(small_grid, np.exp(1j * ax * t))
-        total = combined_modulation(m, m)
-        wi, ws = small_grid.mesh()
-        assert np.allclose(total, np.exp(1j * (wi + ws) * t), atol=1e-12)
+    """The two-photon modulation M_i(w_i) * M_s(w_s) the coincidence integral applies."""
 
     def test_opaque_side_blocks_everything(self, small_grid, gamma_small):
         from biphoton_shaper import coincidence_signal
@@ -171,13 +159,6 @@ class TestCombinedModulation:
         ones = TransferFunction(small_grid, np.ones(small_grid.n_points))
         zero = TransferFunction(small_grid, np.zeros(small_grid.n_points))
         assert coincidence_signal(gamma_small, zero, ones) == 0.0
-
-    def test_grid_mismatch(self, small_grid):
-        other = SpectralGrid(n_points=129, omega_max=0.35)
-        a = TransferFunction(small_grid, np.ones(small_grid.n_points))
-        b = TransferFunction(other, np.ones(other.n_points))
-        with pytest.raises(GridError):
-            combined_modulation(a, b)
 
 
 class TestNormalizationCovariance:

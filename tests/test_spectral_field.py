@@ -48,9 +48,10 @@ class TestSpectralGrid:
         with pytest.raises(GridError):
             SpectralGrid(n_points=1, omega_max=0.5)
 
-    def test_rejects_asymmetric_window(self):
-        with pytest.raises(GridError):
-            SpectralGrid(n_points=101, omega_max=0.5, omega_min=-0.4)
+    def test_rejects_nonpositive_window(self):
+        for omega_max in (0.0, -0.5, float("nan")):
+            with pytest.raises(GridError):
+                SpectralGrid(n_points=101, omega_max=omega_max)
 
     def test_pump_center_frequency(self):
         grid = SpectralGrid(n_points=11, omega_max=0.1, center_wavelength=1064.0)
