@@ -1,16 +1,22 @@
 """Scenario configuration: schema, defaults and validation.
 
-Configs are YAML key-value trees with a version tag.  Validation is strict:
-unknown keys, missing required keys and out-of-range values raise
-:class:`ConfigError` carrying the offending key path.  All wavelength/MHz
-quantities are converted to internal rad/fs units here.
+Configs are YAML key-value trees with a version tag.  Every key's type,
+default and lower bound is written once, in the schema tables below, which
+both :func:`default_config` and :func:`validate_config` read.  Validation is
+strict: unknown keys, missing required keys, non-finite numbers and
+out-of-range values raise :class:`ConfigError` carrying the offending key
+path, as does any value the typed objects reject while they are built.  All
+wavelength/MHz quantities are converted to internal rad/fs units here.
 """
 
+import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .shaper import SlmModel
 from .spectral_field import (
     CrystalSpec,
@@ -30,17 +36,45 @@ CONFIG_VERSION = 1
 # sinc^2 singles bandwidth of roughly 61 nm around 1064 nm.
 DEFAULT_TAYLOR_A2 = 23.2
 
-EXPERIMENT_IDS = (
-    "flux_check",
-    "fig2_amplitude",
-    "fig3_schmidt",
-    "freq_bin_fringes",
-    "time_bin_sweep",
-    "schmidt_fringes",
-    "bell_i2_sweep",
-    "procrustean",
-)
+# Schema: each key maps to a nested table or to (type, default) plus an
+# optional lower bound (">" or ">=", value).  A default of None marks an
+# optional key that the default tree leaves out; _REQUIRED marks a key that
+# has no default.
+_REQUIRED = object()
+_POSITIVE = (">", 0.0)
+_NON_NEGATIVE = (">=", 0.0)
 
+_CRYSTAL = {"length_mm": (float, 11.5, *_POSITIVE),
+            "poling_period_um": (float, 9.0, *_POSITIVE)}
+_MODEL = (str, "taylor")
+_SELLMEIER_INDEX = {"a": (float, _REQUIRED), "terms": (list, []), "d": (float, 0.0),
+                    "validity_um": (list, None)}
+_DISPERSION = {
+    "taylor": {"model": _MODEL, "a1": (float, 0.0), "a2": (float, DEFAULT_TAYLOR_A2),
+               "a3": (float, 0.0), "target_bandwidth_nm": (float, None, *_POSITIVE),
+               "include_phase": (bool, None)},
+    "sellmeier": {"model": _MODEL, "pump": _SELLMEIER_INDEX, "idler": _SELLMEIER_INDEX,
+                  "signal": _SELLMEIER_INDEX, "include_phase": (bool, None)},
+}
+_SCHEMA = {
+    "seed": (int, 20240901, ">=", 0),
+    "output_dir": (str, "results"),
+    "grid": {"n_points": (int, 1025, ">=", 3), "omega_max": (float, 0.35, *_POSITIVE),
+             "center_wavelength_nm": (float, 1064.0, *_POSITIVE)},
+    "pump": {"wavelength_nm": (float, 532.0, *_POSITIVE),
+             "linewidth_mhz": (float, 5.0, *_POSITIVE)},
+    "crystals": {"spdc": _CRYSTAL, "sfg": _CRYSTAL},
+    "dispersion": _DISPERSION["taylor"],
+    "psf": {"delta_omega": (float, 9.6e-3, *_NON_NEGATIVE)},
+    "slm": {"n_pixels": (int, 640, ">=", 1), "pixel_width_um": (float, 100.0, *_POSITIVE),
+            "gap_um": (float, 3.0, *_NON_NEGATIVE)},
+    "counting": {"peak_rate_hz": (float, 50.0, *_NON_NEGATIVE),
+                 "background_rate_hz": (float, 11.0, *_NON_NEGATIVE),
+                 "duration_s": (float, 300.0, *_NON_NEGATIVE)},
+}
+
+# Experiment parameters: the type follows the default; counts must be >= 1,
+# physical quantities > 0, lists hold finite numbers.
 _EXPERIMENT_PARAMS = {
     "flux_check": {"bandwidth_nm": 105.0, "power_uw": 1.0},
     "fig2_amplitude": {"export_stride": 16},
@@ -59,9 +93,9 @@ _EXPERIMENT_PARAMS = {
 
 @dataclass(frozen=True)
 class CountingParams:
-    peak_rate: float = 50.0        # Hz at the fringe maximum
-    background_rate: float = 11.0  # Hz
-    duration: float = 300.0        # s per phase point
+    peak_rate: float        # Hz at the fringe maximum
+    background_rate: float  # Hz
+    duration: float         # s per phase point
 
 
 @dataclass
@@ -88,24 +122,16 @@ class Scenario:
     experiments: list = field(default_factory=list)
 
 
+def _defaults(schema) -> dict:
+    return {key: _defaults(spec) if isinstance(spec, dict) else spec[1]
+            for key, spec in schema.items()
+            if isinstance(spec, dict) or spec[1] is not None}
+
+
 def default_config() -> dict:
     """The shipped default configuration tree (all experiments)."""
-    return {
-        "version": CONFIG_VERSION,
-        "seed": 20240901,
-        "output_dir": "results",
-        "grid": {"n_points": 1025, "omega_max": 0.35, "center_wavelength_nm": 1064.0},
-        "pump": {"wavelength_nm": 532.0, "linewidth_mhz": 5.0},
-        "crystals": {
-            "spdc": {"length_mm": 11.5, "poling_period_um": 9.0},
-            "sfg": {"length_mm": 11.5, "poling_period_um": 9.0},
-        },
-        "dispersion": {"model": "taylor", "a1": 0.0, "a2": DEFAULT_TAYLOR_A2, "a3": 0.0},
-        "psf": {"delta_omega": 9.6e-3},
-        "slm": {"n_pixels": 640, "pixel_width_um": 100.0, "gap_um": 3.0},
-        "counting": {"peak_rate_hz": 50.0, "background_rate_hz": 11.0, "duration_s": 300.0},
-        "experiments": [{"id": name} for name in EXPERIMENT_IDS],
-    }
+    return {"version": CONFIG_VERSION, **_defaults(_SCHEMA),
+            "experiments": [{"id": name} for name in _EXPERIMENT_PARAMS]}
 
 
 def load_config(path) -> dict:
@@ -122,136 +148,88 @@ def load_config(path) -> dict:
 # --- validation helpers ----------------------------------------------------
 
 
+def _join(path, key):
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
 def _expect_mapping(tree, path):
     if not isinstance(tree, dict):
-        raise ConfigError(path, "must be a mapping")
+        raise ConfigError(path or "<document>", "must be a mapping")
     return tree
 
 
-def _reject_unknown(tree, known, path):
-    for key in tree:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
-
-
-def _get(tree, key, path, kind, default=None, required=False, minimum=None,
-         exclusive_minimum=None):
+def _get(tree, key, path, kind, default=None, op=None, bound=None):
+    """The value at ``key``, type- and range-checked, or its default."""
+    full = _join(path, key)
     if key not in tree:
-        if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
+        if default is _REQUIRED:
+            raise ConfigError(full, "missing required key")
         return default
     value = tree[key]
-    full = f"{path}.{key}" if path else key
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(full, f"expected an integer, got {value!r}")
-    if not isinstance(value, kind):
+    if kind is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if (kind is int and isinstance(value, bool)) or not isinstance(value, kind):
         raise ConfigError(full, f"expected {kind.__name__}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(full, f"must be >= {minimum}, got {value!r}")
-    if exclusive_minimum is not None and value <= exclusive_minimum:
-        raise ConfigError(full, f"must be > {exclusive_minimum}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(full, f"must be finite, got {tree[key]!r}")
+    if (op == ">=" and value < bound) or (op == ">" and value <= bound):
+        raise ConfigError(full, f"must be {op} {bound}, got {value!r}")
     return value
 
 
-def _float_list(tree, key, path, default):
-    if key not in tree:
-        return list(default)
-    value = tree[key]
-    full = f"{path}.{key}"
-    if not isinstance(value, list) or not value:
-        raise ConfigError(full, "expected a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{full}[{i}]", f"expected a number, got {item!r}")
-        out.append(float(item))
-    return out
+def _float_list(value, path, length=None):
+    """A non-empty list of finite numbers, exactly ``length`` of them if given."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        raise ConfigError(path, f"expected a list of {length or 'one or more'} "
+                                f"numbers, got {value!r}")
+    items = dict(enumerate(value))
+    return [_get(items, i, path, float) for i in items]
 
 
-def _parse_sellmeier_index(tree, path) -> SellmeierIndex:
+def _section(tree, path, schema, extra=()):
+    """Check one mapping against its schema table; return {key: value}."""
     _expect_mapping(tree, path)
-    _reject_unknown(tree, {"a", "terms", "d", "validity_um"}, path)
-    a = _get(tree, "a", path, float, required=True)
-    d = _get(tree, "d", path, float, default=0.0)
-    terms = tree.get("terms", [])
-    if not isinstance(terms, list):
-        raise ConfigError(f"{path}.terms", "expected a list of [b, c] pairs")
-    parsed = []
-    for i, pair in enumerate(terms):
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise ConfigError(f"{path}.terms[{i}]", "expected a [b, c] pair")
-        parsed.append((float(pair[0]), float(pair[1])))
-    validity = tree.get("validity_um")
-    if validity is not None:
-        if not isinstance(validity, list) or len(validity) != 2:
-            raise ConfigError(f"{path}.validity_um", "expected [min_um, max_um]")
-        validity = (float(validity[0]), float(validity[1]))
-    return SellmeierIndex(a=a, terms=tuple(parsed), d=d, validity_um=validity)
+    for key in tree:
+        if key not in schema and key not in extra:
+            raise ConfigError(_join(path, str(key)), "unknown key")
+    return {key: _section(tree.get(key, {}), _join(path, key), spec)
+            if isinstance(spec, dict) else _get(tree, key, path, *spec)
+            for key, spec in schema.items()}
 
 
-def _dispersion_factory(tree, grid: SpectralGrid, path):
-    """Validate the dispersion block; return a (length_mm, poling_um) -> model factory."""
-    _expect_mapping(tree, path)
-    model = _get(tree, "model", path, str, default="taylor")
-    if model == "sellmeier":
-        _reject_unknown(tree, {"model", "pump", "idler", "signal", "include_phase"}, path)
-        for side in ("pump", "idler", "signal"):
-            if side not in tree:
-                raise ConfigError(f"{path}.{side}", "missing required key")
-        shared = SellmeierMismatch(
-            index_i=_parse_sellmeier_index(tree["idler"], f"{path}.idler"),
-            index_s=_parse_sellmeier_index(tree["signal"], f"{path}.signal"),
-            index_p=_parse_sellmeier_index(tree["pump"], f"{path}.pump"),
-        )
-        return lambda length_mm, poling_um: shared
-    if model != "taylor":
-        raise ConfigError(f"{path}.model", f"unknown dispersion model {model!r}")
+@contextmanager
+def _built_from(path):
+    """Report a value that a typed object rejects as a ConfigError at ``path``."""
+    try:
+        yield
+    except (ValueError, ArithmeticError, GridError) as exc:
+        raise ConfigError(path, f"out of range: {exc}") from exc
 
-    _reject_unknown(tree, {"model", "a1", "a2", "a3", "target_bandwidth_nm",
-                           "include_phase"}, path)
-    if "target_bandwidth_nm" in tree and "a2" in tree:
-        raise ConfigError(f"{path}.a2", "give either a2 or target_bandwidth_nm, not both")
-    a1 = _get(tree, "a1", path, float, default=0.0)
-    a3 = _get(tree, "a3", path, float, default=0.0)
-    target = _get(tree, "target_bandwidth_nm", path, float, default=None,
-                  exclusive_minimum=0.0)
-    a2_fixed = _get(tree, "a2", path, float, default=DEFAULT_TAYLOR_A2)
 
-    def taylor_for(length_mm, poling_um):
-        a2 = (taylor_curvature_for_bandwidth(target, grid.center_wavelength, length_mm)
-              if target is not None else a2_fixed)
-        return TaylorMismatch.quasi_phase_matched(poling_um, a1=a1, a2=a2, a3=a3)
-
-    return taylor_for
+def _sellmeier_index(index, path) -> SellmeierIndex:
+    validity = index["validity_um"]
+    return SellmeierIndex(
+        a=index["a"], d=index["d"],
+        terms=tuple(tuple(_float_list(pair, f"{path}.terms[{i}]", 2))
+                    for i, pair in enumerate(index["terms"])),
+        validity_um=None if validity is None else tuple(
+            _float_list(validity, f"{path}.validity_um", 2)))
 
 
 def _parse_experiment(entry, index, seen_names):
-    path = f"experiments[{index}]"
-    _expect_mapping(entry, path)
-    exp_id = _get(entry, "id", path, str, required=True)
-    if exp_id not in EXPERIMENT_IDS:
-        raise ConfigError(f"{path}.id", f"unknown experiment {exp_id!r}; "
-                                        f"expected one of {', '.join(EXPERIMENT_IDS)}")
-    defaults = _EXPERIMENT_PARAMS[exp_id]
-    _reject_unknown(entry, {"id", *defaults}, path)
-    params = {}
-    for key, default in defaults.items():
-        if isinstance(default, bool):
-            value = entry.get(key, default)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}", f"expected true/false, got {value!r}")
-            params[key] = value
-        elif isinstance(default, int):
-            params[key] = _get(entry, key, path, int, default=default, minimum=1)
-        elif isinstance(default, float):
-            params[key] = _get(entry, key, path, float, default=default,
-                               exclusive_minimum=0.0)
-        elif isinstance(default, list):
-            params[key] = _float_list(entry, key, path, default)
-        else:  # pragma: no cover - defensive
-            raise ConfigError(f"{path}.{key}", "unsupported parameter type")
+    path = _join("experiments", index)
+    exp_id = _get(_expect_mapping(entry, path), "id", path, str, _REQUIRED)
+    if exp_id not in _EXPERIMENT_PARAMS:
+        raise ConfigError(f"{path}.id", f"unknown experiment {exp_id!r}; expected one "
+                                        f"of {', '.join(_EXPERIMENT_PARAMS)}")
+    schema = {key: (type(default), default) if isinstance(default, (bool, list))
+              else (int, default, ">=", 1) if isinstance(default, int)
+              else (float, default, *_POSITIVE)
+              for key, default in _EXPERIMENT_PARAMS[exp_id].items()}
+    params = {key: _float_list(value, f"{path}.{key}") if isinstance(value, list) else value
+              for key, value in _section(entry, path, schema, extra=("id",)).items()}
     if "d" in params and params["d"] not in (2, 3, 4):
         raise ConfigError(f"{path}.d", f"dimension must be 2, 3 or 4, got {params['d']}")
     if exp_id == "procrustean" and len(params["bin_widths"]) != params["d"]:
@@ -270,84 +248,60 @@ def _parse_experiment(entry, index, seen_names):
 
 def validate_config(tree: dict) -> Scenario:
     """Validate a configuration tree and build the typed scenario."""
-    _expect_mapping(tree, "<document>")
-    _reject_unknown(tree, {"version", "seed", "output_dir", "grid", "pump", "crystals",
-                           "dispersion", "psf", "slm", "counting", "experiments"}, "")
-
-    version = _get(tree, "version", "", int, required=True)
+    version = _get(_expect_mapping(tree, ""), "version", "", int, _REQUIRED)
     if version != CONFIG_VERSION:
         raise ConfigError("version", f"unsupported config version {version}; "
                                      f"expected {CONFIG_VERSION}")
-    seed = _get(tree, "seed", "", int, default=20240901, minimum=0)
-    output_dir = _get(tree, "output_dir", "", str, default="results")
+    raw_dispersion = _expect_mapping(tree.get("dispersion", {}), "dispersion")
+    model = _get(raw_dispersion, "model", "dispersion", *_MODEL)
+    if model not in _DISPERSION:
+        raise ConfigError("dispersion.model", f"unknown dispersion model {model!r}")
+    cfg = _section(tree, "", {**_SCHEMA, "dispersion": _DISPERSION[model]},
+                   extra=("version", "experiments"))
 
-    g = _expect_mapping(tree.get("grid", {}), "grid")
-    _reject_unknown(g, {"n_points", "omega_max", "center_wavelength_nm"}, "grid")
-    n_points = _get(g, "n_points", "grid", int, default=1025, minimum=3)
-    if n_points % 2 == 0:
-        raise ConfigError("grid.n_points", f"must be odd, got {n_points}")
-    omega_max = _get(g, "omega_max", "grid", float, default=0.35, exclusive_minimum=0.0)
-    center_nm = _get(g, "center_wavelength_nm", "grid", float, default=1064.0,
-                     exclusive_minimum=0.0)
-    grid = SpectralGrid(n_points=n_points, omega_max=omega_max, center_wavelength=center_nm)
+    g = cfg["grid"]
+    if g["n_points"] % 2 == 0:
+        raise ConfigError("grid.n_points", f"must be odd, got {g['n_points']}")
+    with _built_from("grid"):
+        grid = SpectralGrid(n_points=g["n_points"], omega_max=g["omega_max"],
+                            center_wavelength=g["center_wavelength_nm"])
+    psf_width = cfg["psf"]["delta_omega"]
+    if psf_width >= 2.0 * grid.omega_max:
+        raise ConfigError("psf.delta_omega", f"must be < the window width "
+                                             f"2*grid.omega_max = {2.0 * grid.omega_max}, "
+                                             f"got {psf_width}")
+    with _built_from("pump.linewidth_mhz"):
+        pump = PumpSpec.from_linewidth_mhz(cfg["pump"]["linewidth_mhz"],
+                                           wavelength=cfg["pump"]["wavelength_nm"])
 
-    p = _expect_mapping(tree.get("pump", {}), "pump")
-    _reject_unknown(p, {"wavelength_nm", "linewidth_mhz"}, "pump")
-    pump = PumpSpec.from_linewidth_mhz(
-        _get(p, "linewidth_mhz", "pump", float, default=5.0, exclusive_minimum=0.0),
-        wavelength=_get(p, "wavelength_nm", "pump", float, default=532.0,
-                        exclusive_minimum=0.0),
-    )
-
-    c = _expect_mapping(tree.get("crystals", {}), "crystals")
-    _reject_unknown(c, {"spdc", "sfg"}, "crystals")
-    crystal_geo = {}
-    for role_key in ("spdc", "sfg"):
-        sub = _expect_mapping(c.get(role_key, {}), f"crystals.{role_key}")
-        _reject_unknown(sub, {"length_mm", "poling_period_um"}, f"crystals.{role_key}")
-        crystal_geo[role_key] = (
-            _get(sub, "length_mm", f"crystals.{role_key}", float, default=11.5,
-                 exclusive_minimum=0.0),
-            _get(sub, "poling_period_um", f"crystals.{role_key}", float, default=9.0,
-                 exclusive_minimum=0.0),
+    if "target_bandwidth_nm" in raw_dispersion and "a2" in raw_dispersion:
+        raise ConfigError("dispersion.a2", "give either a2 or target_bandwidth_nm, not both")
+    disp = cfg["dispersion"]
+    if model == "sellmeier":
+        shared = SellmeierMismatch(
+            index_i=_sellmeier_index(disp["idler"], "dispersion.idler"),
+            index_s=_sellmeier_index(disp["signal"], "dispersion.signal"),
+            index_p=_sellmeier_index(disp["pump"], "dispersion.pump"),
         )
 
-    disp_tree = tree.get("dispersion", {"model": "taylor"})
-    dispersion_for = _dispersion_factory(disp_tree, grid, "dispersion")
-    include_phase = disp_tree.get("include_phase", False)
-    if not isinstance(include_phase, bool):
-        raise ConfigError("dispersion.include_phase",
-                          f"expected true/false, got {include_phase!r}")
+        def dispersion_for(length_mm, poling_um):
+            return shared
+    else:
+        def dispersion_for(length_mm, poling_um):
+            a2 = disp["a2"]
+            if disp["target_bandwidth_nm"] is not None:
+                with _built_from("dispersion.target_bandwidth_nm"):
+                    a2 = taylor_curvature_for_bandwidth(disp["target_bandwidth_nm"],
+                                                        grid.center_wavelength, length_mm)
+            return TaylorMismatch.quasi_phase_matched(poling_um, a1=disp["a1"], a2=a2,
+                                                      a3=disp["a3"])
 
     def crystal(role_key, role):
-        length, poling = crystal_geo[role_key]
-        return CrystalSpec(length=length, poling_period=poling,
-                           dispersion=dispersion_for(length, poling), role=role)
-
-    psf_tree = _expect_mapping(tree.get("psf", {}), "psf")
-    _reject_unknown(psf_tree, {"delta_omega"}, "psf")
-    psf_width = _get(psf_tree, "delta_omega", "psf", float, default=9.6e-3, minimum=0.0)
-
-    slm_tree = _expect_mapping(tree.get("slm", {}), "slm")
-    _reject_unknown(slm_tree, {"n_pixels", "pixel_width_um", "gap_um"}, "slm")
-    slm = SlmModel(
-        n_pixels=_get(slm_tree, "n_pixels", "slm", int, default=640, minimum=1),
-        pixel_width=_get(slm_tree, "pixel_width_um", "slm", float, default=100.0,
-                         exclusive_minimum=0.0),
-        gap=_get(slm_tree, "gap_um", "slm", float, default=3.0, minimum=0.0),
-    )
-
-    count_tree = _expect_mapping(tree.get("counting", {}), "counting")
-    _reject_unknown(count_tree, {"peak_rate_hz", "background_rate_hz", "duration_s"},
-                    "counting")
-    counting = CountingParams(
-        peak_rate=_get(count_tree, "peak_rate_hz", "counting", float, default=50.0,
-                       minimum=0.0),
-        background_rate=_get(count_tree, "background_rate_hz", "counting", float,
-                             default=11.0, minimum=0.0),
-        duration=_get(count_tree, "duration_s", "counting", float, default=300.0,
-                      minimum=0.0),
-    )
+        geometry = cfg["crystals"][role_key]
+        length, poling = geometry["length_mm"], geometry["poling_period_um"]
+        with _built_from(f"crystals.{role_key}"):
+            return CrystalSpec(length=length, poling_period=poling,
+                               dispersion=dispersion_for(length, poling), role=role)
 
     if "experiments" not in tree:
         raise ConfigError("experiments", "missing required key")
@@ -357,16 +311,20 @@ def validate_config(tree: dict) -> Scenario:
     seen = set()
     experiments = [_parse_experiment(entry, i, seen) for i, entry in enumerate(entries)]
 
+    s, c = cfg["slm"], cfg["counting"]
     return Scenario(
-        seed=seed,
-        output_dir=output_dir,
+        seed=cfg["seed"],
+        output_dir=cfg["output_dir"],
         grid=grid,
         pump=pump,
         spdc=crystal("spdc", "SPDC"),
         sfg=crystal("sfg", "SFG"),
         psf_delta_omega=psf_width,
-        slm=slm,
-        counting=counting,
-        include_phase=include_phase,
+        slm=SlmModel(n_pixels=s["n_pixels"], pixel_width=s["pixel_width_um"],
+                     gap=s["gap_um"]),
+        counting=CountingParams(peak_rate=c["peak_rate_hz"],
+                                background_rate=c["background_rate_hz"],
+                                duration=c["duration_s"]),
+        include_phase=bool(disp["include_phase"]),
         experiments=experiments,
     )

@@ -201,8 +201,10 @@ def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None,
     phase ladder exp(i*j*phi)) or a tuple (JointAmplitude, TransferSpec,
     TransferSpec) (full-field route: transfer functions rebuilt at each phase,
     quantized onto the modulator pixels when ``slm`` is given, and fed to
-    :func:`coincidence_scan`).  Values are normalized to unit mean; metadata
-    reports the weight truncated by the discretization.
+    :func:`coincidence_scan`).  Values are normalized to unit mean.  The
+    state-space metadata reports the weight the discretization truncates; the
+    full-field metadata reports the common amplitude scale and whether the
+    transfers were pixelated.
     """
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 2:
@@ -247,9 +249,7 @@ def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None,
                                          transfer(spec_s, scale_s, p, "signal"))
                                         for p in phi))
         kind = spec_i.basis.kind
-        state = project_state(amp, spec_i.basis, spec_s.basis)
-        meta = {"truncation_weight": state.truncation_weight,
-                "common_amplitude_scale": (scale_i, scale_s),
+        meta = {"common_amplitude_scale": (scale_i, scale_s),
                 "pixelated": slm is not None}
         route = "full_field"
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .bases import SCHMIDT_RANK_FLOOR, amplitude_svd, schmidt_modes
+from .bases import amplitude_svd
 from .errors import FitError
 from .measurement import CountRecord, FringeScan
 from .spectral_field import JointAmplitude
@@ -61,22 +61,17 @@ def _spectrum_metrics(beta: np.ndarray) -> EntanglementReport:
     )
 
 
-def schmidt_decompose(amp: JointAmplitude, modes: bool = True):
-    """Entanglement report of an amplitude, optionally with its mode set.
+def schmidt_decompose(amp: JointAmplitude) -> EntanglementReport:
+    """Entanglement report of an amplitude, from its Schmidt weights alone.
 
-    Returns (report, BasisSet | None).  With ``modes`` false only the singular
-    values are computed, which is much faster on large grids; with ``modes``
-    true one full decomposition serves both the report and the mode set.
+    Only the singular values are computed (or reused, when the amplitude
+    already carries a full decomposition); :func:`bases.schmidt_modes` gives
+    the modes.
     """
     if not np.all(np.isfinite(amp.values)):
         raise ValueError("amplitude contains non-finite values")
-    beta, _ = amplitude_svd(amp, compute_modes=modes)
-    report = _spectrum_metrics(beta)
-    mode_set = None
-    if modes:
-        n_modes = int(np.count_nonzero(beta > SCHMIDT_RANK_FLOOR))
-        mode_set = schmidt_modes(amp, n_modes)
-    return report, mode_set
+    beta, _ = amplitude_svd(amp, compute_modes=False)
+    return _spectrum_metrics(beta)
 
 
 def double_gaussian_oracle(a: float, b: float) -> float:

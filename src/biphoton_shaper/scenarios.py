@@ -110,8 +110,8 @@ def _amplitude_table(amp, stride: int):
 
 def run_fig2_amplitude(ctx: ScenarioContext, req) -> ExperimentResult:
     stride = req.params["export_stride"]
-    report_g, _ = metrics.schmidt_decompose(ctx.gamma, modes=False)
-    report_p, _ = metrics.schmidt_decompose(ctx.gamma_psf, modes=False)
+    report_g = metrics.schmidt_decompose(ctx.gamma)
+    report_p = metrics.schmidt_decompose(ctx.gamma_psf)
     report = {
         "pump_bandwidth_clamped": ctx.gamma.metadata["pump_bandwidth_clamped"],
         "pump_bandwidth_effective": ctx.gamma.metadata["pump_bandwidth_effective"],
@@ -134,7 +134,7 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     n_modes = req.params["n_modes"]
     n_eigen = req.params["n_eigenvalues"]
     basis = bases.schmidt_modes(ctx.gamma_psf, n_modes)
-    report_full, _ = metrics.schmidt_decompose(ctx.gamma_psf, modes=False)
+    report_full = metrics.schmidt_decompose(ctx.gamma_psf)
     beta = report_full.eigenvalues[:n_eigen]
     ax = ctx.grid.axis()
     cols = ["omega"]
@@ -209,7 +209,7 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
         "visibility": vis,
         "visibility_critical": v_c,
         "bell_violation": passed,
-        "truncation_weight": scan_ff.metadata["truncation_weight"],
+        "truncation_weight": state.truncation_weight,
         "route_max_gap": float(np.max(np.abs(scan_ff.values - scan_ss.values))),
     }
     summary = (f"{req.name}: lambda={lam:.3f} V={vis:.3f} vs "

@@ -84,7 +84,7 @@ def test_criterion_1_cglmp_thresholds():
 
 def test_criterion_2_psf_reduced_entanglement(paper_1025):
     _, gamma_psf = paper_1025
-    report, _ = schmidt_decompose(gamma_psf, modes=False)
+    report = schmidt_decompose(gamma_psf)
     e1, k1 = report.entropy, report.schmidt_number
     d1 = report.effective_dimension
 
@@ -166,7 +166,7 @@ def test_criterion_5_dual_route_equivalence(paper_1025):
         full = fringe_scan((gamma_psf, spec_i, spec_s), phi)
         state = fringe_scan(project_state(gamma_psf, basis_i, basis_s), phi)
         gap = float(np.max(np.abs(full.values - state.values)))
-        leakage = full.metadata["truncation_weight"]
+        leakage = state.metadata["truncation_weight"]
         ok = ok and gap < 0.01
         details.append(f"d={d}: gap {gap:.2e}, leakage {leakage:.3f}")
     record(5, "dual-route projective equivalence", ok, "; ".join(details))

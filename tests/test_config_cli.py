@@ -8,6 +8,7 @@ import yaml
 from biphoton_shaper import ConfigError
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import default_config, validate_config
+from biphoton_shaper.scenarios import EXPERIMENT_RUNNERS
 
 QUICK_CONFIG = {
     "version": 1,
@@ -31,6 +32,37 @@ SCHMIDT_CONFIG = {
         {"id": "schmidt_fringes", "d": 3, "phi_points": 12},
     ],
 }
+
+
+SELLMEIER_INDEX = {"a": 3.2, "terms": [[0.8, 0.05]], "d": 0.01}
+
+
+def sellmeier_pump(**pump_keys):
+    """A Sellmeier dispersion block whose pump index carries ``pump_keys``."""
+    return {"model": "sellmeier", "idler": SELLMEIER_INDEX, "signal": SELLMEIER_INDEX,
+            "pump": {**SELLMEIER_INDEX, **pump_keys}}
+
+
+# (key path of the error, top-level keys replaced in QUICK_CONFIG)
+MALFORMED_VALUES = [
+    pytest.param("dispersion.pump.terms[0][0]",
+                 {"dispersion": sellmeier_pump(terms=[["x", 0.05]])}, id="sellmeier-terms"),
+    pytest.param("dispersion.pump.validity_um[0]",
+                 {"dispersion": sellmeier_pump(validity_um=["a", 2])},
+                 id="sellmeier-validity"),
+    pytest.param("grid.omega_max", {"grid": {"n_points": 129, "omega_max": float("nan")}},
+                 id="omega-max-nan"),
+    pytest.param("counting.duration_s", {"counting": {"duration_s": float("nan")}},
+                 id="duration-nan"),
+    pytest.param("psf.delta_omega", {"psf": {"delta_omega": float("inf")}}, id="psf-inf"),
+    pytest.param("pump.linewidth_mhz", {"pump": {"linewidth_mhz": 1.0e-320}},
+                 id="linewidth-underflow"),
+    pytest.param("dispersion.target_bandwidth_nm",
+                 {"dispersion": {"model": "taylor", "target_bandwidth_nm": 1.0e-300}},
+                 id="target-bandwidth-underflow"),
+    pytest.param("psf.delta_omega", {"psf": {"delta_omega": 5.0}},
+                 id="psf-wider-than-window"),
+]
 
 
 def write_config(tmp_path, tree, name="scenario.yaml"):
@@ -107,6 +139,14 @@ class TestValidateConfig:
         scenario = validate_config(tree)
         assert scenario.spdc.dispersion.index_p.a == 3.2
 
+    def test_runners_match_accepted_experiment_ids(self):
+        accepted = {entry["id"] for entry in default_config()["experiments"]}
+        assert set(EXPERIMENT_RUNNERS) == accepted
+        for exp_id in EXPERIMENT_RUNNERS:
+            tree = default_config()
+            tree["experiments"] = [{"id": exp_id}]
+            validate_config(tree)
+
     def test_duplicate_experiment_names_disambiguated(self):
         tree = default_config()
         tree["experiments"] = [{"id": "flux_check"}, {"id": "flux_check"}]
@@ -128,6 +168,19 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 2
         assert "experiments[0].powr_uw" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key, replaced", MALFORMED_VALUES)
+    def test_malformed_value_exits_2_without_outputs(self, tmp_path, capsys, command, key,
+                                                     replaced):
+        path = write_config(tmp_path, {**QUICK_CONFIG, **replaced})
+        out = tmp_path / "out"
+        argv = [command, path] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_negative_seed_override_exits_2_without_outputs(self, tmp_path, capsys):

@@ -205,7 +205,7 @@ class TestFringeScan:
         gap = np.max(np.abs(ff.values - ss.values))
         assert gap < 0.01  # contract tolerance
         assert gap < 1e-10  # realized: identical up to rounding
-        assert "truncation_weight" in ff.metadata
+        assert "truncation_weight" in ss.metadata
 
     def test_dual_route_agreement_overlapping_basis(self, gamma_psf_small):
         basis_i = schmidt_modes(gamma_psf_small, 3)

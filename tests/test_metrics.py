@@ -43,10 +43,9 @@ def scan_from_model(d, lam, phi0=0.0, n=40, kind="lambda"):
 class TestSchmidtDecompose:
     def test_rank_one(self, small_grid):
         amp = double_gaussian_amplitude(small_grid, 0.05, 0.05)
-        report, modes = schmidt_decompose(amp)
+        report = schmidt_decompose(amp)
         assert report.entropy < 1e-8
         assert np.isclose(report.schmidt_number, 1.0, atol=1e-8)
-        assert modes.d == report.truncation_rank
 
     def test_uniform_spectrum(self, small_grid):
         # d equal-weight orthogonal layers: E = log2 d, K = d
@@ -56,13 +55,13 @@ class TestSchmidtDecompose:
         q, _ = np.linalg.qr(rng.normal(size=(n, d)))
         values = sum(np.outer(q[:, j], q[:, j]) for j in range(d))
         amp = JointAmplitude(grid=small_grid, values=values, kind="lambda")
-        report, _ = schmidt_decompose(amp, modes=False)
+        report = schmidt_decompose(amp)
         assert np.isclose(report.entropy, np.log2(d), atol=1e-9)
         assert np.isclose(report.schmidt_number, d, atol=1e-9)
 
     def test_entropy_bounds(self, gamma_psf_small, small_grid):
         for amp in (gamma_psf_small, double_gaussian_amplitude(small_grid, 0.02, 0.09)):
-            report, _ = schmidt_decompose(amp, modes=False)
+            report = schmidt_decompose(amp)
             assert 1.0 - 1e-9 <= report.schmidt_number
             assert report.schmidt_number <= report.effective_dimension * (1 + 1e-9)
 
