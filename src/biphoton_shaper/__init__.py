@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     FitError,
     GridError,
-    MappingError,
     RankError,
     ResolutionError,
     ShaperSimError,
@@ -30,8 +29,6 @@ from .measurement import (
     synthesize_counts,
 )
 from .metrics import (
-    BellResult,
-    CglmpSettings,
     CglmpThresholds,
     EntanglementReport,
     FitResult,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ConfigError, GridError
+from .measurement import POISSON_LAM_MAX
 from .shaper import SlmModel
 from .spectral_field import (
     CrystalSpec,
@@ -312,6 +313,12 @@ def validate_config(tree: dict) -> Scenario:
     experiments = [_parse_experiment(entry, i, seen) for i, entry in enumerate(entries)]
 
     s, c = cfg["slm"], cfg["counting"]
+    largest_mean = (c["peak_rate_hz"] + c["background_rate_hz"]) * c["duration_s"]
+    if not largest_mean <= POISSON_LAM_MAX:
+        raise ConfigError("counting.duration_s",
+                          f"(peak_rate_hz + background_rate_hz) * duration_s = "
+                          f"{largest_mean:.6g} exceeds the largest Poisson mean "
+                          f"{POISSON_LAM_MAX:.6g}")
     return Scenario(
         seed=cfg["seed"],
         output_dir=cfg["output_dir"],

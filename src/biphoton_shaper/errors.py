@@ -25,10 +25,6 @@ class RankError(ShaperSimError):
     """Requested more Schmidt modes than the amplitude numerically supports."""
 
 
-class MappingError(ShaperSimError):
-    """SLM pixel mapping does not cover the spectral axis."""
-
-
 class FitError(ShaperSimError):
     """Nonlinear fit failed to converge; message carries diagnostics."""
 

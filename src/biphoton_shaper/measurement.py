@@ -23,6 +23,10 @@ from .shaper import (
 )
 from .spectral_field import JointAmplitude
 
+# Largest mean numpy's Poisson sampler accepts (the bound its Generator uses);
+# a larger mean raises "lam value too large".
+POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
 
 @dataclass
 class QuditState:
@@ -33,9 +37,6 @@ class QuditState:
     """
 
     coefficients: np.ndarray
-    basis_idler: BasisSet | None = None
-    basis_signal: BasisSet | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=complex)
@@ -62,7 +63,7 @@ class QuditState:
 def max_entangled_state(d: int, phi0: float = 0.0) -> QuditState:
     """Maximally entangled diagonal state c = diag(exp(i*l*phi0))/sqrt(d)."""
     c = np.diag(np.exp(1j * phi0 * np.arange(d))) / np.sqrt(d)
-    return QuditState(coefficients=c, metadata={"ideal": True, "phi0": phi0})
+    return QuditState(coefficients=c)
 
 
 def gamma_model_state(gamma1: float, gamma2: float, phi0: float = 0.0) -> QuditState:
@@ -77,8 +78,7 @@ def gamma_model_state(gamma1: float, gamma2: float, phi0: float = 0.0) -> QuditS
         [gamma1 * np.exp(1j * phi0 / 2), gamma2 * np.exp(1j * phi0)],
     ])
     c /= np.sqrt(1.0 + 2.0 * gamma1**2 + gamma2**2)
-    return QuditState(coefficients=c, metadata={"gamma1": gamma1, "gamma2": gamma2,
-                                                "phi0": phi0})
+    return QuditState(coefficients=c)
 
 
 @dataclass
@@ -87,9 +87,6 @@ class FringeScan:
 
     phi: np.ndarray
     values: np.ndarray
-    route: str              # "state_space" | "full_field"
-    d: int
-    basis_kind: str
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -112,8 +109,6 @@ class CountRecord:
     gross: np.ndarray
     background: np.ndarray
     duration: float          # seconds per point
-    seed: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
@@ -148,7 +143,7 @@ def project_state(amp: JointAmplitude, basis_i: BasisSet, basis_s: BasisSet) -> 
     fi = basis_i.functions.conj() * w
     fs = basis_s.functions.conj() * w
     c = fi @ amp.values @ fs.T
-    return QuditState(coefficients=c, basis_idler=basis_i, basis_signal=basis_s)
+    return QuditState(coefficients=c)
 
 
 def projection_probability(state: QuditState, u_i, u_s) -> float:
@@ -193,18 +188,17 @@ def coincidence_scan(amp: JointAmplitude, transfer_pairs) -> np.ndarray:
     return _unit_mean(values)
 
 
-def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None,
-                slm: SlmModel | None = None) -> FringeScan:
+def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> FringeScan:
     """Phase-ladder interference scan, both photons at the same phase.
 
-    ``source`` is either a QuditState (state-space route: projection onto the
-    phase ladder exp(i*j*phi)) or a tuple (JointAmplitude, TransferSpec,
-    TransferSpec) (full-field route: transfer functions rebuilt at each phase,
-    quantized onto the modulator pixels when ``slm`` is given, and fed to
-    :func:`coincidence_scan`).  Values are normalized to unit mean.  The
-    state-space metadata reports the weight the discretization truncates; the
-    full-field metadata reports the common amplitude scale and whether the
-    transfers were pixelated.
+    ``source`` is either a QuditState (state-space route: both photons
+    projected onto the phase ladder exp(i*j*phi), weighted by ``amplitudes``)
+    or a tuple (JointAmplitude, TransferSpec, TransferSpec) (full-field route:
+    transfer functions rebuilt at each phase, quantized onto the modulator
+    pixels when ``slm`` is given, and fed to :func:`coincidence_scan`).
+    Values are normalized to unit mean.  The state-space metadata reports the
+    weight the discretization truncates; the full-field metadata reports the
+    common amplitude scale and whether the transfers were pixelated.
     """
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 2:
@@ -214,19 +208,10 @@ def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None,
     if span + step < np.pi * (1 - 1e-9):
         raise ValueError("phase grid must cover at least one fringe period (pi)")
     if isinstance(source, QuditState):
-        state = source
-        d = state.d
-        values = _unit_mean(np.array([
-            projection_probability(
-                state,
-                _ladder(d, p, amplitudes_i),
-                _ladder(d, p, amplitudes_s),
-            )
-            for p in phi
-        ]))
-        kind = state.basis_idler.kind if state.basis_idler is not None else "synthetic"
-        meta = {"truncation_weight": state.truncation_weight}
-        route = "state_space"
+        ladders = (_ladder(source.d, p, amplitudes) for p in phi)
+        values = _unit_mean(np.array([projection_probability(source, u, u)
+                                      for u in ladders]))
+        meta = {"truncation_weight": source.truncation_weight}
     else:
         amp, spec_i, spec_s = source
         d = spec_i.basis.d
@@ -239,22 +224,18 @@ def fringe_scan(source, phi, amplitudes_i=None, amplitudes_s=None,
         scale_s = _scan_amplitude_scale(spec_s)
         ladder = np.arange(d)
 
-        def transfer(spec, scale, p, side):
+        def transfer(spec, scale, p):
             m = transfer_from_coefficients(
-                TransferSpec(spec.basis, spec.amplitudes * scale,
-                             spec.phases + ladder * p, side=side))
+                TransferSpec(spec.basis, spec.amplitudes * scale, spec.phases + ladder * p))
             return m if slm is None else pixelate(m, slm)
 
-        values = coincidence_scan(amp, ((transfer(spec_i, scale_i, p, "idler"),
-                                         transfer(spec_s, scale_s, p, "signal"))
+        values = coincidence_scan(amp, ((transfer(spec_i, scale_i, p),
+                                         transfer(spec_s, scale_s, p))
                                         for p in phi))
-        kind = spec_i.basis.kind
         meta = {"common_amplitude_scale": (scale_i, scale_s),
                 "pixelated": slm is not None}
-        route = "full_field"
 
-    return FringeScan(phi=phi, values=values, route=route, d=d, basis_kind=kind,
-                      metadata=meta)
+    return FringeScan(phi=phi, values=values, metadata=meta)
 
 
 def synthesize_counts(scan: FringeScan, peak_rate: float, background_rate: float,
@@ -263,8 +244,9 @@ def synthesize_counts(scan: FringeScan, peak_rate: float, background_rate: float
 
     The scan is rescaled so its maximum corresponds to ``peak_rate`` [Hz];
     every point draws gross counts at (signal + background) * duration and an
-    independent background-only measurement of the same duration.  Fixed seed
-    gives identical records.
+    independent background-only measurement of the same duration, so every
+    Poisson mean is at most (peak_rate + background_rate) * duration_s, which
+    must not exceed POISSON_LAM_MAX.  Fixed seed gives identical records.
     """
     if peak_rate < 0 or background_rate < 0:
         raise ValueError("rates must be non-negative")
@@ -276,9 +258,7 @@ def synthesize_counts(scan: FringeScan, peak_rate: float, background_rate: float
     gross = rng.poisson((signal_rate + background_rate) * duration_s)
     background = rng.poisson(background_rate * duration_s, size=scan.values.shape)
     return CountRecord(phi=scan.phi.copy(), gross=gross, background=background,
-                       duration=duration_s, seed=seed,
-                       metadata={"peak_rate": peak_rate, "background_rate": background_rate,
-                                 "d": scan.d, "basis_kind": scan.basis_kind})
+                       duration=duration_s)
 
 
 def procrustean_amplitudes(signals) -> np.ndarray:

@@ -281,81 +281,50 @@ def fit_gamma(source) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CglmpSettings:
-    """Measurement-setting phase offsets for the d = 2 Bell parameter.
-
-    Outcome k of idler setting a probes phase idler_offsets[a] + 2*pi*k/d;
-    outcome l of signal setting b probes signal_offsets[b] - 2*pi*l/d.
-    """
-
-    idler_offsets: tuple = (0.0, np.pi / 2.0)
-    signal_offsets: tuple = (np.pi / 4.0, -np.pi / 4.0)
+# Phase offsets of the two measurement settings per photon for the d = 2 Bell
+# parameter: outcome k of idler setting a probes phase CGLMP_IDLER_OFFSETS[a] +
+# pi*k; outcome l of signal setting b probes CGLMP_SIGNAL_OFFSETS[b] - pi*l.
+CGLMP_IDLER_OFFSETS = (0.0, np.pi / 2.0)
+CGLMP_SIGNAL_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
 
 
-DEFAULT_CGLMP_SETTINGS = CglmpSettings()
-
-
-@dataclass
-class BellResult:
-    d: int
-    value: float
-    settings: CglmpSettings
-    lambda_critical: float
-    visibility_critical: float
-
-    def __post_init__(self):
-        if self.value > QUANTUM_BELL_CEILING + 1e-9:
-            raise ValueError(f"Bell parameter {self.value} exceeds the quantum ceiling")
-
-    @property
-    def violates(self) -> bool:
-        return self.value > 2.0
-
-
-def cglmp_parameter(probe, d: int = 2, settings: CglmpSettings = DEFAULT_CGLMP_SETTINGS) -> float:
-    """Bell parameter from single-projection signals.
+def cglmp_parameter(probe) -> float:
+    """d = 2 Bell parameter from single-projection signals.
 
     ``probe(phi_i, phi_s)`` returns the unnormalized joint signal at the given
-    projection phases.  All d^2 outcome offsets are evaluated per setting
-    pair, normalized into joint probabilities, and combined into I_d.
+    projection phases.  All four outcome offsets are evaluated per setting
+    pair, normalized into joint probabilities, and combined into I_2.
     """
     probs = {}
-    for a, th_i in enumerate(settings.idler_offsets):
-        for b, th_s in enumerate(settings.signal_offsets):
-            table = np.empty((d, d))
-            for k in range(d):
-                for l in range(d):
-                    table[k, l] = probe(th_i + 2.0 * np.pi * k / d,
-                                        th_s - 2.0 * np.pi * l / d)
+    for a, th_i in enumerate(CGLMP_IDLER_OFFSETS):
+        for b, th_s in enumerate(CGLMP_SIGNAL_OFFSETS):
+            table = np.empty((2, 2))
+            for k in range(2):
+                for l in range(2):
+                    table[k, l] = probe(th_i + np.pi * k, th_s - np.pi * l)
             total = table.sum()
             if total <= 0:
                 raise ValueError("probe produced a non-positive probability table")
             probs[(a, b)] = table / total
 
     def p_equal(a, b, shift):
+        """P(l = k + shift mod 2) for idler setting a and signal setting b."""
         table = probs[(a, b)]
-        return sum(table[j, (j + shift) % d] for j in range(d))
+        return table[0, shift % 2] + table[1, (1 + shift) % 2]
 
-    value = 0.0
-    for k in range(d // 2):
-        weight = 1.0 - 2.0 * k / (d - 1)
-        value += weight * (
-            p_equal(0, 0, k) + p_equal(1, 0, -(k + 1))
-            + p_equal(1, 1, k) + p_equal(0, 1, -k)
-            - p_equal(0, 0, -(k + 1)) - p_equal(1, 0, k)
-            - p_equal(1, 1, -(k + 1)) - p_equal(0, 1, k + 1)
-        )
-    return float(value)
+    return float(p_equal(0, 0, 0) + p_equal(1, 0, -1)
+                 + p_equal(1, 1, 0) + p_equal(0, 1, 0)
+                 - p_equal(0, 0, -1) - p_equal(1, 0, 0)
+                 - p_equal(1, 1, -1) - p_equal(0, 1, 1))
 
 
-def bell_i2(gamma1: float, gamma2: float,
-            settings: CglmpSettings = DEFAULT_CGLMP_SETTINGS) -> BellResult:
+def bell_i2(gamma1: float, gamma2: float) -> float:
     """d = 2 Bell parameter of the one-/two-photon interference model.
 
     The joint signal is |1 + g1*(e^{i phi_i} + e^{i phi_s}) +
     g2*e^{i(phi_i + phi_s)}|^2: g2 drives the two-photon (entangled) term, so
     g1 = 0, g2 = 1 is the maximally entangled qubit and reaches 2*sqrt(2).
+    A value above that quantum ceiling raises ``ValueError``.
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("gamma coefficients must be non-negative")
@@ -367,8 +336,7 @@ def bell_i2(gamma1: float, gamma2: float,
             + gamma2 * np.exp(1j * (phi_i + phi_s))
         ) ** 2)
 
-    value = cglmp_parameter(probe, d=2, settings=settings)
-    thresholds = cglmp_thresholds(2)
-    return BellResult(d=2, value=value, settings=settings,
-                      lambda_critical=thresholds.lambda_critical,
-                      visibility_critical=thresholds.visibility_critical)
+    value = cglmp_parameter(probe)
+    if value > QUANTUM_BELL_CEILING + 1e-9:
+        raise ValueError(f"Bell parameter {value} exceeds the quantum ceiling")
+    return value

@@ -191,10 +191,10 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     state = measurement.project_state(amp, basis_i, basis_s)
     filt = measurement.procrustean_amplitudes(_diagonal_signals(state))
     phi = np.linspace(0.0, np.pi, req.params["phi_points"], endpoint=False)
-    spec_i = shaper.TransferSpec(basis_i, filt, np.zeros(d), side="idler")
-    spec_s = shaper.TransferSpec(basis_s, filt, np.zeros(d), side="signal")
+    spec_i = shaper.TransferSpec(basis_i, filt, np.zeros(d))
+    spec_s = shaper.TransferSpec(basis_s, filt, np.zeros(d))
     scan_ff = measurement.fringe_scan((amp, spec_i, spec_s), phi, slm=slm)
-    scan_ss = measurement.fringe_scan(state, phi, amplitudes_i=filt, amplitudes_s=filt)
+    scan_ss = measurement.fringe_scan(state, phi, amplitudes=filt)
 
     fit = metrics.fit_fringe(scan_ff, d)
     lam = fit.parameters["lambda"]
@@ -263,8 +263,7 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
         transfers = [shaper.franson_transfer(0.5, 0.5, t1, ph, ctx.grid) for ph in phi]
         for label, amp in (("no_psf", ctx.gamma), ("psf", ctx.gamma_psf)):
             values = measurement.coincidence_scan(amp, [(m, m) for m in transfers])
-            scan = FringeScan(phi=phi, values=values, route="full_field", d=2,
-                              basis_kind="time_bin", metadata={"t1_fs": t1})
+            scan = FringeScan(phi=phi, values=values)
             per_t1[f"fringe_t{t1:g}_{label}"] = (["phi_rad", "signal"],
                                                  _fringe_rows(scan))
             if t1 == 0.0:
@@ -273,15 +272,13 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
                                 "cos4_residual": fit.residual_norm}
                 if label == "no_psf":
                     cos4_residual = fit.residual_norm
-                i2 = metrics.bell_i2(1.0, 1.0)
             else:
                 fit = metrics.fit_gamma(scan)
                 entry[label] = {"gamma1": fit.parameters["gamma1"],
                                 "gamma2": fit.parameters["gamma2"],
                                 "fit_residual": fit.residual_norm}
-                i2 = metrics.bell_i2(fit.parameters["gamma1"],
-                                     fit.parameters["gamma2"])
-            entry[label]["i2"] = i2.value
+            entry[label]["i2"] = metrics.bell_i2(entry[label]["gamma1"],
+                                                 entry[label]["gamma2"])
         rows.append(entry)
 
     table_rows = [(e["t1_fs"],
@@ -342,11 +339,11 @@ def run_bell_i2_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
     peak = -np.inf
     for g1 in gammas:
         for g2 in gammas:
-            value = metrics.bell_i2(g1, g2).value
+            value = metrics.bell_i2(g1, g2)
             rows.append((g1, g2, value))
             peak = max(peak, value)
-    maximally = metrics.bell_i2(0.0, 1.0).value
-    separable = metrics.bell_i2(1.0, 1.0).value
+    maximally = metrics.bell_i2(0.0, 1.0)
+    separable = metrics.bell_i2(1.0, 1.0)
     ceiling = metrics.QUANTUM_BELL_CEILING
     passed = (peak <= ceiling + 1e-9 and abs(maximally - ceiling) < 1e-6
               and separable <= 2.0)
@@ -380,7 +377,7 @@ def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
     spread = float(after.max() / after.min() - 1.0)
 
     phi = np.linspace(0.0, np.pi, p["phi_points"], endpoint=False)
-    scan = measurement.fringe_scan(state, phi, amplitudes_i=filt, amplitudes_s=filt)
+    scan = measurement.fringe_scan(state, phi, amplitudes=filt)
     fit = metrics.fit_fringe(scan, d)
     lam = fit.parameters["lambda"]
 

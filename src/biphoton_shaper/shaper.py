@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import BasisSet
-from .errors import GridError, MappingError
+from .errors import GridError
 from .spectral_field import SpectralGrid
 
 PHYSICALITY_TOL = 1e-12
@@ -22,13 +22,12 @@ class TransferSpec:
     """Coefficients of a transfer function in a given basis.
 
     amplitudes |u_j| in [0, 1], phases in rad (stored mod 2*pi), one pair per
-    basis function; ``side`` tags which photon the modulation acts on.
+    basis function.
     """
 
     basis: BasisSet
     amplitudes: np.ndarray
     phases: np.ndarray
-    side: str = "idler"
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=float)
@@ -37,8 +36,6 @@ class TransferSpec:
             raise ValueError("need one amplitude and phase per basis function")
         if np.any(self.amplitudes < 0) or np.any(self.amplitudes > 1):
             raise ValueError("amplitudes must lie in [0, 1]")
-        if self.side not in ("idler", "signal"):
-            raise ValueError(f"unknown side {self.side!r}")
 
 
 @dataclass
@@ -66,15 +63,13 @@ class TransferFunction:
 
 @dataclass(frozen=True)
 class SlmModel:
-    """Pixelated modulator: pixel count and geometry (um), plus an affine
-    frequency-to-position map (um per rad/fs, offset um).  Without an explicit
-    map the grid window is stretched across the full pixel array.
+    """Pixelated modulator: pixel count and geometry (um).  The grid window
+    is stretched across the full pixel array.
     """
 
     n_pixels: int = 640
     pixel_width: float = 100.0
     gap: float = 3.0
-    mapping: tuple | None = None
 
     def __post_init__(self):
         if self.n_pixels < 1:
@@ -92,15 +87,13 @@ class SlmModel:
         return self.n_pixels * self.pitch - self.gap
 
     def positions(self, grid: SpectralGrid) -> np.ndarray:
-        """Transverse position [um] of every grid sample."""
+        """Transverse position [um] of every grid sample, from exactly 0 at
+        the first sample to exactly ``extent`` at the last, non-decreasing."""
         ax = grid.axis()
-        if self.mapping is not None:
-            slope, offset = self.mapping
-            return slope * ax + offset
         return (ax - ax[0]) / (ax[-1] - ax[0]) * self.extent
 
 
-def _physical(values: np.ndarray, grid: SpectralGrid, metadata: dict) -> TransferFunction:
+def _physical(values: np.ndarray, grid: SpectralGrid) -> TransferFunction:
     """Wrap samples as a TransferFunction, rescaling globally to unit peak if needed.
 
     A global rescale (never clipping) preserves all projection ratios; the
@@ -111,9 +104,8 @@ def _physical(values: np.ndarray, grid: SpectralGrid, metadata: dict) -> Transfe
     if peak > 1.0:
         factor = 1.0 / peak
         values = values * factor
-    metadata = dict(metadata)
-    metadata["normalization_factor"] = factor
-    return TransferFunction(grid=grid, values=values, metadata=metadata)
+    return TransferFunction(grid=grid, values=values,
+                            metadata={"normalization_factor": factor})
 
 
 def transfer_from_coefficients(spec: TransferSpec) -> TransferFunction:
@@ -124,13 +116,7 @@ def transfer_from_coefficients(spec: TransferSpec) -> TransferFunction:
     """
     coeff = spec.amplitudes * np.exp(1j * spec.phases)
     values = coeff @ spec.basis.functions.conj()
-    return _physical(values, spec.basis.grid, {
-        "source": "coefficients",
-        "basis_kind": spec.basis.kind,
-        "side": spec.side,
-        "amplitudes": spec.amplitudes.copy(),
-        "phases": spec.phases.copy(),
-    })
+    return _physical(values, spec.basis.grid)
 
 
 def franson_transfer(transmission: float, reflection: float, delta_t10: float,
@@ -146,43 +132,28 @@ def franson_transfer(transmission: float, reflection: float, delta_t10: float,
         raise ValueError("amplitude coefficients must satisfy T + R <= 1")
     ax = grid.axis()
     values = transmission + reflection * np.exp(1j * (ax * delta_t10 + phi))
-    return _physical(values, grid, {
-        "source": "franson",
-        "transmission": transmission,
-        "reflection": reflection,
-        "delta_t10": delta_t10,
-        "phi": phi,
-    })
+    return _physical(values, grid)
 
 
 def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:
     """Quantize a transfer function onto the modulator's pixel geometry.
 
     Every sample inside a pixel is replaced by the pixel's mean value; samples
-    falling into inter-pixel gaps are set to zero (opaque gaps).  Samples the
-    mapping leaves outside the aperture are opaque too, and more than 10% of
-    them is treated as a configuration error.
+    falling into inter-pixel gaps are set to zero (opaque gaps).  Every sample
+    lies on the aperture (see :meth:`SlmModel.positions`).
 
     When one grid cell spans at least a full pixel pitch the gap comb cannot
     be point-sampled without aliasing; such cells are cell-averaged instead:
     the sample is kept and attenuated by the transmitting fill fraction.
     """
     pos = slm.positions(m.grid)
-    inside = (pos >= 0.0) & (pos <= slm.extent)
-    unmapped = 1.0 - inside.mean()
-    if unmapped > 0.10:
-        raise MappingError(
-            f"{unmapped:.0%} of the spectral axis falls outside the modulator aperture"
-        )
-
     meta = dict(m.metadata)
     meta["pixelated"] = True
-    meta["unmapped_fraction"] = float(unmapped)
 
     cell = abs(pos[-1] - pos[0]) / (len(pos) - 1)
     if cell >= slm.pitch:
         fill = slm.pixel_width / slm.pitch
-        values = np.where(inside, m.values * fill, 0.0)
+        values = m.values * fill
         meta["pixel_sampling"] = "cell_averaged"
         return TransferFunction(grid=m.grid, values=values, metadata=meta)
 
@@ -190,7 +161,7 @@ def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:
     pixel_index = np.clip(pixel_index, 0, slm.n_pixels - 1)
     offset = pos - pixel_index * slm.pitch
     # closed pixel intervals, so the aperture-edge sample stays in the last pixel
-    in_pixel = inside & (offset <= slm.pixel_width + 1e-12 * slm.pitch)
+    in_pixel = offset <= slm.pixel_width + 1e-12 * slm.pitch
 
     values = np.zeros_like(m.values, dtype=complex)
     idx = pixel_index[in_pixel]

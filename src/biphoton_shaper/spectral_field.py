@@ -29,6 +29,9 @@ _LN2 = np.log(2.0)
 # Half-max abscissa of sinc(x)^2; used to calibrate phase-matching bandwidths.
 _SINC_SQ_HALF_MAX = 1.3915573776896476
 
+# Narrowest pump envelope the grid represents, in grid cells.
+PUMP_CLAMP_CELLS = 3
+
 
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
@@ -296,15 +299,15 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec, min_samples
 
 
 def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
-                          sfg: CrystalSpec | None = None, include_phase=False,
-                          bandwidth_clamp_cells: int = 3) -> JointAmplitude:
+                          sfg: CrystalSpec | None = None,
+                          include_phase=False) -> JointAmplitude:
     """Construct the joint spectral amplitude on the grid.
 
     Returns kind "lambda" without an upconversion crystal, "gamma" with one.
-    A pump narrower than ``bandwidth_clamp_cells`` grid cells is clamped to
-    that width (continuous-wave limit) and the clamp recorded in metadata.
+    A pump narrower than PUMP_CLAMP_CELLS grid cells is clamped to that width
+    (continuous-wave limit) and the clamp recorded in metadata.
     """
-    floor = bandwidth_clamp_cells * grid.spacing
+    floor = PUMP_CLAMP_CELLS * grid.spacing
     clamped = pump.bandwidth < floor
     eff_pump = PumpSpec(bandwidth=max(pump.bandwidth, floor), wavelength=pump.wavelength)
 

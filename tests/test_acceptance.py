@@ -192,8 +192,7 @@ def _franson_scan(amp, t1, phi):
                            franson_transfer(0.5, 0.5, t1, p, amp.grid))
         for p in phi
     ])
-    return FringeScan(phi=phi, values=values / values.mean(), route="full_field",
-                      d=2, basis_kind="time_bin")
+    return FringeScan(phi=phi, values=values / values.mean())
 
 
 def test_criterion_7_time_bin_transition(paper_1025):
@@ -207,12 +206,12 @@ def test_criterion_7_time_bin_transition(paper_1025):
     for t1 in sweep:
         if t1 == 0.0:
             gamma1.append(1.0)
-            i2_free[t1] = bell_i2(1.0, 1.0).value
+            i2_free[t1] = bell_i2(1.0, 1.0)
             continue
         fit = fit_gamma(_franson_scan(gamma, t1, phi))
         gamma1.append(fit.parameters["gamma1"])
         i2_free[t1] = bell_i2(fit.parameters["gamma1"],
-                              fit.parameters["gamma2"]).value
+                              fit.parameters["gamma2"])
     monotone = all(b < a + 1e-9 for a, b in zip(gamma1, gamma1[1:]))
     violation = all(i2_free[t] > 2.0 for t in (35.0, 50.0))
 
@@ -223,10 +222,10 @@ def test_criterion_7_time_bin_transition(paper_1025):
     for t1 in tail:
         fit = fit_gamma(_franson_scan(gamma_psf, t1, phi))
         i2_psf.append(bell_i2(fit.parameters["gamma1"],
-                              fit.parameters["gamma2"]).value)
+                              fit.parameters["gamma2"]))
         fit0 = fit_gamma(_franson_scan(gamma, t1, phi))
         i2_nopsf_tail.append(bell_i2(fit0.parameters["gamma1"],
-                                     fit0.parameters["gamma2"]).value)
+                                     fit0.parameters["gamma2"]))
     tail_decreasing = all(b < a for a, b in zip(i2_psf, i2_psf[1:]))
     below_free = all(p < f for p, f in zip(i2_psf, i2_nopsf_tail))
 
@@ -247,8 +246,7 @@ def test_criterion_8_noise_robust_fitting():
     ok = True
     for d, lam in generators.items():
         values = lambda_fringe_model(d, phi, lam, 0.7)
-        scan = FringeScan(phi=phi, values=values / values.mean(),
-                          route="state_space", d=d, basis_kind="synthetic")
+        scan = FringeScan(phi=phi, values=values / values.mean())
         hits = 0
         for seed in range(n_trials):
             record_counts = synthesize_counts(scan, peak, bg, duration, seed)
@@ -280,7 +278,7 @@ def test_criterion_9_procrustean_filtering(paper_1025):
     spread = float(after.max() / after.min() - 1.0)
 
     phi = np.linspace(0, np.pi, 36, endpoint=False)
-    scan = fringe_scan(state, phi, amplitudes_i=filt, amplitudes_s=filt)
+    scan = fringe_scan(state, phi, amplitudes=filt)
     lam = fit_fringe(scan, d).parameters["lambda"]
 
     ok = asymmetric and spread < 5e-3 and lam >= 0.99
@@ -328,10 +326,10 @@ def test_criterion_11_property_suites(paper_1025):
 
     rng = np.random.default_rng(17)
     ceiling = all(
-        bell_i2(*rng.uniform(0, 1, 2)).value <= QUANTUM_BELL_CEILING + 1e-9
+        bell_i2(*rng.uniform(0, 1, 2)) <= QUANTUM_BELL_CEILING + 1e-9
         for _ in range(100))
     checks["bell_ceiling"] = ceiling and \
-        abs(bell_i2(0.0, 1.0).value - QUANTUM_BELL_CEILING) < 1e-6
+        abs(bell_i2(0.0, 1.0) - QUANTUM_BELL_CEILING) < 1e-6
 
     covariance = True
     tb = time_bins([0.0, 45.0], [0.0, 0.0], grid)

@@ -62,6 +62,11 @@ MALFORMED_VALUES = [
                  id="target-bandwidth-underflow"),
     pytest.param("psf.delta_omega", {"psf": {"delta_omega": 5.0}},
                  id="psf-wider-than-window"),
+    pytest.param("counting.duration_s",
+                 {"counting": {"duration_s": 1.0e+20},
+                  "experiments": [{"id": "freq_bin_fringes", "d": 2, "phi_points": 12,
+                                   "counts": True}]},
+                 id="poisson-mean-too-large"),
 ]
 
 

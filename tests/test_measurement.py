@@ -226,7 +226,7 @@ class TestFringeScan:
         basis_s = mirrored(basis_i)
         amps = np.array([1.0, 0.7, 0.9])
         spec_i = TransferSpec(basis_i, amps, np.zeros(3))
-        spec_s = TransferSpec(basis_s, amps, np.zeros(3), side="signal")
+        spec_s = TransferSpec(basis_s, amps, np.zeros(3))
         phi = np.linspace(0, np.pi, 12, endpoint=False)
         scan = fringe_scan((gamma_psf_small, spec_i, spec_s), phi, slm=slm)
         ladder = np.arange(3)
@@ -234,7 +234,7 @@ class TestFringeScan:
             gamma_psf_small,
             pixelate(transfer_from_coefficients(TransferSpec(basis_i, amps, ladder * p)), slm),
             pixelate(transfer_from_coefficients(
-                TransferSpec(basis_s, amps, ladder * p, side="signal")), slm))
+                TransferSpec(basis_s, amps, ladder * p)), slm))
             for p in phi])
         assert np.max(np.abs(scan.values - ref / ref.mean())) < 1e-12
         plain = fringe_scan((gamma_psf_small, spec_i, spec_s), phi)
@@ -260,8 +260,7 @@ class TestSynthesizeCounts:
         from biphoton_shaper.measurement import FringeScan
 
         phi = np.linspace(0, np.pi, n, endpoint=False)
-        return FringeScan(phi=phi, values=np.zeros(n), route="state_space", d=2,
-                          basis_kind="synthetic")
+        return FringeScan(phi=phi, values=np.zeros(n))
 
     def test_background_only_statistics(self):
         scan = self._flat_scan(100)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from biphoton_shaper import (
-    MappingError,
     SlmModel,
     SpectralGrid,
     TransferFunction,
@@ -136,18 +135,21 @@ class TestPixelate:
         assert out.metadata["pixel_sampling"] == "cell_averaged"
         assert np.allclose(out.values, m.values * (100.0 / 103.0), atol=1e-12)
 
-    def test_mapping_error_when_uncovered(self, small_grid):
-        m = franson_transfer(0.5, 0.5, 25.0, 0.0, small_grid)
-        # affine map sends most of the axis outside the aperture
-        slm = SlmModel(n_pixels=16, pixel_width=100.0, gap=3.0,
-                       mapping=(1e6, 0.0))
-        with pytest.raises(MappingError):
-            pixelate(m, slm)
-
     def test_pixelated_flag(self, small_grid):
         m = franson_transfer(0.5, 0.5, 25.0, 0.0, small_grid)
         out = pixelate(m, SlmModel())
         assert out.metadata["pixelated"]
+
+    @pytest.mark.parametrize("slm", [SlmModel(), SlmModel(n_pixels=7, gap=0.0),
+                                     SlmModel(n_pixels=1, pixel_width=0.3, gap=11.0)])
+    @pytest.mark.parametrize("omega_max", [0.1, 0.35, 1.7, 2.0 / 3.0])
+    def test_positions_span_exactly_the_aperture(self, slm, omega_max):
+        # pixelate has no out-of-aperture branch: every grid sample must map
+        # onto [0, extent], both ends exactly
+        for n in range(3, 4098, 2):
+            pos = slm.positions(SpectralGrid(n_points=n, omega_max=omega_max))
+            assert pos[0] == 0.0 and pos[-1] == slm.extent, n
+            assert np.all(np.diff(pos) >= 0.0), n
 
 
 class TestCombinedModulation:
