@@ -75,7 +75,8 @@ _SCHEMA = {
 }
 
 # Experiment parameters: the type follows the default; counts must be >= 1,
-# physical quantities > 0, lists hold finite numbers.
+# physical quantities > 0, lists hold finite numbers, and the items of the
+# lists in _POSITIVE_LISTS (widths) are > 0 as well.
 _EXPERIMENT_PARAMS = {
     "flux_check": {"bandwidth_nm": 105.0, "power_uw": 1.0},
     "fig2_amplitude": {"export_stride": 16},
@@ -90,6 +91,7 @@ _EXPERIMENT_PARAMS = {
     "procrustean": {"d": 3, "bin_widths": [0.04, 0.024, 0.015], "bin_spacing": 0.05,
                     "phi_points": 36, "use_psf": True},
 }
+_POSITIVE_LISTS = {"bin_widths"}
 
 
 @dataclass(frozen=True)
@@ -180,13 +182,16 @@ def _get(tree, key, path, kind, default=None, op=None, bound=None):
     return value
 
 
-def _float_list(value, path, length=None):
-    """A non-empty list of finite numbers, exactly ``length`` of them if given."""
+def _float_list(value, path, length=None, bound=()):
+    """A non-empty list of finite numbers, exactly ``length`` of them if given.
+
+    ``bound`` is an optional (op, value) lower bound on every item.
+    """
     if not isinstance(value, list) or not value or length not in (None, len(value)):
         raise ConfigError(path, f"expected a list of {length or 'one or more'} "
                                 f"numbers, got {value!r}")
     items = dict(enumerate(value))
-    return [_get(items, i, path, float) for i in items]
+    return [_get(items, i, path, float, None, *bound) for i in items]
 
 
 def _section(tree, path, schema, extra=()):
@@ -229,7 +234,9 @@ def _parse_experiment(entry, index, seen_names):
               else (int, default, ">=", 1) if isinstance(default, int)
               else (float, default, *_POSITIVE)
               for key, default in _EXPERIMENT_PARAMS[exp_id].items()}
-    params = {key: _float_list(value, f"{path}.{key}") if isinstance(value, list) else value
+    params = {key: _float_list(value, f"{path}.{key}",
+                               bound=_POSITIVE if key in _POSITIVE_LISTS else ())
+              if isinstance(value, list) else value
               for key, value in _section(entry, path, schema, extra=("id",)).items()}
     if "d" in params and params["d"] not in (2, 3, 4):
         raise ConfigError(f"{path}.d", f"dimension must be 2, 3 or 4, got {params['d']}")

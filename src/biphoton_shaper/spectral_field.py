@@ -13,7 +13,7 @@ omega = 0 (degeneracy) lies on a sample.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .errors import DomainError, GridError, ResolutionError
 from .units import (
@@ -346,9 +346,15 @@ def psf_kernel(grid: SpectralGrid, delta_omega_psf: float) -> np.ndarray:
 def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     """Convolve the amplitude with the spectral-resolution kernel.
 
-    Fourier-domain product on the grid; the output is renormalized and tagged
-    "gamma_psf".  A kernel narrower than one grid cell degenerates to the
-    identity; this is flagged in metadata rather than raised.
+    A linear (zero-padded, not circular) convolution with the centred
+    ``'same'`` crop, computed with ``scipy.fft``: both axes are padded to
+    ``next_fast_len(2n - 1, True)``, the kernel is transformed once and its
+    spectrum multiplies the real and imaginary planes of the amplitude in
+    place.  The arithmetic, padding and crop are those of SciPy's
+    ``fftconvolve(values, kernel, mode="same")``, so the result is
+    bit-identical to it.  The output is renormalized and tagged "gamma_psf".
+    A kernel narrower than one grid cell degenerates to the identity; this is
+    flagged in metadata rather than raised.
     """
     if delta_omega_psf < 0:
         raise ValueError("PSF width must be non-negative")
@@ -359,14 +365,18 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     if delta_omega_psf < amp.grid.spacing:
         meta["psf_subresolution"] = True
 
-    kernel = psf_kernel(amp.grid, delta_omega_psf)
-    if np.iscomplexobj(amp.values):
-        blurred = (
-            fftconvolve(amp.values.real, kernel, mode="same")
-            + 1j * fftconvolve(amp.values.imag, kernel, mode="same")
-        )
-    else:
-        blurred = fftconvolve(amp.values, kernel, mode="same")
+    n = amp.grid.n_points
+    shape = (sp_fft.next_fast_len(2 * n - 1, True),) * 2
+    crop = slice((n - 1) // 2, (n - 1) // 2 + n)
+    complex_values = np.iscomplexobj(amp.values)
+    planes = (amp.values.real, amp.values.imag) if complex_values else (amp.values,)
+    kernel_spec = sp_fft.rfftn(psf_kernel(amp.grid, delta_omega_psf), shape, axes=(0, 1))
+    spectra = [sp_fft.rfftn(plane, shape, axes=(0, 1)) for plane in planes]
+    for spec in spectra:
+        spec *= kernel_spec
+    del kernel_spec
+    out = [sp_fft.irfftn(spec, shape, axes=(0, 1))[crop, crop].copy() for spec in spectra]
+    blurred = out[0] + 1j * out[1] if complex_values else out[0]
     return JointAmplitude(amp.grid, blurred, kind="gamma_psf", metadata=meta)
 
 

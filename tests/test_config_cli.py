@@ -1,10 +1,14 @@
 """Config validation and the scenario-runner CLI contract."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import biphoton_shaper
 from biphoton_shaper import ConfigError
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import default_config, validate_config
@@ -67,6 +71,12 @@ MALFORMED_VALUES = [
                   "experiments": [{"id": "freq_bin_fringes", "d": 2, "phi_points": 12,
                                    "counts": True}]},
                  id="poisson-mean-too-large"),
+    pytest.param("experiments[0].bin_widths[1]",
+                 {"experiments": [{"id": "procrustean", "bin_widths": [0.04, 0.0, 0.015]}]},
+                 id="bin-width-zero"),
+    pytest.param("experiments[0].bin_widths[0]",
+                 {"experiments": [{"id": "procrustean", "bin_widths": [-1234, 0.024, 0.015]}]},
+                 id="bin-width-negative"),
 ]
 
 
@@ -165,6 +175,17 @@ class TestCli:
         path = write_config(tmp_path, QUICK_CONFIG)
         assert main(["validate", path]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_validate_does_not_import_scipy_signal(self, tmp_path):
+        path = write_config(tmp_path, QUICK_CONFIG)
+        src = str(Path(biphoton_shaper.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import biphoton_shaper; "
+                "from biphoton_shaper.cli import main; "
+                "print(main(['validate', sys.argv[2]]), 'scipy.signal' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code, src, path],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_malformed_config_exits_2_without_outputs(self, tmp_path, capsys):
         bad = dict(QUICK_CONFIG)

@@ -1,7 +1,10 @@
 """Spectral-field construction: pump, phase matching, amplitudes, PSF, flux."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from biphoton_shaper import (
     CrystalSpec,
@@ -279,6 +282,46 @@ class TestApplyPsf:
     def test_negative_width_rejected(self, gamma_small):
         with pytest.raises(ValueError):
             apply_psf(gamma_small, -1.0)
+
+    # 129, 257 and 301 points pad to 270, 540 and 625; the last width is
+    # below one grid cell at every size.
+    @pytest.mark.parametrize("n", [129, 257, 301])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("width", [PSF_WIDTH, 0.05, 2.0e-4])
+    def test_bit_identical_to_fftconvolve(self, n, complex_values, width):
+        from scipy.signal import fftconvolve
+
+        grid = SpectralGrid(n_points=n, omega_max=0.35)
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, n))
+        if complex_values:
+            values = values + 1j * rng.standard_normal((n, n))
+        amp = JointAmplitude(grid=grid, values=values, kind="gamma")
+        kernel = psf_kernel(grid, width)
+        if complex_values:
+            want = (fftconvolve(amp.values.real, kernel, mode="same")
+                    + 1j * fftconvolve(amp.values.imag, kernel, mode="same"))
+        else:
+            want = fftconvolve(amp.values, kernel, mode="same")
+        want = want / np.sqrt(np.sum(np.abs(want) ** 2) * grid.spacing**2)
+        assert np.array_equal(apply_psf(amp, width).values, want)
+
+    def test_traced_peak_memory(self, gamma_small):
+        # Unit: one padded half-spectrum of a 257^2 grid.  The in-place
+        # product, with the kernel spectrum freed before the inverse
+        # transform, keeps the blur at about three of them; fftconvolve's
+        # out-of-place product of two live spectra needs 4.2.
+        n = gamma_small.grid.n_points
+        size = next_fast_len(2 * n - 1, True)
+        spectrum_bytes = size * (size // 2 + 1) * 16
+        apply_psf(gamma_small, PSF_WIDTH)  # warm the transform plan cache
+        tracemalloc.start()
+        try:
+            apply_psf(gamma_small, PSF_WIDTH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * spectrum_bytes
 
     def test_schmidt_number_nonincreasing_in_psf_width(self, gamma_small):
         widths = [0.0, 0.005, 0.01, 0.02, 0.04]
