@@ -254,7 +254,7 @@ def synthesize_counts(scan: FringeScan, peak_rate: float, background_rate: float
         raise ValueError("duration must be non-negative")
     rng = np.random.default_rng(seed)
     peak = scan.values.max()
-    signal_rate = peak_rate * scan.values / peak if peak > 0 else np.zeros_like(scan.values)
+    signal_rate = peak_rate * (scan.values / peak) if peak > 0 else np.zeros_like(scan.values)
     gross = rng.poisson((signal_rate + background_rate) * duration_s)
     background = rng.poisson(background_rate * duration_s, size=scan.values.shape)
     return CountRecord(phi=scan.phi.copy(), gross=gross, background=background,

@@ -6,7 +6,7 @@ fits of the interference fringe models, and the d = 2 Bell parameter
 evaluated from single-projection signals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -117,7 +117,6 @@ def cglmp_thresholds(d: int) -> CglmpThresholds:
 # Fringe models
 # ---------------------------------------------------------------------------
 
-_MODEL_NAMES = {2: "qubit", 3: "qutrit", 4: "ququart"}
 _MODEL_MEAN = {2: 1.0, 3: 3.0, 4: 4.0}
 
 
@@ -155,21 +154,19 @@ class FitResult:
     the weighted residuals at the solution.
     """
 
-    model: str
     parameters: dict
     uncertainties: dict
     residual_norm: float
-    metadata: dict = field(default_factory=dict)
 
 
 def _fit_inputs(source):
-    """(phi, y, sigma, metadata) from a FringeScan or CountRecord."""
+    """(phi, y, sigma) from a FringeScan or CountRecord."""
     if isinstance(source, CountRecord):
         y = source.net()
         sigma = np.sqrt(np.maximum(source.gross + source.background, 1.0))
-        return source.phi, y, sigma, {"from_counts": True, "duration": source.duration}
+        return source.phi, y, sigma
     if isinstance(source, FringeScan):
-        return source.phi, source.values, np.ones_like(source.values), {"from_counts": False}
+        return source.phi, source.values, np.ones_like(source.values)
     raise TypeError("expected a FringeScan or CountRecord")
 
 
@@ -182,7 +179,7 @@ def _check_coverage(phi, n_params, period):
         raise FitError(f"phase span {span:.3f} rad does not cover one period ({period:.3f})")
 
 
-def _run_fit(residual, x0, bounds, names, model, metadata):
+def _run_fit(residual, x0, bounds, names):
     result = least_squares(residual, x0, bounds=bounds, method="trf",
                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not result.success and result.status <= 0:
@@ -195,8 +192,7 @@ def _run_fit(residual, x0, bounds, names, model, metadata):
     params = dict(zip(names, result.x))
     uncertainties = dict(zip(names, err))
     rms = float(np.sqrt(np.mean(result.fun**2)))
-    return FitResult(model=model, parameters=params, uncertainties=uncertainties,
-                     residual_norm=rms, metadata=metadata)
+    return FitResult(parameters=params, uncertainties=uncertainties, residual_norm=rms)
 
 
 def fit_fringe(source, d: int) -> FitResult:
@@ -206,9 +202,9 @@ def fit_fringe(source, d: int) -> FitResult:
     classical visibility mapped through the noise model, phi0 from the argmax.
     CountRecord input is background-subtracted and Poisson-weighted.
     """
-    if d not in _MODEL_NAMES:
+    if d not in _MODEL_MEAN:
         raise ValueError(f"no fringe model for d = {d}")
-    phi, y, sigma, meta = _fit_inputs(source)
+    phi, y, sigma = _fit_inputs(source)
     _check_coverage(phi, 3, np.pi)
 
     scale0 = max(float(np.mean(y)) / _MODEL_MEAN[d], 1e-12)
@@ -223,12 +219,12 @@ def fit_fringe(source, d: int) -> FitResult:
 
     return _run_fit(residual, [scale0, lam0, phi0_0],
                     ([0.0, 0.0, -np.inf], [np.inf, 1.0, np.inf]),
-                    ("scale", "lambda", "phi0"), _MODEL_NAMES[d], meta)
+                    ("scale", "lambda", "phi0"))
 
 
 def fit_cos4(source) -> FitResult:
     """Fit the separable-state fringe scale * cos^4((phi + phi0/2)/2)."""
-    phi, y, sigma, meta = _fit_inputs(source)
+    phi, y, sigma = _fit_inputs(source)
     _check_coverage(phi, 2, 2.0 * np.pi)
     scale0 = max(float(np.max(y)), 1e-12)
     phi0_0 = float((-2.0 * phi[np.argmax(y)]) % (4.0 * np.pi))
@@ -238,7 +234,7 @@ def fit_cos4(source) -> FitResult:
         return (scale * cos4_model(phi, phi0) - y) / sigma
 
     return _run_fit(residual, [scale0, phi0_0], ([0.0, -np.inf], [np.inf, np.inf]),
-                    ("scale", "phi0"), "cos4", meta)
+                    ("scale", "phi0"))
 
 
 def fit_gamma(source) -> FitResult:
@@ -253,7 +249,7 @@ def fit_gamma(source) -> FitResult:
     branch returned is decided by two residuals at rounding level (about
     1e-15), and gamma2 may still come back above 1.
     """
-    phi, y, sigma, meta = _fit_inputs(source)
+    phi, y, sigma = _fit_inputs(source)
     _check_coverage(phi, 4, 2.0 * np.pi)
     g0 = 0.5
     scale0 = max(float(np.mean(y)) / (1.0 + 4.0 * g0**2 + g0**2), 1e-12)
@@ -265,12 +261,12 @@ def fit_gamma(source) -> FitResult:
 
     bounds = ([0.0, 0.0, 0.0, -np.inf], [np.inf, np.inf, np.inf, np.inf])
     names = ("scale", "gamma1", "gamma2", "phi0")
-    fit = _run_fit(residual, [scale0, g0, g0, phi0_0], bounds, names, "gamma", meta)
+    fit = _run_fit(residual, [scale0, g0, g0, phi0_0], bounds, names)
     g2 = fit.parameters["gamma2"]
     if g2 > 1.0:
         mirrored_start = [fit.parameters["scale"] * g2**2, fit.parameters["gamma1"],
                           1.0 / g2, fit.parameters["phi0"]]
-        alt = _run_fit(residual, mirrored_start, bounds, names, "gamma", meta)
+        alt = _run_fit(residual, mirrored_start, bounds, names)
         if alt.residual_norm <= fit.residual_norm * (1.0 + 1e-9):
             fit = alt
     return fit

@@ -1,9 +1,9 @@
 """Named experiments binding the physics modules together.
 
 Each experiment consumes a shared :class:`ScenarioContext` (cached amplitudes,
-counting parameters, per-experiment seeds) and produces CSV tables plus a
-JSON-ready report with a one-line summary.  Everything is deterministic for a
-fixed config and seed.
+counting parameters, per-experiment seeds) and produces column tables plus a
+report with a one-line summary, which :func:`emit_outputs` renders to CSV and
+JSON.  Everything is deterministic for a fixed config and seed.
 """
 
 import hashlib
@@ -25,7 +25,8 @@ class ExperimentResult:
     summary: str
     passed: bool | None          # None when the experiment has no pass criterion
     report: dict
-    tables: dict = field(default_factory=dict)  # table name -> (columns, rows)
+    # table name -> {column name: 1-D array or list}, in header order
+    tables: dict = field(default_factory=dict)
 
 
 class ScenarioContext:
@@ -68,8 +69,8 @@ def _symmetric_centers(d: int, spacing: float):
     return (np.arange(d) - (d - 1) / 2.0) * spacing
 
 
-def _fringe_rows(scan: FringeScan):
-    return [(p, v) for p, v in zip(scan.phi, scan.values)]
+def _fringe_table(scan: FringeScan):
+    return {"phi_rad": scan.phi, "signal": scan.values}
 
 
 # --- experiments -------------------------------------------------------------
@@ -92,20 +93,17 @@ def run_flux_check(ctx: ScenarioContext, req) -> ExperimentResult:
                f"{limit.power * 1e6:.2f} uW, mode density {density:.3f} at "
                f"{p['power_uw']:.2f} uW")
     return ExperimentResult(req.name, req.id, summary, density < 1.0, report,
-                            {"flux": (["quantity", "value"],
-                                      [("max_flux_per_s", limit.flux),
-                                       ("max_power_w", limit.power),
-                                       ("mode_density", density)])})
+                            {"flux": {"quantity": ["max_flux_per_s", "max_power_w",
+                                                   "mode_density"],
+                                      "value": [limit.flux, limit.power, density]}})
 
 
 def _amplitude_table(amp, stride: int):
-    ax = amp.grid.axis()
-    rows = []
-    for i in range(0, amp.grid.n_points, stride):
-        for j in range(0, amp.grid.n_points, stride):
-            v = complex(amp.values[i, j])
-            rows.append((ax[i], ax[j], v.real, v.imag))
-    return (["omega_i", "omega_s", "re", "im"], rows)
+    ax = amp.grid.axis()[::stride]
+    omega_i, omega_s = np.meshgrid(ax, ax, indexing="ij")
+    values = amp.values[::stride, ::stride].ravel()
+    return {"omega_i": omega_i.ravel(), "omega_s": omega_s.ravel(),
+            "re": values.real, "im": values.imag}
 
 
 def run_fig2_amplitude(ctx: ScenarioContext, req) -> ExperimentResult:
@@ -136,19 +134,11 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     basis = bases.schmidt_modes(ctx.gamma_psf, n_modes)
     report_full = metrics.schmidt_decompose(ctx.gamma_psf)
     beta = report_full.eigenvalues[:n_eigen]
-    ax = ctx.grid.axis()
-    cols = ["omega"]
-    for j in range(n_modes):
-        cols += [f"re_f{j}", f"im_f{j}"]
-    rows = []
-    for i in range(ctx.grid.n_points):
-        row = [ax[i]]
-        for j in range(n_modes):
-            v = complex(basis.functions[j, i])
-            row += [v.real, v.imag]
-        rows.append(tuple(row))
+    modes = {"omega": ctx.grid.axis()}
+    for j, f in enumerate(basis.functions):
+        modes.update({f"re_f{j}": f.real, f"im_f{j}": f.imag})
     report = {
-        "eigenvalues": [float(b) for b in beta],
+        "eigenvalues": beta,
         "captured_weight": float(basis.metadata["captured_weight"]),
         "gram_max_offdiag": float(basis.metadata["gram_max_offdiag"]),
     }
@@ -156,8 +146,8 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
                f"{report['captured_weight']:.3f} of the weight; "
                f"beta0={beta[0]:.3f}")
     return ExperimentResult(req.name, req.id, summary, None, report, {
-        "modes": (cols, rows),
-        "eigenvalues": (["j", "beta"], [(j, float(b)) for j, b in enumerate(beta)]),
+        "modes": modes,
+        "eigenvalues": {"j": np.arange(len(beta)), "beta": beta},
     })
 
 
@@ -169,10 +159,8 @@ def _diagonal_signals(state) -> np.ndarray:
 
 
 def _transfer_table(m: shaper.TransferFunction):
-    ax = m.grid.axis()
-    rows = [(w, complex(v).real, complex(v).imag, abs(v))
-            for w, v in zip(ax, m.values)]
-    return (["omega", "re_m", "im_m", "abs_m"], rows)
+    return {"omega": m.grid.axis(), "re_m": m.values.real, "im_m": m.values.imag,
+            "abs_m": np.abs(m.values)}
 
 
 def _qudit_fringes(req, amp, basis_i, slm=None):
@@ -203,7 +191,7 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     passed = vis > v_c
     report = {
         "d": d,
-        "procrustean_amplitudes": filt.tolist(),
+        "procrustean_amplitudes": filt,
         "lambda": lam,
         "lambda_err": fit.uncertainties["lambda"],
         "visibility": vis,
@@ -215,8 +203,8 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     summary = (f"{req.name}: lambda={lam:.3f} V={vis:.3f} vs "
                f"Vc={v_c:.3f} -> {'PASS' if passed else 'FAIL'}")
     tables = {
-        "fringe_full_field": (["phi_rad", "signal"], _fringe_rows(scan_ff)),
-        "fringe_state_space": (["phi_rad", "signal"], _fringe_rows(scan_ss)),
+        "fringe_full_field": _fringe_table(scan_ff),
+        "fringe_state_space": _fringe_table(scan_ss),
         "transfer_idler": _transfer_table(shaper.transfer_from_coefficients(spec_i)),
     }
     return ExperimentResult(req.name, req.id, summary, passed, report, tables), scan_ff
@@ -232,7 +220,7 @@ def run_freq_bin_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
     result, scan_ff = _qudit_fringes(req, amp, basis_i,
                                      slm=ctx.scenario.slm if p["pixelate"] else None)
     report = result.report
-    report.update(bin_centers=centers.tolist(), bin_widths=widths.tolist(),
+    report.update(bin_centers=centers, bin_widths=widths,
                   pixelated=p["pixelate"])
     if p["counts"]:
         record = measurement.synthesize_counts(
@@ -242,10 +230,9 @@ def run_freq_bin_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
         noisy = metrics.fit_fringe(record, d)
         report["lambda_from_counts"] = noisy.parameters["lambda"]
         report["lambda_from_counts_err"] = noisy.uncertainties["lambda"]
-        result.tables["counts"] = (["phi_rad", "gross", "background", "duration_s"],
-                                   [(ph, int(gc), int(bc), record.duration)
-                                    for ph, gc, bc in zip(record.phi, record.gross,
-                                                          record.background)])
+        result.tables["counts"] = {"phi_rad": record.phi, "gross": record.gross,
+                                   "background": record.background,
+                                   "duration_s": np.full(len(record.phi), record.duration)}
     result.summary += f" (leakage {report['truncation_weight']:.2e})"
     return result
 
@@ -264,8 +251,7 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
         for label, amp in (("no_psf", ctx.gamma), ("psf", ctx.gamma_psf)):
             values = measurement.coincidence_scan(amp, [(m, m) for m in transfers])
             scan = FringeScan(phi=phi, values=values)
-            per_t1[f"fringe_t{t1:g}_{label}"] = (["phi_rad", "signal"],
-                                                 _fringe_rows(scan))
+            per_t1[f"fringe_t{t1:g}_{label}"] = _fringe_table(scan)
             if t1 == 0.0:
                 fit = metrics.fit_cos4(scan)
                 entry[label] = {"gamma1": 1.0, "gamma2": 1.0,
@@ -281,10 +267,6 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
                                                  entry[label]["gamma2"])
         rows.append(entry)
 
-    table_rows = [(e["t1_fs"],
-                   e["no_psf"]["gamma1"], e["no_psf"]["gamma2"], e["no_psf"]["i2"],
-                   e["psf"]["gamma1"], e["psf"]["gamma2"], e["psf"]["i2"])
-                  for e in rows]
     # gamma1 decays with the photon coherence and then oscillates in
     # magnitude around zero; require monotone decrease down to its minimum
     g1 = [e["no_psf"]["gamma1"] for e in rows]
@@ -318,8 +300,10 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
                f"I2(no PSF, t1>=35fs) min "
                f"{min(i2_beyond_35) if i2_beyond_35 else float('nan'):.3f}, "
                f"{tail_note} -> {'PASS' if passed else 'FAIL'}")
-    tables = {"sweep": (["t1_fs", "gamma1_no_psf", "gamma2_no_psf", "i2_no_psf",
-                         "gamma1_psf", "gamma2_psf", "i2_psf"], table_rows)}
+    tables = {"sweep": {"t1_fs": t1_values}}
+    for label in ("no_psf", "psf"):
+        for key in ("gamma1", "gamma2", "i2"):
+            tables["sweep"][f"{key}_{label}"] = [e[label][key] for e in rows]
     tables.update(per_t1)
     return ExperimentResult(req.name, req.id, summary, passed, report, tables)
 
@@ -328,20 +312,16 @@ def run_schmidt_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
     amp = ctx.amplitude(req.params["use_psf"])
     basis_i = bases.schmidt_modes(amp, req.params["d"])
     result, _ = _qudit_fringes(req, amp, basis_i)
-    result.report["mode_weights"] = [float(b) for b in basis_i.metadata["eigenvalues"]]
+    result.report["mode_weights"] = basis_i.metadata["eigenvalues"]
     return result
 
 
 def run_bell_i2_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
     n = req.params["grid_points"]
-    gammas = np.linspace(0.0, 1.0, n)
-    rows = []
-    peak = -np.inf
-    for g1 in gammas:
-        for g2 in gammas:
-            value = metrics.bell_i2(g1, g2)
-            rows.append((g1, g2, value))
-            peak = max(peak, value)
+    g1, g2 = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 1.0, n),
+                                             np.linspace(0.0, 1.0, n), indexing="ij"))
+    i2 = np.array([metrics.bell_i2(a, b) for a, b in zip(g1, g2)])
+    peak = i2.max()
     maximally = metrics.bell_i2(0.0, 1.0)
     separable = metrics.bell_i2(1.0, 1.0)
     ceiling = metrics.QUANTUM_BELL_CEILING
@@ -358,7 +338,7 @@ def run_bell_i2_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
                f"I2(0,1)={maximally:.4f}, I2(1,1)={separable:.4f} -> "
                f"{'PASS' if passed else 'FAIL'}")
     return ExperimentResult(req.name, req.id, summary, passed, report,
-                            {"sweep": (["gamma1", "gamma2", "i2"], rows)})
+                            {"sweep": {"gamma1": g1, "gamma2": g2, "i2": i2}})
 
 
 def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
@@ -383,10 +363,10 @@ def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
 
     report = {
         "d": d,
-        "bin_widths": widths.tolist(),
-        "signals_before": before.tolist(),
-        "filter_amplitudes": filt.tolist(),
-        "signals_after": after.tolist(),
+        "bin_widths": widths,
+        "signals_before": before,
+        "filter_amplitudes": filt,
+        "signals_after": after,
         "equalization_spread": spread,
         "post_filter_lambda": lam,
     }
@@ -394,9 +374,9 @@ def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
     summary = (f"{req.name}: signal spread {spread:.2e} after filtering, "
                f"post-filter lambda={lam:.4f} -> {'PASS' if passed else 'FAIL'}")
     return ExperimentResult(req.name, req.id, summary, passed, report, {
-        "signals": (["k", "signal_before", "filter_amplitude", "signal_after"],
-                    [(k, before[k], filt[k], after[k]) for k in range(d)]),
-        "post_filter_fringe": (["phi_rad", "signal"], _fringe_rows(scan)),
+        "signals": {"k": np.arange(d), "signal_before": before,
+                    "filter_amplitude": filt, "signal_after": after},
+        "post_filter_fringe": _fringe_table(scan),
     })
 
 
@@ -436,79 +416,62 @@ def run_scenario_experiments(scenario: Scenario):
 # --- output emission ---------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_cells(column) -> list:
+    column = np.asarray(column)
+    if column.dtype == bool:
+        return ["true" if cell else "false" for cell in column.tolist()]
+    return list(map(str, column.tolist()))
 
 
-def _write_csv(path: Path, columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _render_csv(table) -> bytes:
+    lines = [",".join(table)]
+    lines.extend(map(",".join, zip(*map(_csv_cells, table.values()), strict=True)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    return value
+def _numpy_to_python(value):
+    """``json`` default hook: numpy scalars and arrays become Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_json(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_python)
+            + "\n").encode("utf-8")
 
 
 def emit_outputs(results, directory, force: bool = False) -> dict:
     """Write per-experiment CSV/report files plus a hash manifest.
 
     File names are deterministic: <experiment>_<table>_<index>.csv and
-    <experiment>_report.json.  Existing files are only overwritten with
-    ``force``; the manifest maps every artifact to its SHA-256.
+    <experiment>_report.json.  Every file is rendered before the first write,
+    so a render error leaves the directory untouched.  Existing files are
+    only overwritten with ``force``; the manifest maps every artifact to its
+    SHA-256.
     """
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-
-    planned = []
+    files = []
     for result in results:
-        planned.append((f"{result.name}_report.json", None, result))
-        for index, (table, (columns, rows)) in enumerate(result.tables.items()):
-            planned.append((f"{result.name}_{table}_{index:03d}.csv",
-                            (columns, rows), result))
+        files.append((f"{result.name}_report.json", _render_json({
+            "experiment": result.experiment_id,
+            "name": result.name,
+            "summary": result.summary,
+            "passed": result.passed,
+            "report": result.report,
+        })))
+        for index, (table_name, table) in enumerate(result.tables.items()):
+            files.append((f"{result.name}_{table_name}_{index:03d}.csv", _render_csv(table)))
 
-    manifest_path = out / "manifest.json"
-    for target in [out / filename for filename, _, _ in planned] + [manifest_path]:
+    out = Path(directory)
+    for target in [out / filename for filename, _ in files] + [out / "manifest.json"]:
         if target.exists() and not force:
             raise FileExistsError(
                 f"{target}: output exists; pass --force to overwrite")
 
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {"files": []}
-    for filename, table, result in planned:
-        target = out / filename
-        if table is None:
-            payload = _json_ready({
-                "experiment": result.experiment_id,
-                "name": result.name,
-                "summary": result.summary,
-                "passed": result.passed,
-                "report": result.report,
-            })
-            target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8", newline="\n")
-        else:
-            _write_csv(target, *table)
-        digest = hashlib.sha256(target.read_bytes()).hexdigest()
-        manifest["files"].append({"name": filename, "sha256": digest})
-
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8", newline="\n")
+    for filename, data in files:
+        (out / filename).write_bytes(data)
+        manifest["files"].append({"name": filename, "sha256": hashlib.sha256(data).hexdigest()})
+    (out / "manifest.json").write_bytes(_render_json(manifest))
     return manifest

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -12,7 +13,7 @@ import biphoton_shaper
 from biphoton_shaper import ConfigError
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import default_config, validate_config
-from biphoton_shaper.scenarios import EXPERIMENT_RUNNERS
+from biphoton_shaper.scenarios import EXPERIMENT_RUNNERS, ExperimentResult, emit_outputs
 
 QUICK_CONFIG = {
     "version": 1,
@@ -226,6 +227,17 @@ class TestCli:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
         assert "ResolutionError" in capsys.readouterr().err
 
+    def test_counts_at_float_max_peak_rate_exit_0(self, tmp_path, capsys):
+        # peak_rate * signal overflowed to inf before the division by the peak
+        tree = {**QUICK_CONFIG,
+                "counting": {"peak_rate_hz": 1.0e+308, "duration_s": 1.0e-300},
+                "experiments": [{"id": "freq_bin_fringes", "counts": True}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "freq_bin_fringes_d2_counts_003.csv").is_file()
+
     def test_run_writes_manifest_and_reports(self, tmp_path, capsys):
         path = write_config(tmp_path, QUICK_CONFIG)
         out = tmp_path / "out"
@@ -329,8 +341,57 @@ class TestEmitOutputs:
         assert (out / "manifest.json").read_text() == "stale\n"
 
     def test_empty_result_set_gives_empty_manifest(self, tmp_path):
-        from biphoton_shaper.scenarios import emit_outputs
-
         manifest = emit_outputs([], tmp_path / "empty")
         assert manifest == {"files": []}
         assert json.loads((tmp_path / "empty" / "manifest.json").read_text()) == manifest
+
+    def test_rendered_bytes(self, tmp_path):
+        report = {
+            "float64": np.float64(0.1),
+            "int64": np.int64(-3),
+            "bool": np.bool_(False),
+            "array": np.array([1.5, -0.0]),
+            "tuple": (2, "a"),
+            "nested": {"b": np.float64(1e-05), "a": [np.int64(7)]},
+            "nan": float("nan"),
+        }
+        tables = {"mixed": {"x": np.array([-0.0, 1e-05, 2.5]), "n": np.array([0, -7, 12]),
+                            "label": ["p", "q", "r"], "flag": np.array([True, False, True])},
+                  "lists": {"k": [1, 2], "on": [False, True]}}
+        result = ExperimentResult("syn", "flux_check", "syn: ok", True, report, tables)
+        manifest = emit_outputs([result], tmp_path)
+
+        expected = {
+            "syn_report.json": (
+                b'{\n  "experiment": "flux_check",\n  "name": "syn",\n  "passed": true,\n'
+                b'  "report": {\n    "array": [\n      1.5,\n      -0.0\n    ],\n'
+                b'    "bool": false,\n    "float64": 0.1,\n    "int64": -3,\n'
+                b'    "nan": NaN,\n    "nested": {\n      "a": [\n        7\n      ],\n'
+                b'      "b": 1e-05\n    },\n    "tuple": [\n      2,\n      "a"\n    ]\n'
+                b'  },\n  "summary": "syn: ok"\n}\n'),
+            "syn_mixed_000.csv": (b"x,n,label,flag\n-0.0,0,p,true\n1e-05,-7,q,false\n"
+                                  b"2.5,12,r,true\n"),
+            "syn_lists_001.csv": b"k,on\n1,false\n2,true\n",
+        }
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                if p.name != "manifest.json"} == expected
+        assert (tmp_path / "manifest.json").read_bytes() == (
+            b'{\n  "files": [\n    {\n      "name": "syn_report.json",\n      "sha256": '
+            b'"c4b5169d933d2caf6801dab33aefc6ef2ed408fc08242e97cdf57d7911a1a548"\n    },\n'
+            b'    {\n      "name": "syn_mixed_000.csv",\n      "sha256": '
+            b'"45cd5090a3feca5dc34a74d1a86367b71f0e040541379a5f864d1a68508faa06"\n    },\n'
+            b'    {\n      "name": "syn_lists_001.csv",\n      "sha256": '
+            b'"95518d1b1648f1b926f348d67f42230b808c3646533fb8488e7d7979e521359c"\n    }\n'
+            b'  ]\n}\n')
+        assert manifest == json.loads((tmp_path / "manifest.json").read_text())
+
+    def test_render_error_writes_nothing(self, tmp_path):
+        first = ExperimentResult("first", "flux_check", "first: ok", True, {"x": 1.0},
+                                 {"t": {"a": [1.0]}})
+        second = ExperimentResult("second", "flux_check", "second: ok", True,
+                                  {"x": object()})
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(TypeError):
+            emit_outputs([first, second], out)
+        assert list(out.iterdir()) == []
