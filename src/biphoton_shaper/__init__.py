@@ -29,13 +29,12 @@ from .measurement import (
     synthesize_counts,
 )
 from .metrics import (
-    CglmpThresholds,
     EntanglementReport,
     FitResult,
     bell_i2,
     cglmp_parameter,
-    cglmp_thresholds,
     cos4_model,
+    critical_visibility,
     double_gaussian_oracle,
     fit_cos4,
     fit_fringe,

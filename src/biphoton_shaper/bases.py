@@ -7,7 +7,7 @@ renormalizes with the grid's trapezoidal inner product, so that the Gram
 matrix of a well-resolved basis is the identity at machine level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,11 @@ class BasisSet:
     """d orthonormal complex functions sampled on a grid's frequency axis.
 
     ``functions`` has shape (d, n_points), continuum-normalized so that the
-    trapezoidal integral of |f_j|^2 is 1.  Metadata carries the construction
-    parameters (bin centers/widths or mode weights) and the largest Gram
-    off-diagonal actually realized on the grid.
+    trapezoidal integral of |f_j|^2 is 1.
     """
 
     grid: SpectralGrid
     functions: np.ndarray
-    kind: str  # "frequency_bin" | "time_bin" | "schmidt"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.functions = np.atleast_2d(np.asarray(self.functions))
@@ -55,7 +51,8 @@ def _renormalize(functions: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     return functions / norms[:, None]
 
 
-def _max_offdiag(basis: BasisSet) -> float:
+def max_offdiag(basis: BasisSet) -> float:
+    """Largest |G_jk - delta_jk| of the realized Gram matrix (0 for d = 1)."""
     g = gram_matrix(basis)
     return float(np.max(np.abs(g - np.eye(basis.d)))) if basis.d > 1 else 0.0
 
@@ -98,10 +95,7 @@ def frequency_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
                 f"bin {j} covered by {n_cover} grid samples (< 3); widen it or refine the grid"
             )
         funcs[j, support] = 1.0 / np.sqrt(w)
-    basis = BasisSet(grid=grid, functions=_renormalize(funcs, grid), kind="frequency_bin",
-                     metadata={"centers": centers.copy(), "widths": widths.copy()})
-    basis.metadata["gram_max_offdiag"] = _max_offdiag(basis)
-    return basis
+    return BasisSet(grid=grid, functions=_renormalize(funcs, grid))
 
 
 def time_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
@@ -110,7 +104,7 @@ def time_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
     f_j(omega) = sqrt(dt_j/2pi) * exp(-i*omega*t_j) * sinc(omega*dt_j/2),
     grid-renormalized.  Zero-width bins mean a pure delay phasor apodized by
     the grid window.  Orthogonality is only approximate on a finite window;
-    the realized Gram off-diagonals are reported in metadata.
+    :func:`max_offdiag` gives the realized Gram leakage.
     """
     centers, widths = _check_separation(centers, widths, "time bin")
     ax = grid.axis()
@@ -121,10 +115,7 @@ def time_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
             funcs[j] = phasor
         else:
             funcs[j] = np.sqrt(dt / (2 * np.pi)) * phasor * sinc(ax * dt / 2.0)
-    basis = BasisSet(grid=grid, functions=_renormalize(funcs, grid), kind="time_bin",
-                     metadata={"centers": centers.copy(), "widths": widths.copy()})
-    basis.metadata["gram_max_offdiag"] = _max_offdiag(basis)
-    return basis
+    return BasisSet(grid=grid, functions=_renormalize(funcs, grid))
 
 
 def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
@@ -170,10 +161,10 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
 def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
     """First d Schmidt modes of the amplitude as a basis for either photon.
 
-    Mode weights (descending, summing to 1 over the full spectrum) are stored
-    in metadata["eigenvalues"].  Each mode's global sign is fixed so that its
-    largest-magnitude sample is real positive.  For the signal side of an
-    anti-diagonally correlated amplitude use :func:`mirrored` of this basis.
+    The mode weights are the first d of :func:`amplitude_svd`'s beta.  Each
+    mode's global sign is fixed so that its largest-magnitude sample is real
+    positive.  For the signal side of an anti-diagonally correlated amplitude
+    use :func:`mirrored` of this basis.
     """
     if d < 1:
         raise BasisError("need d >= 1 Schmidt modes")
@@ -186,11 +177,7 @@ def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
             f"< {SCHMIDT_RANK_FLOOR:g}"
         )
     funcs = _fix_mode_signs(modes_i[:d])
-    basis = BasisSet(grid=amp.grid, functions=_renormalize(funcs, amp.grid), kind="schmidt",
-                     metadata={"eigenvalues": beta[:d].copy(),
-                               "captured_weight": float(beta[:d].sum())})
-    basis.metadata["gram_max_offdiag"] = _max_offdiag(basis)
-    return basis
+    return BasisSet(grid=amp.grid, functions=_renormalize(funcs, amp.grid))
 
 
 def mirrored(basis: BasisSet) -> BasisSet:
@@ -199,9 +186,4 @@ def mirrored(basis: BasisSet) -> BasisSet:
     This is the natural signal-side partner of an idler basis when the joint
     amplitude is concentrated along the energy-conservation anti-diagonal.
     """
-    meta = dict(basis.metadata)
-    if "centers" in meta and basis.kind == "frequency_bin":
-        meta["centers"] = -np.asarray(meta["centers"])
-    meta["mirrored"] = not meta.get("mirrored", False)
-    return BasisSet(grid=basis.grid, functions=basis.functions[:, ::-1].copy(),
-                    kind=basis.kind, metadata=meta)
+    return BasisSet(grid=basis.grid, functions=basis.functions[:, ::-1].copy())

@@ -240,6 +240,9 @@ def _parse_experiment(entry, index, seen_names):
               for key, value in _section(entry, path, schema, extra=("id",)).items()}
     if "d" in params and params["d"] not in (2, 3, 4):
         raise ConfigError(f"{path}.d", f"dimension must be 2, 3 or 4, got {params['d']}")
+    t1_values = params.get("t1_values_fs", [])
+    if len(set(t1_values)) != len(t1_values):
+        raise ConfigError(f"{path}.t1_values_fs", f"values must be distinct, got {t1_values}")
     if exp_id == "procrustean" and len(params["bin_widths"]) != params["d"]:
         raise ConfigError(f"{path}.bin_widths",
                           f"need exactly d = {params['d']} widths, "
@@ -278,6 +281,9 @@ def validate_config(tree: dict) -> Scenario:
         raise ConfigError("psf.delta_omega", f"must be < the window width "
                                              f"2*grid.omega_max = {2.0 * grid.omega_max}, "
                                              f"got {psf_width}")
+    if 0.0 < psf_width < grid.spacing:
+        raise ConfigError("psf.delta_omega", f"must be 0 or >= the grid spacing "
+                                             f"{grid.spacing}, got {psf_width}")
     with _built_from("pump.linewidth_mhz"):
         pump = PumpSpec.from_linewidth_mhz(cfg["pump"]["linewidth_mhz"],
                                            wavelength=cfg["pump"]["wavelength_nm"])

@@ -8,7 +8,7 @@ count records, and computes equalizing filter amplitudes.  Every full-field
 scan goes through :func:`coincidence_scan`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class FringeScan:
 
     phi: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
@@ -196,9 +195,7 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
     or a tuple (JointAmplitude, TransferSpec, TransferSpec) (full-field route:
     transfer functions rebuilt at each phase, quantized onto the modulator
     pixels when ``slm`` is given, and fed to :func:`coincidence_scan`).
-    Values are normalized to unit mean.  The state-space metadata reports the
-    weight the discretization truncates; the full-field metadata reports the
-    common amplitude scale and whether the transfers were pixelated.
+    Values are normalized to unit mean.
     """
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 2:
@@ -211,7 +208,6 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
         ladders = (_ladder(source.d, p, amplitudes) for p in phi)
         values = _unit_mean(np.array([projection_probability(source, u, u)
                                       for u in ladders]))
-        meta = {"truncation_weight": source.truncation_weight}
     else:
         amp, spec_i, spec_s = source
         d = spec_i.basis.d
@@ -232,10 +228,7 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
         values = coincidence_scan(amp, ((transfer(spec_i, scale_i, p),
                                          transfer(spec_s, scale_s, p))
                                         for p in phi))
-        meta = {"common_amplitude_scale": (scale_i, scale_s),
-                "pixelated": slm is not None}
-
-    return FringeScan(phi=phi, values=values, metadata=meta)
+    return FringeScan(phi=phi, values=values)
 
 
 def synthesize_counts(scan: FringeScan, peak_rate: float, background_rate: float,

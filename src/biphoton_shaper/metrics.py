@@ -95,22 +95,14 @@ def lambda_from_visibility(v: float, d: int) -> float:
     return 2.0 * v / (d - v * (d - 2))
 
 
-@dataclass(frozen=True)
-class CglmpThresholds:
-    d: int
-    bell_parameter_max: float
-    lambda_critical: float
-    visibility_critical: float
+def critical_visibility(d: int) -> float:
+    """Fringe visibility above which the d-dimensional Bell inequality is violated.
 
-
-def cglmp_thresholds(d: int) -> CglmpThresholds:
-    """Critical mixing parameter and visibility for a Bell violation at dimension d."""
+    The critical mixing parameter is 2 / BELL_PARAMETER_MAX[d].
+    """
     if d not in BELL_PARAMETER_MAX:
         raise ValueError(f"unsupported dimension {d}; expected one of {sorted(BELL_PARAMETER_MAX)}")
-    i_max = BELL_PARAMETER_MAX[d]
-    lam_c = 2.0 / i_max
-    return CglmpThresholds(d=d, bell_parameter_max=i_max, lambda_critical=lam_c,
-                           visibility_critical=visibility_from_lambda(lam_c, d))
+    return visibility_from_lambda(2.0 / BELL_PARAMETER_MAX[d], d)
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,11 @@ def run_fig2_amplitude(ctx: ScenarioContext, req) -> ExperimentResult:
     stride = req.params["export_stride"]
     report_g = metrics.schmidt_decompose(ctx.gamma)
     report_p = metrics.schmidt_decompose(ctx.gamma_psf)
+    pump = ctx.scenario.pump
+    effective = spectral_field.effective_pump(pump, ctx.grid).bandwidth
     report = {
-        "pump_bandwidth_clamped": ctx.gamma.metadata["pump_bandwidth_clamped"],
-        "pump_bandwidth_effective": ctx.gamma.metadata["pump_bandwidth_effective"],
+        "pump_bandwidth_clamped": effective > pump.bandwidth,
+        "pump_bandwidth_effective": effective,
         "gamma": {"entropy_ebits": report_g.entropy,
                   "schmidt_number": report_g.schmidt_number,
                   "effective_dimension": report_g.effective_dimension},
@@ -133,14 +135,15 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     n_eigen = req.params["n_eigenvalues"]
     basis = bases.schmidt_modes(ctx.gamma_psf, n_modes)
     report_full = metrics.schmidt_decompose(ctx.gamma_psf)
+    weights, _ = bases.amplitude_svd(ctx.gamma_psf)
     beta = report_full.eigenvalues[:n_eigen]
     modes = {"omega": ctx.grid.axis()}
     for j, f in enumerate(basis.functions):
         modes.update({f"re_f{j}": f.real, f"im_f{j}": f.imag})
     report = {
         "eigenvalues": beta,
-        "captured_weight": float(basis.metadata["captured_weight"]),
-        "gram_max_offdiag": float(basis.metadata["gram_max_offdiag"]),
+        "captured_weight": float(weights[:n_modes].sum()),
+        "gram_max_offdiag": bases.max_offdiag(basis),
     }
     summary = (f"{req.name}: first {n_modes} modes capture "
                f"{report['captured_weight']:.3f} of the weight; "
@@ -187,7 +190,7 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     fit = metrics.fit_fringe(scan_ff, d)
     lam = fit.parameters["lambda"]
     vis = metrics.visibility_from_lambda(lam, d)
-    v_c = metrics.cglmp_thresholds(d).visibility_critical
+    v_c = metrics.critical_visibility(d)
     passed = vis > v_c
     report = {
         "d": d,
@@ -246,12 +249,14 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
     cos4_residual = None
     for t1 in t1_values:
         entry = {"t1_fs": t1}
+        # the shortest round-trip repr, so distinct values name distinct tables
+        tag = repr(float(t1)).removesuffix(".0")
         # both photons pass identical interferometers, one transfer per phase
         transfers = [shaper.franson_transfer(0.5, 0.5, t1, ph, ctx.grid) for ph in phi]
         for label, amp in (("no_psf", ctx.gamma), ("psf", ctx.gamma_psf)):
             values = measurement.coincidence_scan(amp, [(m, m) for m in transfers])
             scan = FringeScan(phi=phi, values=values)
-            per_t1[f"fringe_t{t1:g}_{label}"] = _fringe_table(scan)
+            per_t1[f"fringe_t{tag}_{label}"] = _fringe_table(scan)
             if t1 == 0.0:
                 fit = metrics.fit_cos4(scan)
                 entry[label] = {"gamma1": 1.0, "gamma2": 1.0,
@@ -312,7 +317,7 @@ def run_schmidt_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
     amp = ctx.amplitude(req.params["use_psf"])
     basis_i = bases.schmidt_modes(amp, req.params["d"])
     result, _ = _qudit_fringes(req, amp, basis_i)
-    result.report["mode_weights"] = basis_i.metadata["eigenvalues"]
+    result.report["mode_weights"] = bases.amplitude_svd(amp)[0][:basis_i.d]
     return result
 
 

@@ -6,7 +6,7 @@ from basis coefficients (projective-measurement form) or as the two-path
 interferometer response, and can be quantized onto a pixelated modulator.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class TransferFunction:
 
     grid: SpectralGrid
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -56,9 +55,7 @@ class TransferFunction:
 
     def scaled(self, factor: float) -> "TransferFunction":
         """A copy scaled by ``factor`` (must stay physical)."""
-        meta = dict(self.metadata)
-        meta["extra_scale"] = meta.get("extra_scale", 1.0) * factor
-        return TransferFunction(self.grid, self.values * factor, metadata=meta)
+        return TransferFunction(self.grid, self.values * factor)
 
 
 @dataclass(frozen=True)
@@ -96,16 +93,12 @@ class SlmModel:
 def _physical(values: np.ndarray, grid: SpectralGrid) -> TransferFunction:
     """Wrap samples as a TransferFunction, rescaling globally to unit peak if needed.
 
-    A global rescale (never clipping) preserves all projection ratios; the
-    factor applied is recorded in metadata["normalization_factor"].
+    A global rescale (never clipping) preserves all projection ratios.
     """
     peak = float(np.max(np.abs(values)))
-    factor = 1.0
     if peak > 1.0:
-        factor = 1.0 / peak
-        values = values * factor
-    return TransferFunction(grid=grid, values=values,
-                            metadata={"normalization_factor": factor})
+        values = values * (1.0 / peak)
+    return TransferFunction(grid=grid, values=values)
 
 
 def transfer_from_coefficients(spec: TransferSpec) -> TransferFunction:
@@ -147,15 +140,10 @@ def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:
     the sample is kept and attenuated by the transmitting fill fraction.
     """
     pos = slm.positions(m.grid)
-    meta = dict(m.metadata)
-    meta["pixelated"] = True
-
     cell = abs(pos[-1] - pos[0]) / (len(pos) - 1)
     if cell >= slm.pitch:
         fill = slm.pixel_width / slm.pitch
-        values = m.values * fill
-        meta["pixel_sampling"] = "cell_averaged"
-        return TransferFunction(grid=m.grid, values=values, metadata=meta)
+        return TransferFunction(grid=m.grid, values=m.values * fill)
 
     pixel_index = np.floor_divide(pos, slm.pitch).astype(int)
     pixel_index = np.clip(pixel_index, 0, slm.n_pixels - 1)
@@ -171,4 +159,4 @@ def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:
     np.add.at(counts, idx, 1.0)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     values[in_pixel] = means[idx]
-    return TransferFunction(grid=m.grid, values=values, metadata=meta)
+    return TransferFunction(grid=m.grid, values=values)

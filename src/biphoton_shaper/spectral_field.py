@@ -216,18 +216,14 @@ class CrystalSpec:
 class JointAmplitude:
     """Complex two-photon amplitude sampled on a square grid.
 
-    Normalized so that sum(|values|^2) * spacing^2 = 1.  ``kind`` is one of
-    "lambda" (source), "gamma" (source times detector acceptance),
-    "gamma_psf" (after spectral-resolution blur).  ``values`` is read-only
-    after normalization, so the Schmidt data that
+    Normalized so that sum(|values|^2) * spacing^2 = 1.  ``values`` is
+    read-only after normalization, so the Schmidt data that
     :func:`biphoton_shaper.bases.amplitude_svd` stores on the instance can
     never go stale.
     """
 
     grid: SpectralGrid
     values: np.ndarray
-    kind: str = "lambda"
-    metadata: dict = field(default_factory=dict)
     _schmidt: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -236,8 +232,6 @@ class JointAmplitude:
             raise GridError("amplitude shape does not match its grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("amplitude contains non-finite values")
-        if self.kind not in ("lambda", "gamma", "gamma_psf"):
-            raise ValueError(f"unknown amplitude kind {self.kind!r}")
         norm = np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2)
         if norm == 0.0:
             raise ValueError("amplitude is identically zero")
@@ -298,43 +292,38 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec, min_samples
         )
 
 
+def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
+    """The pump the grid represents: a bandwidth narrower than PUMP_CLAMP_CELLS
+    grid cells is clamped to that width (continuous-wave limit)."""
+    return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing),
+                    wavelength=pump.wavelength)
+
+
 def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
                           sfg: CrystalSpec | None = None,
                           include_phase=False) -> JointAmplitude:
     """Construct the joint spectral amplitude on the grid.
 
-    Returns kind "lambda" without an upconversion crystal, "gamma" with one.
-    A pump narrower than PUMP_CLAMP_CELLS grid cells is clamped to that width
-    (continuous-wave limit) and the clamp recorded in metadata.
+    The source amplitude (pump envelope times phase matching), times the
+    detector acceptance when an upconversion crystal is given.  The pump
+    envelope is that of :func:`effective_pump`.
     """
-    floor = PUMP_CLAMP_CELLS * grid.spacing
-    clamped = pump.bandwidth < floor
-    eff_pump = PumpSpec(bandwidth=max(pump.bandwidth, floor), wavelength=pump.wavelength)
-
     _check_sinc_resolution(grid, spdc)
     if sfg is not None:
         _check_sinc_resolution(grid, sfg)
 
     wi, ws = grid.mesh()
     pc = grid.pump_center_frequency
-    values = pump_envelope(wi + ws, eff_pump) * phase_matching(
+    values = pump_envelope(wi + ws, effective_pump(pump, grid)) * phase_matching(
         wi, ws, spdc, include_phase=include_phase, pump_center=pc
     )
-    kind = "lambda"
     if sfg is not None:
         values = values * phase_matching(
             wi, ws, sfg, include_phase=include_phase, pump_center=pc
         )
-        kind = "gamma"
     if not include_phase:
         values = values.real
-
-    meta = {
-        "pump_bandwidth": pump.bandwidth,
-        "pump_bandwidth_effective": eff_pump.bandwidth,
-        "pump_bandwidth_clamped": bool(clamped),
-    }
-    return JointAmplitude(grid=grid, values=values, kind=kind, metadata=meta)
+    return JointAmplitude(grid=grid, values=values)
 
 
 def psf_kernel(grid: SpectralGrid, delta_omega_psf: float) -> np.ndarray:
@@ -352,18 +341,14 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     spectrum multiplies the real and imaginary planes of the amplitude in
     place.  The arithmetic, padding and crop are those of SciPy's
     ``fftconvolve(values, kernel, mode="same")``, so the result is
-    bit-identical to it.  The output is renormalized and tagged "gamma_psf".
-    A kernel narrower than one grid cell degenerates to the identity; this is
-    flagged in metadata rather than raised.
+    bit-identical to it.  The output is renormalized.  A kernel narrower than
+    one grid cell degenerates to the identity; scenario configs reject such a
+    width.
     """
     if delta_omega_psf < 0:
         raise ValueError("PSF width must be non-negative")
-    meta = dict(amp.metadata)
-    meta["psf_delta_omega"] = delta_omega_psf
     if delta_omega_psf == 0.0:
-        return JointAmplitude(amp.grid, amp.values.copy(), kind="gamma_psf", metadata=meta)
-    if delta_omega_psf < amp.grid.spacing:
-        meta["psf_subresolution"] = True
+        return JointAmplitude(amp.grid, amp.values.copy())
 
     n = amp.grid.n_points
     shape = (sp_fft.next_fast_len(2 * n - 1, True),) * 2
@@ -377,7 +362,7 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     del kernel_spec
     out = [sp_fft.irfftn(spec, shape, axes=(0, 1))[crop, crop].copy() for spec in spectra]
     blurred = out[0] + 1j * out[1] if complex_values else out[0]
-    return JointAmplitude(amp.grid, blurred, kind="gamma_psf", metadata=meta)
+    return JointAmplitude(amp.grid, blurred)
 
 
 @dataclass(frozen=True)
@@ -405,5 +390,4 @@ def double_gaussian_amplitude(grid: SpectralGrid, a: float, b: float) -> JointAm
     """Analytic test amplitude exp(-(wi+ws)^2/4a^2 - (wi-ws)^2/4b^2)."""
     wi, ws = grid.mesh()
     values = np.exp(-((wi + ws) ** 2) / (4 * a * a) - ((wi - ws) ** 2) / (4 * b * b))
-    return JointAmplitude(grid=grid, values=values, kind="lambda",
-                          metadata={"double_gaussian": (a, b)})
+    return JointAmplitude(grid=grid, values=values)

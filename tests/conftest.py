@@ -67,8 +67,7 @@ def antidiagonal_ridge(small_grid):
     values = np.zeros((n, n))
     profile = np.exp(-(ax**2) / (2 * 0.08**2))
     values[np.arange(n), n - 1 - np.arange(n)] = profile
-    return JointAmplitude(grid=small_grid, values=values, kind="gamma",
-                          metadata={"synthetic": "antidiagonal"})
+    return JointAmplitude(grid=small_grid, values=values)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

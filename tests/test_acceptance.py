@@ -14,8 +14,8 @@ from biphoton_shaper import (
     apply_psf,
     bell_i2,
     build_joint_amplitude,
-    cglmp_thresholds,
     coincidence_signal,
+    critical_visibility,
     double_gaussian_amplitude,
     double_gaussian_oracle,
     fit_cos4,
@@ -76,7 +76,7 @@ def spectrum_metrics(amp):
 
 def test_criterion_1_cglmp_thresholds():
     table = {2: 0.707, 3: 0.775, 4: 0.817}
-    got = {d: cglmp_thresholds(d).visibility_critical for d in table}
+    got = {d: critical_visibility(d) for d in table}
     ok = all(abs(got[d] - table[d]) < 5e-4 for d in table)
     record(1, "CGLMP thresholds", ok,
            "Vc = " + ", ".join(f"{got[d]:.3f}" for d in (2, 3, 4)))
@@ -164,9 +164,10 @@ def test_criterion_5_dual_route_equivalence(paper_1025):
         spec_s = TransferSpec(basis_s, np.ones(d), np.zeros(d))
         phi = np.linspace(0, np.pi, 24, endpoint=False)
         full = fringe_scan((gamma_psf, spec_i, spec_s), phi)
-        state = fringe_scan(project_state(gamma_psf, basis_i, basis_s), phi)
+        qudits = project_state(gamma_psf, basis_i, basis_s)
+        state = fringe_scan(qudits, phi)
         gap = float(np.max(np.abs(full.values - state.values)))
-        leakage = state.metadata["truncation_weight"]
+        leakage = qudits.truncation_weight
         ok = ok and gap < 0.01
         details.append(f"d={d}: gap {gap:.2e}, leakage {leakage:.3f}")
     record(5, "dual-route projective equivalence", ok, "; ".join(details))

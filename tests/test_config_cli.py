@@ -13,7 +13,13 @@ import biphoton_shaper
 from biphoton_shaper import ConfigError
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import default_config, validate_config
-from biphoton_shaper.scenarios import EXPERIMENT_RUNNERS, ExperimentResult, emit_outputs
+from biphoton_shaper.bases import amplitude_svd, max_offdiag, schmidt_modes
+from biphoton_shaper.scenarios import (
+    EXPERIMENT_RUNNERS,
+    ExperimentResult,
+    ScenarioContext,
+    emit_outputs,
+)
 
 QUICK_CONFIG = {
     "version": 1,
@@ -67,6 +73,12 @@ MALFORMED_VALUES = [
                  id="target-bandwidth-underflow"),
     pytest.param("psf.delta_omega", {"psf": {"delta_omega": 5.0}},
                  id="psf-wider-than-window"),
+    # grid spacing 1.03e-2 > the default PSF width 9.6e-3
+    pytest.param("psf.delta_omega", {"grid": {"n_points": 69, "omega_max": 0.35}},
+                 id="psf-narrower-than-grid-cell"),
+    pytest.param("experiments[0].t1_values_fs",
+                 {"experiments": [{"id": "time_bin_sweep", "t1_values_fs": [0, 10, 10.0, 50]}]},
+                 id="t1-duplicate"),
     pytest.param("counting.duration_s",
                  {"counting": {"duration_s": 1.0e+20},
                   "experiments": [{"id": "freq_bin_fringes", "d": 2, "phi_points": 12,
@@ -306,6 +318,43 @@ class TestCli:
         path = write_config(tmp_path, SCHMIDT_CONFIG)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert sorted(svd_calls) == [False, True]
+
+    def test_schmidt_reports_match_amplitude_svd(self, tmp_path):
+        path = write_config(tmp_path, SCHMIDT_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+
+        def report(name):
+            return json.loads((out / f"{name}_report.json").read_text())["report"]
+
+        amp = ScenarioContext(validate_config(SCHMIDT_CONFIG)).gamma_psf
+        beta, _ = amplitude_svd(amp)
+        fig3 = report("fig3_schmidt")
+        assert fig3["captured_weight"] == pytest.approx(beta[:6].sum(), rel=1e-12)
+        assert fig3["gram_max_offdiag"] == pytest.approx(
+            max_offdiag(schmidt_modes(amp, 6)), rel=1e-9, abs=1e-15)
+        for d in (2, 3):
+            assert report(f"schmidt_fringes_d{d}")["mode_weights"] == pytest.approx(
+                beta[:d], rel=1e-12)
+
+    def test_close_t1_values_write_distinct_tables(self, tmp_path):
+        def fringe_tables(t1_values, out):
+            tree = {**QUICK_CONFIG, "experiments": [
+                {"id": "time_bin_sweep", "t1_values_fs": t1_values, "phi_points": 12}]}
+            assert main(["run", write_config(tmp_path, tree), "--out", str(out)]) == 0
+            return {p.name.rsplit("_", 1)[0]: p.read_text()
+                    for p in out.glob("time_bin_sweep_fringe_*.csv")}
+
+        tables = fringe_tables([0, 10, 10.000001, 50], tmp_path / "close")
+        assert sorted(tables) == sorted(
+            f"time_bin_sweep_fringe_t{tag}_{label}"
+            for tag in ("0", "10", "10.000001", "50") for label in ("no_psf", "psf"))
+        # the 10 fs tables hold the 10 fs scans, as in a sweep without 10.000001
+        alone = fringe_tables([0, 10, 50], tmp_path / "alone")
+        for label in ("no_psf", "psf"):
+            key = f"time_bin_sweep_fringe_t10_{label}"
+            assert tables[key] == alone[key]
+            assert tables[key] != tables[f"time_bin_sweep_fringe_t10.000001_{label}"]
 
     def test_csv_dialect(self, tmp_path):
         path = write_config(tmp_path, QUICK_CONFIG)

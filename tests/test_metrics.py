@@ -9,8 +9,8 @@ from biphoton_shaper import (
     SpectralGrid,
     bell_i2,
     cglmp_parameter,
-    cglmp_thresholds,
     cos4_model,
+    critical_visibility,
     double_gaussian_amplitude,
     double_gaussian_oracle,
     fit_cos4,
@@ -53,7 +53,7 @@ class TestSchmidtDecompose:
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.normal(size=(n, d)))
         values = sum(np.outer(q[:, j], q[:, j]) for j in range(d))
-        amp = JointAmplitude(grid=small_grid, values=values, kind="lambda")
+        amp = JointAmplitude(grid=small_grid, values=values)
         report = schmidt_decompose(amp)
         assert np.isclose(report.entropy, np.log2(d), atol=1e-9)
         assert np.isclose(report.schmidt_number, d, atol=1e-9)
@@ -92,12 +92,12 @@ class TestDoubleGaussianOracle:
 class TestThresholds:
     def test_critical_visibilities(self):
         for d, want in ((2, 0.707), (3, 0.775), (4, 0.817)):
-            got = cglmp_thresholds(d).visibility_critical
+            got = critical_visibility(d)
             assert abs(got - want) < 5e-4
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
-            cglmp_thresholds(5)
+            critical_visibility(5)
 
     def test_visibility_identity_for_qubits(self):
         for lam in (0.0, 0.3, 0.9, 1.0):

@@ -26,7 +26,11 @@ from biphoton_shaper import (
     pump_envelope,
 )
 from biphoton_shaper.bases import amplitude_svd
-from biphoton_shaper.spectral_field import psf_kernel, taylor_curvature_for_bandwidth
+from biphoton_shaper.spectral_field import (
+    effective_pump,
+    psf_kernel,
+    taylor_curvature_for_bandwidth,
+)
 
 from conftest import PSF_WIDTH, make_crystals
 
@@ -166,11 +170,6 @@ class TestBuildJointAmplitude:
     def test_unit_l2_norm(self, gamma_small):
         assert abs(gamma_small.norm() - 1.0) < 1e-9
 
-    def test_kind_tags(self, small_grid, pump_cw):
-        spdc, sfg = make_crystals()
-        assert build_joint_amplitude(small_grid, pump_cw, spdc).kind == "lambda"
-        assert build_joint_amplitude(small_grid, pump_cw, spdc, sfg).kind == "gamma"
-
     def test_perfect_matching_reduces_to_pump(self, small_grid):
         pump = PumpSpec(bandwidth=0.2)
         spdc, _ = make_crystals(a2=0.0)
@@ -201,10 +200,13 @@ class TestBuildJointAmplitude:
         n = grid.n_points
         assert np.isclose(intensity[n // 2, n // 2], intensity.max())
 
-    def test_cw_pump_clamped_to_grid(self, gamma_small, small_grid):
-        meta = gamma_small.metadata
-        assert meta["pump_bandwidth_clamped"]
-        assert np.isclose(meta["pump_bandwidth_effective"], 3 * small_grid.spacing)
+    def test_cw_pump_clamped_to_grid(self, gamma_small, small_grid, pump_cw):
+        effective = effective_pump(pump_cw, small_grid)
+        assert pump_cw.bandwidth < effective.bandwidth
+        assert np.isclose(effective.bandwidth, 3 * small_grid.spacing)
+        spdc, sfg = make_crystals()
+        clamped = build_joint_amplitude(small_grid, effective, spdc, sfg)
+        assert np.array_equal(clamped.values, gamma_small.values)
 
     def test_resolution_error_for_coarse_grid(self, pump_cw):
         grid = SpectralGrid(n_points=65, omega_max=0.35)
@@ -230,14 +232,13 @@ class TestBuildJointAmplitude:
 class TestApplyPsf:
     def test_zero_width_is_identity(self, gamma_small):
         out = apply_psf(gamma_small, 0.0)
-        assert out.kind == "gamma_psf"
         assert np.array_equal(out.values, gamma_small.values)
 
     def test_impulse_reproduces_kernel(self, small_grid):
         n = small_grid.n_points
         impulse = np.zeros((n, n))
         impulse[n // 2, n // 2] = 1.0
-        amp = JointAmplitude(grid=small_grid, values=impulse, kind="gamma")
+        amp = JointAmplitude(grid=small_grid, values=impulse)
         out = apply_psf(amp, PSF_WIDTH)
         kernel = psf_kernel(small_grid, PSF_WIDTH)
         got = out.values / out.values.max()
@@ -275,10 +276,6 @@ class TestApplyPsf:
         assert abs(measured - predicted) / predicted < 0.02
         assert abs(measured - PSF_WIDTH) / PSF_WIDTH < 0.05
 
-    def test_subresolution_warning(self, gamma_small):
-        out = apply_psf(gamma_small, gamma_small.grid.spacing / 10)
-        assert out.metadata.get("psf_subresolution")
-
     def test_negative_width_rejected(self, gamma_small):
         with pytest.raises(ValueError):
             apply_psf(gamma_small, -1.0)
@@ -296,7 +293,7 @@ class TestApplyPsf:
         values = rng.standard_normal((n, n))
         if complex_values:
             values = values + 1j * rng.standard_normal((n, n))
-        amp = JointAmplitude(grid=grid, values=values, kind="gamma")
+        amp = JointAmplitude(grid=grid, values=values)
         kernel = psf_kernel(grid, width)
         if complex_values:
             want = (fftconvolve(amp.values.real, kernel, mode="same")
