@@ -48,7 +48,6 @@ from .metrics import (
 from .shaper import (
     SlmModel,
     TransferFunction,
-    TransferSpec,
     franson_transfer,
     pixelate,
     transfer_from_coefficients,

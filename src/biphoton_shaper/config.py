@@ -241,8 +241,9 @@ def _parse_experiment(entry, index, seen_names):
     if "d" in params and params["d"] not in (2, 3, 4):
         raise ConfigError(f"{path}.d", f"dimension must be 2, 3 or 4, got {params['d']}")
     t1_values = params.get("t1_values_fs", [])
-    if len(set(t1_values)) != len(t1_values):
-        raise ConfigError(f"{path}.t1_values_fs", f"values must be distinct, got {t1_values}")
+    if any(b <= a for a, b in zip(t1_values, t1_values[1:])):
+        raise ConfigError(f"{path}.t1_values_fs",
+                          f"values must be strictly increasing, got {t1_values}")
     if exp_id == "procrustean" and len(params["bin_widths"]) != params["d"]:
         raise ConfigError(f"{path}.bin_widths",
                           f"need exactly d = {params['d']} widths, "

@@ -14,13 +14,7 @@ import numpy as np
 
 from .bases import BasisSet
 from .errors import BasisError, GridError
-from .shaper import (
-    SlmModel,
-    TransferFunction,
-    TransferSpec,
-    pixelate,
-    transfer_from_coefficients,
-)
+from .shaper import SlmModel, TransferFunction, pixelate, transfer_from_coefficients
 from .spectral_field import JointAmplitude
 
 # Largest mean numpy's Poisson sampler accepts (the bound its Generator uses);
@@ -122,16 +116,21 @@ class CountRecord:
 
 
 def coincidence_signal(amp: JointAmplitude, m_i: TransferFunction,
-                       m_s: TransferFunction) -> float:
+                       m_s: TransferFunction):
     """Detected upconversion signal |sum Gamma * M_i * M_s * weights|^2.
 
-    Trapezoid-weighted double integral over the shared grid; deterministic.
+    Trapezoid-weighted double integral over the shared grid, one per row of
+    the two equally shaped transfers: a float for single settings, an array
+    of P signals for stacks of P; deterministic.
     """
     if not (amp.grid.same_axis(m_i.grid) and amp.grid.same_axis(m_s.grid)):
         raise GridError("amplitude and transfer functions must share one grid")
+    if m_i.values.shape != m_s.values.shape:
+        raise ValueError("idler and signal transfers must have the same shape")
     w = amp.grid.weights()
-    integral = (w * m_i.values) @ amp.values @ (w * m_s.values)
-    return float(np.abs(integral) ** 2)
+    rows = zip(m_i.values.reshape(-1, w.size), m_s.values.reshape(-1, w.size))
+    signals = np.array([np.abs((w * v_i) @ amp.values @ (w * v_s)) ** 2 for v_i, v_s in rows])
+    return signals.reshape(m_i.values.shape[:-1])[()]
 
 
 def project_state(amp: JointAmplitude, basis_i: BasisSet, basis_s: BasisSet) -> QuditState:
@@ -156,46 +155,33 @@ def projection_probability(state: QuditState, u_i, u_s) -> float:
     return float(np.abs(u_i @ state.coefficients @ u_s) ** 2)
 
 
-def _ladder(d: int, phi: float, amplitudes=None) -> np.ndarray:
-    """Unit-norm projection vector with per-level phases j*phi."""
-    a = np.ones(d) if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        raise ValueError("projection amplitudes must not all vanish")
-    return a * np.exp(1j * phi * np.arange(d)) / norm
-
-
-def _scan_amplitude_scale(spec: TransferSpec) -> float:
-    """Factor making the transfer physical for every phase setting at once."""
-    envelope = spec.amplitudes @ np.abs(spec.basis.functions)
-    worst = float(envelope.max())
-    return min(1.0, 1.0 / worst) if worst > 0 else 1.0
-
-
 def _unit_mean(values: np.ndarray) -> np.ndarray:
     mean = values.mean()
     return values / mean if mean > 0 else values
 
 
-def coincidence_scan(amp: JointAmplitude, transfer_pairs) -> np.ndarray:
-    """Coincidence signals of a sequence of (M_i, M_s) settings, unit mean.
+def coincidence_scan(amp: JointAmplitude, m_i: TransferFunction,
+                     m_s: TransferFunction) -> np.ndarray:
+    """Coincidence signals of two (P, n) transfer stacks, row by row, unit mean.
 
     The full-field scan engine: every point is its own double integral over
     the grid (:func:`coincidence_signal`), never a projection of the state.
     """
-    values = np.array([coincidence_signal(amp, m_i, m_s) for m_i, m_s in transfer_pairs])
-    return _unit_mean(values)
+    return _unit_mean(coincidence_signal(amp, m_i, m_s))
 
 
 def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> FringeScan:
     """Phase-ladder interference scan, both photons at the same phase.
 
     ``source`` is either a QuditState (state-space route: both photons
-    projected onto the phase ladder exp(i*j*phi), weighted by ``amplitudes``)
-    or a tuple (JointAmplitude, TransferSpec, TransferSpec) (full-field route:
-    transfer functions rebuilt at each phase, quantized onto the modulator
-    pixels when ``slm`` is given, and fed to :func:`coincidence_scan`).
-    Values are normalized to unit mean.
+    projected onto the phase ladder exp(i*j*phi)) or a tuple (JointAmplitude,
+    BasisSet, BasisSet) (full-field route: one stack of transfer functions
+    per photon, one row per phase, quantized onto the modulator pixels when
+    ``slm`` is given and fed to :func:`coincidence_scan`).  ``amplitudes``
+    weights the basis functions on both routes (default: all ones); the
+    state-space route normalizes them, the full-field route scales them by
+    one common factor that keeps every setting physical.  Values are
+    normalized to unit mean.
     """
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 2:
@@ -205,29 +191,36 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
     if span + step < np.pi * (1 - 1e-9):
         raise ValueError("phase grid must cover at least one fringe period (pi)")
     if isinstance(source, QuditState):
-        ladders = (_ladder(source.d, p, amplitudes) for p in phi)
+        d = source.d
+    else:
+        amp, basis_i, basis_s = source
+        d = basis_i.d
+        if basis_s.d != d:
+            raise BasisError("idler and signal bases must share the dimension")
+    a = np.ones(d) if amplitudes is None else np.asarray(amplitudes, dtype=float)
+    if isinstance(source, QuditState):
+        norm = np.linalg.norm(a)
+        if norm == 0:
+            raise ValueError("projection amplitudes must not all vanish")
+        ladders = a * np.exp(1j * phi[:, np.newaxis] * np.arange(d)) / norm
         values = _unit_mean(np.array([projection_probability(source, u, u)
                                       for u in ladders]))
     else:
-        amp, spec_i, spec_s = source
-        d = spec_i.basis.d
-        if spec_s.basis.d != d:
-            raise BasisError("idler and signal bases must share the dimension")
-        # One common physicality rescale for the whole scan: the worst-case
-        # modulus over all phase settings is bounded by sum_j |u_j| |f_j|.
-        # A per-point rescale would distort the fringe for overlapping bases.
-        scale_i = _scan_amplitude_scale(spec_i)
-        scale_s = _scan_amplitude_scale(spec_s)
-        ladder = np.arange(d)
+        if np.any(a > 1):
+            raise ValueError("amplitudes must lie in [0, 1]")
+        phases = phi[:, np.newaxis] * np.arange(d)
 
-        def transfer(spec, scale, p):
-            m = transfer_from_coefficients(
-                TransferSpec(spec.basis, spec.amplitudes * scale, spec.phases + ladder * p))
+        def transfers(basis):
+            # One common physicality rescale for the whole scan: the
+            # worst-case modulus over all phase settings is bounded by
+            # sum_j |u_j| |f_j|.  A per-point rescale would distort the
+            # fringe for overlapping bases.
+            worst = float((a @ np.abs(basis.functions)).max())
+            scale = min(1.0, 1.0 / worst) if worst > 0 else 1.0
+            m = transfer_from_coefficients(basis, a * scale, phases)
             return m if slm is None else pixelate(m, slm)
 
-        values = coincidence_scan(amp, ((transfer(spec_i, scale_i, p),
-                                         transfer(spec_s, scale_s, p))
-                                        for p in phi))
+        values = coincidence_scan(amp, transfers(basis_i), transfers(basis_s))
     return FringeScan(phi=phi, values=values)
 
 

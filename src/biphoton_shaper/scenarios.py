@@ -156,9 +156,7 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
 
 def _diagonal_signals(state) -> np.ndarray:
     """Single-projection signals onto each diagonal basis pair (k, k)."""
-    eye = np.eye(state.d)
-    return np.array([measurement.projection_probability(state, eye[k], eye[k])
-                     for k in range(state.d)])
+    return np.abs(np.diag(state.coefficients)) ** 2
 
 
 def _transfer_table(m: shaper.TransferFunction):
@@ -182,9 +180,8 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     state = measurement.project_state(amp, basis_i, basis_s)
     filt = measurement.procrustean_amplitudes(_diagonal_signals(state))
     phi = np.linspace(0.0, np.pi, req.params["phi_points"], endpoint=False)
-    spec_i = shaper.TransferSpec(basis_i, filt, np.zeros(d))
-    spec_s = shaper.TransferSpec(basis_s, filt, np.zeros(d))
-    scan_ff = measurement.fringe_scan((amp, spec_i, spec_s), phi, slm=slm)
+    scan_ff = measurement.fringe_scan((amp, basis_i, basis_s), phi, amplitudes=filt,
+                                      slm=slm)
     scan_ss = measurement.fringe_scan(state, phi, amplitudes=filt)
 
     fit = metrics.fit_fringe(scan_ff, d)
@@ -208,7 +205,8 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     tables = {
         "fringe_full_field": _fringe_table(scan_ff),
         "fringe_state_space": _fringe_table(scan_ss),
-        "transfer_idler": _transfer_table(shaper.transfer_from_coefficients(spec_i)),
+        "transfer_idler": _transfer_table(
+            shaper.transfer_from_coefficients(basis_i, filt, np.zeros(d))),
     }
     return ExperimentResult(req.name, req.id, summary, passed, report, tables), scan_ff
 
@@ -251,10 +249,10 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
         entry = {"t1_fs": t1}
         # the shortest round-trip repr, so distinct values name distinct tables
         tag = repr(float(t1)).removesuffix(".0")
-        # both photons pass identical interferometers, one transfer per phase
-        transfers = [shaper.franson_transfer(0.5, 0.5, t1, ph, ctx.grid) for ph in phi]
+        # both photons pass identical interferometers: one stack, a row per phase
+        transfers = shaper.franson_transfer(0.5, 0.5, t1, phi, ctx.grid)
         for label, amp in (("no_psf", ctx.gamma), ("psf", ctx.gamma_psf)):
-            values = measurement.coincidence_scan(amp, [(m, m) for m in transfers])
+            values = measurement.coincidence_scan(amp, transfers, transfers)
             scan = FringeScan(phi=phi, values=values)
             per_t1[f"fringe_t{tag}_{label}"] = _fringe_table(scan)
             if t1 == 0.0:

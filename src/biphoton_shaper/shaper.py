@@ -18,44 +18,23 @@ PHYSICALITY_TOL = 1e-12
 
 
 @dataclass
-class TransferSpec:
-    """Coefficients of a transfer function in a given basis.
-
-    amplitudes |u_j| in [0, 1], phases in rad (stored mod 2*pi), one pair per
-    basis function.
-    """
-
-    basis: BasisSet
-    amplitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=float)
-        self.phases = np.mod(np.asarray(self.phases, dtype=float), 2 * np.pi)
-        if self.amplitudes.shape != (self.basis.d,) or self.phases.shape != (self.basis.d,):
-            raise ValueError("need one amplitude and phase per basis function")
-        if np.any(self.amplitudes < 0) or np.any(self.amplitudes > 1):
-            raise ValueError("amplitudes must lie in [0, 1]")
-
-
-@dataclass
 class TransferFunction:
-    """Complex modulation samples M(omega) on a grid axis, max |M| <= 1."""
+    """Complex modulation samples M(omega) on a grid axis, max |M| <= 1.
+
+    ``values`` holds one setting, shape (n,), or a stack of P settings, shape
+    (P, n), one per row; a scan is one stack.
+    """
 
     grid: SpectralGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.shape != (self.grid.n_points,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.grid.n_points:
             raise GridError("transfer function does not match the grid axis")
-        peak = float(np.max(np.abs(self.values)))
+        peak = float(np.max(np.abs(self.values), initial=0.0))
         if peak > 1.0 + PHYSICALITY_TOL:
             raise ValueError(f"transfer function exceeds unit modulus: max |M| = {peak}")
-
-    def scaled(self, factor: float) -> "TransferFunction":
-        """A copy scaled by ``factor`` (must stay physical)."""
-        return TransferFunction(self.grid, self.values * factor)
 
 
 @dataclass(frozen=True)
@@ -91,45 +70,58 @@ class SlmModel:
 
 
 def _physical(values: np.ndarray, grid: SpectralGrid) -> TransferFunction:
-    """Wrap samples as a TransferFunction, rescaling globally to unit peak if needed.
+    """Wrap samples as a TransferFunction, rescaling each row to unit peak if needed.
 
-    A global rescale (never clipping) preserves all projection ratios.
+    A rescale of the whole row (never clipping) preserves all projection
+    ratios of that setting.
     """
-    peak = float(np.max(np.abs(values)))
-    if peak > 1.0:
-        values = values * (1.0 / peak)
+    peak = np.max(np.abs(values), axis=-1, keepdims=True)
+    values = np.where(peak > 1.0, values * (1.0 / np.maximum(peak, 1.0)), values)
     return TransferFunction(grid=grid, values=values)
 
 
-def transfer_from_coefficients(spec: TransferSpec) -> TransferFunction:
+def transfer_from_coefficients(basis: BasisSet, amplitudes, phases) -> TransferFunction:
     """M(omega) = sum_j |u_j| exp(i*phi_j) conj(f_j(omega)), made physical.
 
-    If the raw superposition exceeds unit modulus it is rescaled globally by
+    ``amplitudes`` |u_j| in [0, 1], one per basis function; ``phases`` in rad
+    (reduced mod 2*pi), shape (d,) for one setting or (P, d) for a stack of P.
+    A setting whose raw superposition exceeds unit modulus is rescaled by
     1/max|M|, which leaves every projection ratio intact.
     """
-    coeff = spec.amplitudes * np.exp(1j * spec.phases)
-    values = coeff @ spec.basis.functions.conj()
-    return _physical(values, spec.basis.grid)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    phases = np.mod(np.asarray(phases, dtype=float), 2 * np.pi)
+    d = basis.d
+    if amplitudes.shape != (d,) or phases.ndim not in (1, 2) or phases.shape[-1] != d:
+        raise ValueError("need one amplitude and phase per basis function")
+    if np.any(amplitudes < 0) or np.any(amplitudes > 1):
+        raise ValueError("amplitudes must lie in [0, 1]")
+    coeff = amplitudes * np.exp(1j * phases)
+    conj = basis.functions.conj()
+    values = np.array([row @ conj for row in coeff.reshape(-1, d)])
+    return _physical(values.reshape(phases.shape[:-1] + conj.shape[-1:]), basis.grid)
 
 
 def franson_transfer(transmission: float, reflection: float, delta_t10: float,
-                     phi: float, grid: SpectralGrid) -> TransferFunction:
+                     phi, grid: SpectralGrid) -> TransferFunction:
     """Two-path interferometer response M(omega) = T + R exp(i(omega*dt + phi)).
 
     T and R are the short/long-path amplitude coefficients, T + R <= 1;
-    delta_t10 is the long-short delay in fs.
+    delta_t10 is the long-short delay in fs.  A scalar ``phi`` gives one
+    setting, an array of P phases a stack of P.
     """
     if transmission < 0 or reflection < 0:
         raise ValueError("transmission and reflection must be non-negative")
     if transmission + reflection > 1.0 + PHYSICALITY_TOL:
         raise ValueError("amplitude coefficients must satisfy T + R <= 1")
     ax = grid.axis()
+    phi = np.asarray(phi, dtype=float)[..., np.newaxis]
     values = transmission + reflection * np.exp(1j * (ax * delta_t10 + phi))
     return _physical(values, grid)
 
 
 def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:
-    """Quantize a transfer function onto the modulator's pixel geometry.
+    """Quantize a transfer function (or each row of a stack) onto the
+    modulator's pixel geometry.
 
     Every sample inside a pixel is replaced by the pixel's mean value; samples
     falling into inter-pixel gaps are set to zero (opaque gaps).  Every sample
@@ -153,10 +145,10 @@ def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:
 
     values = np.zeros_like(m.values, dtype=complex)
     idx = pixel_index[in_pixel]
-    sums = np.zeros(slm.n_pixels, dtype=complex)
+    sums = np.zeros(m.values.shape[:-1] + (slm.n_pixels,), dtype=complex)
     counts = np.zeros(slm.n_pixels, dtype=float)
-    np.add.at(sums, idx, m.values[in_pixel])
+    np.add.at(sums, (..., idx), m.values[..., in_pixel])
     np.add.at(counts, idx, 1.0)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    values[in_pixel] = means[idx]
+    values[..., in_pixel] = means[..., idx]
     return TransferFunction(grid=m.grid, values=values)

@@ -257,16 +257,19 @@ def phase_mismatch(omega_i, omega_s, crystal: CrystalSpec, pump_center=None):
     return dk if crystal.role == "SPDC" else -dk
 
 
-def phase_matching(omega_i, omega_s, crystal: CrystalSpec, include_phase=False,
-                   pump_center=None):
-    """Quasi-phase-matching function sinc(x), optionally times exp(i*x).
-
-    x = (mismatch + 2*pi/G) * L / 2 for a down-conversion crystal and
-    (mismatch - 2*pi/G) * L / 2 for an upconversion crystal.
-    """
+def _matching_argument(omega_i, omega_s, crystal: CrystalSpec, pump_center):
+    """x = (mismatch + 2*pi/G) * L / 2 for a down-conversion crystal and
+    (mismatch - 2*pi/G) * L / 2 for an upconversion crystal."""
     dk = phase_mismatch(omega_i, omega_s, crystal, pump_center=pump_center)
     g = crystal.grating_wavevector if crystal.role == "SPDC" else -crystal.grating_wavevector
-    x = (dk + g) * crystal.length / 2.0
+    return (dk + g) * crystal.length / 2.0
+
+
+def phase_matching(omega_i, omega_s, crystal: CrystalSpec, include_phase=False,
+                   pump_center=None):
+    """Quasi-phase-matching function sinc(x), optionally times exp(i*x), with
+    the role-signed argument x of :func:`_matching_argument`."""
+    x = _matching_argument(omega_i, omega_s, crystal, pump_center)
     out = sinc(x)
     if include_phase:
         out = out * np.exp(1j * x)
@@ -280,10 +283,7 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec, min_samples
     envelope leaves the sinc as the only structure to resolve.
     """
     ax = grid.axis()
-    pc = grid.pump_center_frequency
-    dk = phase_mismatch(ax, -ax, crystal, pump_center=pc)
-    g = crystal.grating_wavevector if crystal.role == "SPDC" else -crystal.grating_wavevector
-    x = (dk + g) * crystal.length / 2.0
+    x = _matching_argument(ax, -ax, crystal, grid.pump_center_frequency)
     lobe = int(np.count_nonzero(np.abs(x) < np.pi))
     if lobe < min_samples:
         raise ResolutionError(

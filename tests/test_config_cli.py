@@ -79,6 +79,10 @@ MALFORMED_VALUES = [
     pytest.param("experiments[0].t1_values_fs",
                  {"experiments": [{"id": "time_bin_sweep", "t1_values_fs": [0, 10, 10.0, 50]}]},
                  id="t1-duplicate"),
+    # the sweep judges its decay in list order, which must be delay order
+    pytest.param("experiments[0].t1_values_fs",
+                 {"experiments": [{"id": "time_bin_sweep", "t1_values_fs": [50, 0, 25]}]},
+                 id="t1-unsorted"),
     pytest.param("counting.duration_s",
                  {"counting": {"duration_s": 1.0e+20},
                   "experiments": [{"id": "freq_bin_fringes", "d": 2, "phi_points": 12,

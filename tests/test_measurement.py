@@ -9,7 +9,6 @@ from biphoton_shaper import (
     SlmModel,
     SpectralGrid,
     TransferFunction,
-    TransferSpec,
     coincidence_scan,
     coincidence_signal,
     double_gaussian_amplitude,
@@ -75,23 +74,46 @@ class TestCoincidenceSignal:
                                ones_transfer(gamma_small.grid))
 
 
+def _pair_integrals(amp, stack_i, stack_s):
+    """|(w * m_i) @ Gamma @ (w * m_s)|^2 for each pair of rows, one at a time."""
+    w = amp.grid.weights()
+    return np.array([np.abs((w * m_i) @ amp.values @ (w * m_s)) ** 2
+                     for m_i, m_s in zip(stack_i.values, stack_s.values)])
+
+
 class TestCoincidenceScan:
     def test_franson_pairs_match_signal_loop_bitwise(self, gamma_small):
         grid = gamma_small.grid
         phi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        transfers = [franson_transfer(0.5, 0.5, 35.0, p, grid) for p in phi]
-        values = coincidence_scan(gamma_small, [(m, m) for m in transfers])
-        loop = np.empty(len(phi))
-        for n, p in enumerate(phi):
-            m_i = franson_transfer(0.5, 0.5, 35.0, p, grid)
-            m_s = franson_transfer(0.5, 0.5, 35.0, p, grid)
-            loop[n] = coincidence_signal(gamma_small, m_i, m_s)
-        assert np.array_equal(values, loop / loop.mean())
+        stack = franson_transfer(0.5, 0.5, 35.0, phi, grid)
+        loop = _pair_integrals(gamma_small, stack, stack)
+        assert np.array_equal(coincidence_signal(gamma_small, stack, stack), loop)
+        assert np.array_equal(coincidence_scan(gamma_small, stack, stack),
+                              loop / loop.mean())
+        single = franson_transfer(0.5, 0.5, 35.0, phi[3], grid)
+        assert coincidence_signal(gamma_small, single, single) == loop[3]
+
+    def test_distinct_stacks_match_per_pair_integrals_bitwise(self, gamma_psf_small):
+        basis_i = schmidt_modes(gamma_psf_small, 3)
+        phases = np.linspace(0, np.pi, 8, endpoint=False)[:, np.newaxis] * np.arange(3)
+        m_i = transfer_from_coefficients(basis_i, np.array([1.0, 0.5, 0.7]), phases)
+        m_s = transfer_from_coefficients(mirrored(basis_i), np.ones(3), phases)
+        loop = _pair_integrals(gamma_psf_small, m_i, m_s)
+        assert np.array_equal(coincidence_scan(gamma_psf_small, m_i, m_s),
+                              loop / loop.mean())
+
+    def test_stack_shapes_must_match(self, gamma_small):
+        grid = gamma_small.grid
+        phi = np.linspace(0, 2 * np.pi, 4, endpoint=False)
+        with pytest.raises(ValueError):
+            coincidence_scan(gamma_small, franson_transfer(0.5, 0.5, 35.0, phi, grid),
+                             franson_transfer(0.5, 0.5, 35.0, phi[:3], grid))
 
     def test_dark_scan_stays_zero(self, gamma_small):
-        dark = TransferFunction(gamma_small.grid, np.zeros(gamma_small.grid.n_points))
-        ones = ones_transfer(gamma_small.grid)
-        values = coincidence_scan(gamma_small, [(dark, ones), (ones, dark)])
+        n = gamma_small.grid.n_points
+        dark_first = TransferFunction(gamma_small.grid, np.array([np.zeros(n), np.ones(n)]))
+        dark_last = TransferFunction(gamma_small.grid, np.array([np.ones(n), np.zeros(n)]))
+        values = coincidence_scan(gamma_small, dark_first, dark_last)
         assert np.array_equal(values, np.zeros(2))
 
 
@@ -189,19 +211,15 @@ class TestFringeScan:
     def test_unit_mean(self, gamma_psf_small):
         basis_i = frequency_bins([-0.1, 0.1], [0.04, 0.04], gamma_psf_small.grid)
         basis_s = mirrored(basis_i)
-        spec_i = TransferSpec(basis_i, np.ones(2), np.zeros(2))
-        spec_s = TransferSpec(basis_s, np.ones(2), np.zeros(2))
         phi = np.linspace(0, np.pi, 24, endpoint=False)
-        scan = fringe_scan((gamma_psf_small, spec_i, spec_s), phi)
+        scan = fringe_scan((gamma_psf_small, basis_i, basis_s), phi)
         assert np.isclose(scan.values.mean(), 1.0, atol=1e-12)
 
     def test_dual_route_agreement(self, gamma_psf_small):
         basis_i = frequency_bins([-0.1, 0.0, 0.1], [0.04] * 3, gamma_psf_small.grid)
         basis_s = mirrored(basis_i)
-        spec_i = TransferSpec(basis_i, np.ones(3), np.zeros(3))
-        spec_s = TransferSpec(basis_s, np.ones(3), np.zeros(3))
         phi = np.linspace(0, np.pi, 30, endpoint=False)
-        ff = fringe_scan((gamma_psf_small, spec_i, spec_s), phi)
+        ff = fringe_scan((gamma_psf_small, basis_i, basis_s), phi)
         state = project_state(gamma_psf_small, basis_i, basis_s)
         ss = fringe_scan(state, phi)
         gap = np.max(np.abs(ff.values - ss.values))
@@ -212,10 +230,8 @@ class TestFringeScan:
     def test_dual_route_agreement_overlapping_basis(self, gamma_psf_small):
         basis_i = schmidt_modes(gamma_psf_small, 3)
         basis_s = mirrored(basis_i)
-        spec_i = TransferSpec(basis_i, np.ones(3), np.zeros(3))
-        spec_s = TransferSpec(basis_s, np.ones(3), np.zeros(3))
         phi = np.linspace(0, np.pi, 30, endpoint=False)
-        ff = fringe_scan((gamma_psf_small, spec_i, spec_s), phi)
+        ff = fringe_scan((gamma_psf_small, basis_i, basis_s), phi)
         ss = fringe_scan(project_state(gamma_psf_small, basis_i, basis_s), phi)
         assert np.max(np.abs(ff.values - ss.values)) < 1e-10
 
@@ -227,19 +243,16 @@ class TestFringeScan:
         basis_i = frequency_bins([-0.1, 0.0, 0.1], [0.04] * 3, grid)
         basis_s = mirrored(basis_i)
         amps = np.array([1.0, 0.7, 0.9])
-        spec_i = TransferSpec(basis_i, amps, np.zeros(3))
-        spec_s = TransferSpec(basis_s, amps, np.zeros(3))
         phi = np.linspace(0, np.pi, 12, endpoint=False)
-        scan = fringe_scan((gamma_psf_small, spec_i, spec_s), phi, slm=slm)
+        scan = fringe_scan((gamma_psf_small, basis_i, basis_s), phi, amplitudes=amps, slm=slm)
         ladder = np.arange(3)
         ref = np.array([coincidence_signal(
             gamma_psf_small,
-            pixelate(transfer_from_coefficients(TransferSpec(basis_i, amps, ladder * p)), slm),
-            pixelate(transfer_from_coefficients(
-                TransferSpec(basis_s, amps, ladder * p)), slm))
+            pixelate(transfer_from_coefficients(basis_i, amps, ladder * p), slm),
+            pixelate(transfer_from_coefficients(basis_s, amps, ladder * p), slm))
             for p in phi])
         assert np.max(np.abs(scan.values - ref / ref.mean())) < 1e-12
-        plain = fringe_scan((gamma_psf_small, spec_i, spec_s), phi)
+        plain = fringe_scan((gamma_psf_small, basis_i, basis_s), phi, amplitudes=amps)
         assert np.max(np.abs(scan.values - plain.values)) > 1e-6  # quantization shows
 
     def test_short_phase_grid_rejected(self):
@@ -250,10 +263,16 @@ class TestFringeScan:
     def test_basis_dimension_mismatch(self, gamma_psf_small):
         basis_i = frequency_bins([-0.1, 0.1], [0.04, 0.04], gamma_psf_small.grid)
         basis_s = frequency_bins([0.0], [0.04], gamma_psf_small.grid)
-        spec_i = TransferSpec(basis_i, np.ones(2), np.zeros(2))
-        spec_s = TransferSpec(basis_s, np.ones(1), np.zeros(1))
         with pytest.raises(BasisError):
-            fringe_scan((gamma_psf_small, spec_i, spec_s), np.linspace(0, 3, 10))
+            fringe_scan((gamma_psf_small, basis_i, basis_s), np.linspace(0, 3, 10))
+
+    def test_amplitude_range_validated(self, gamma_psf_small):
+        basis_i = frequency_bins([-0.1, 0.1], [0.04, 0.04], gamma_psf_small.grid)
+        phi = np.linspace(0, np.pi, 8, endpoint=False)
+        for amps in ([1.5, 1.0], [-0.2, 1.0]):
+            with pytest.raises(ValueError):
+                fringe_scan((gamma_psf_small, basis_i, mirrored(basis_i)), phi,
+                            amplitudes=amps)
 
 
 class TestSynthesizeCounts:

@@ -248,12 +248,8 @@ class TestGammaExtractionFullField:
         grid = gamma_small.grid
         t1 = 30.0
         phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-        values = np.array([
-            coincidence_signal(gamma_small,
-                               franson_transfer(0.5, 0.5, t1, p, grid),
-                               franson_transfer(0.5, 0.5, t1, p, grid))
-            for p in phi
-        ])
+        stack = franson_transfer(0.5, 0.5, t1, phi, grid)
+        values = coincidence_signal(gamma_small, stack, stack)
         scan = FringeScan(phi=phi, values=values / values.mean())
         fit = fit_gamma(scan)
 

@@ -5,12 +5,14 @@ import pytest
 
 from biphoton_shaper import (
     SlmModel,
+    GridError,
     SpectralGrid,
     TransferFunction,
-    TransferSpec,
     franson_transfer,
     frequency_bins,
+    mirrored,
     pixelate,
+    schmidt_modes,
     time_bins,
     transfer_from_coefficients,
 )
@@ -19,8 +21,7 @@ from biphoton_shaper import (
 class TestTransferFromCoefficients:
     def test_single_rect_bin_flat_top(self, small_grid):
         basis = frequency_bins([0.0], [0.08], small_grid)
-        m = transfer_from_coefficients(TransferSpec(basis, np.array([1.0]),
-                                                    np.array([0.0])))
+        m = transfer_from_coefficients(basis, np.array([1.0]), np.array([0.0]))
         inside = np.abs(m.values) > 0
         assert np.allclose(np.abs(m.values[inside]), 1.0, atol=1e-12)
         assert np.abs(basis.functions).max() > 1.0  # rect height 1/sqrt(width) rescaled
@@ -28,8 +29,7 @@ class TestTransferFromCoefficients:
     def test_phase_ladder_on_disjoint_bins(self, small_grid):
         basis = frequency_bins([-0.1, 0.0, 0.1], [0.04] * 3, small_grid)
         phi = 0.7
-        m = transfer_from_coefficients(
-            TransferSpec(basis, np.ones(3), phi * np.arange(3)))
+        m = transfer_from_coefficients(basis, np.ones(3), phi * np.arange(3))
         ax = small_grid.axis()
         for j, c in enumerate([-0.1, 0.0, 0.1]):
             sel = np.abs(ax - c) < 0.015
@@ -40,8 +40,7 @@ class TestTransferFromCoefficients:
     def test_narrow_time_bins_give_interferometer_form(self, small_grid):
         t1, phi = 40.0, 0.9
         basis = time_bins([0.0, t1], [0.0, 0.0], small_grid)
-        m = transfer_from_coefficients(
-            TransferSpec(basis, np.array([0.5, 0.5]), np.array([0.0, phi])))
+        m = transfer_from_coefficients(basis, np.array([0.5, 0.5]), np.array([0.0, phi]))
         ax = small_grid.axis()
         expected = 0.5 + 0.5 * np.exp(1j * (ax * t1 + phi))
         got = m.values / np.abs(m.values).max()
@@ -51,14 +50,25 @@ class TestTransferFromCoefficients:
     def test_amplitude_range_validated(self, small_grid):
         basis = frequency_bins([0.0], [0.08], small_grid)
         with pytest.raises(ValueError):
-            TransferSpec(basis, np.array([1.5]), np.array([0.0]))
+            transfer_from_coefficients(basis, np.array([1.5]), np.array([0.0]))
+
+    @pytest.mark.parametrize("amplitudes, phases", [
+        (np.ones(3), np.zeros(2)),
+        (np.ones(2), np.zeros(3)),
+        (np.ones(2), np.zeros((4, 3))),
+        (np.ones(2), np.zeros((2, 4, 2))),
+    ])
+    def test_shapes_validated(self, small_grid, amplitudes, phases):
+        basis = frequency_bins([-0.1, 0.1], [0.04, 0.04], small_grid)
+        with pytest.raises(ValueError):
+            transfer_from_coefficients(basis, amplitudes, phases)
 
     def test_physicality_on_random_specs(self, small_grid):
         rng = np.random.default_rng(11)
         basis = time_bins([0.0, 35.0, 80.0], [0.0, 0.0, 0.0], small_grid)
         for _ in range(20):
-            spec = TransferSpec(basis, rng.uniform(0, 1, 3), rng.uniform(0, 2 * np.pi, 3))
-            m = transfer_from_coefficients(spec)
+            m = transfer_from_coefficients(basis, rng.uniform(0, 1, 3),
+                                           rng.uniform(0, 2 * np.pi, 3))
             assert np.max(np.abs(m.values)) <= 1.0 + 1e-12
 
 
@@ -87,8 +97,7 @@ class TestFransonTransfer:
         # acceptance: after sup-norm normalization both constructions agree
         t1, phi = 30.0, 0.3
         basis = time_bins([0.0, t1], [0.0, 0.0], small_grid)
-        a = transfer_from_coefficients(
-            TransferSpec(basis, np.array([0.5, 0.5]), np.array([0.0, phi])))
+        a = transfer_from_coefficients(basis, np.array([0.5, 0.5]), np.array([0.0, phi]))
         b = franson_transfer(0.5, 0.5, t1, phi, small_grid)
         va = a.values / np.abs(a.values).max()
         vb = b.values / np.abs(b.values).max()
@@ -146,6 +155,47 @@ class TestPixelate:
             assert np.all(np.diff(pos) >= 0.0), n
 
 
+class TestStacks:
+    """A (P, n) stack built at once equals its P single settings, bit for bit."""
+
+    PHI = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+
+    def test_franson_stack_equals_per_phase_builds(self, small_grid):
+        stack = franson_transfer(0.5, 0.5, 35.0, self.PHI, small_grid)
+        rows = [franson_transfer(0.5, 0.5, 35.0, p, small_grid).values for p in self.PHI]
+        assert stack.values.shape == (len(self.PHI), small_grid.n_points)
+        assert np.array_equal(stack.values, np.array(rows))
+
+    def test_schmidt_mode_stack_equals_per_phase_builds(self, gamma_psf_small):
+        # overlapping modes: every row is rescaled by its own peak
+        basis = mirrored(schmidt_modes(gamma_psf_small, 3))
+        amps = np.array([1.0, 0.6, 0.8])
+        phases = self.PHI[:, np.newaxis] * np.arange(3)
+        stack = transfer_from_coefficients(basis, amps, phases)
+        rows = [transfer_from_coefficients(basis, amps, row).values for row in phases]
+        assert np.array_equal(stack.values, np.array(rows))
+        assert np.allclose(np.abs(stack.values).max(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_pixelated_stack_equals_per_row_quantization(self, small_grid):
+        slm = SlmModel(n_pixels=128, pixel_width=100.0, gap=3.0)
+        assert np.diff(slm.positions(small_grid)).max() < slm.pitch  # pixel-mean branch
+        stack = franson_transfer(0.5, 0.5, 35.0, self.PHI, small_grid)
+        rows = [pixelate(franson_transfer(0.5, 0.5, 35.0, p, small_grid), slm).values
+                for p in self.PHI]
+        assert np.array_equal(pixelate(stack, slm).values, np.array(rows))
+
+    @pytest.mark.parametrize("shape", [(4, 129), (2, 3, 257)])
+    def test_stack_must_match_the_grid_axis(self, small_grid, shape):
+        with pytest.raises(GridError):
+            TransferFunction(small_grid, np.zeros(shape))
+
+    def test_one_unphysical_row_rejects_the_stack(self, small_grid):
+        values = np.ones((3, small_grid.n_points))
+        values[1, 7] = 1.5
+        with pytest.raises(ValueError):
+            TransferFunction(small_grid, values)
+
+
 class TestCombinedModulation:
     """The two-photon modulation M_i(w_i) * M_s(w_s) the coincidence integral applies."""
 
@@ -164,13 +214,13 @@ class TestNormalizationCovariance:
         rng = np.random.default_rng(5)
         basis = time_bins([0.0, 45.0], [0.0, 0.0], small_grid)
         for _ in range(10):
-            spec_i = TransferSpec(basis, rng.uniform(0.2, 1, 2),
-                                  rng.uniform(0, 2 * np.pi, 2))
-            spec_s = TransferSpec(basis, rng.uniform(0.2, 1, 2),
-                                  rng.uniform(0, 2 * np.pi, 2))
-            m_i = transfer_from_coefficients(spec_i)
-            m_s = transfer_from_coefficients(spec_s)
+            m_i = transfer_from_coefficients(basis, rng.uniform(0.2, 1, 2),
+                                             rng.uniform(0, 2 * np.pi, 2))
+            m_s = transfer_from_coefficients(basis, rng.uniform(0.2, 1, 2),
+                                             rng.uniform(0, 2 * np.pi, 2))
             lam = rng.uniform(0.1, 1.0)
             s0 = coincidence_signal(gamma_small, m_i, m_s)
-            s1 = coincidence_signal(gamma_small, m_i.scaled(lam), m_s.scaled(lam))
+            s1 = coincidence_signal(gamma_small,
+                                    TransferFunction(small_grid, m_i.values * lam),
+                                    TransferFunction(small_grid, m_s.values * lam))
             assert np.isclose(s1, lam**4 * s0, rtol=1e-12)
