@@ -121,15 +121,21 @@ def coincidence_signal(amp: JointAmplitude, m_i: TransferFunction,
 
     Trapezoid-weighted double integral over the shared grid, one per row of
     the two equally shaped transfers: a float for single settings, an array
-    of P signals for stacks of P; deterministic.
+    of P signals for stacks of P; deterministic.  The amplitude is cast once
+    per call to the dtype of the row products (complex for complex
+    transfers; no copy when it already has that dtype), then the rows are
+    integrated one at a time.  Each row multiplies the same data that
+    ``(w * v_i) @ amp.values`` casts to, so every signal is bit-identical
+    to that per-row expression.
     """
     if not (amp.grid.same_axis(m_i.grid) and amp.grid.same_axis(m_s.grid)):
         raise GridError("amplitude and transfer functions must share one grid")
     if m_i.values.shape != m_s.values.shape:
         raise ValueError("idler and signal transfers must have the same shape")
     w = amp.grid.weights()
+    gamma = amp.values.astype(np.result_type(w, m_i.values, amp.values), copy=False)
     rows = zip(m_i.values.reshape(-1, w.size), m_s.values.reshape(-1, w.size))
-    signals = np.array([np.abs((w * v_i) @ amp.values @ (w * v_s)) ** 2 for v_i, v_s in rows])
+    signals = np.array([np.abs((w * v_i) @ gamma @ (w * v_s)) ** 2 for v_i, v_s in rows])
     return signals.reshape(m_i.values.shape[:-1])[()]
 
 

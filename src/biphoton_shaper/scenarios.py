@@ -8,6 +8,9 @@ JSON.  Everything is deterministic for a fixed config and seed.
 
 import hashlib
 import json
+import os
+import secrets
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -448,10 +451,14 @@ def emit_outputs(results, directory, force: bool = False) -> dict:
     """Write per-experiment CSV/report files plus a hash manifest.
 
     File names are deterministic: <experiment>_<table>_<index>.csv and
-    <experiment>_report.json.  Every file is rendered before the first write,
-    so a render error leaves the directory untouched.  Existing files are
-    only overwritten with ``force``; the manifest maps every artifact to its
-    SHA-256.
+    <experiment>_report.json.  Existing files are only overwritten with
+    ``force``; the manifest maps every artifact to its SHA-256.
+
+    Outputs are all-or-nothing: every file is rendered first, then written
+    into a hidden staging directory next to ``directory`` and moved into
+    place, by one rename when ``directory`` does not exist yet and file by
+    file (``manifest.json`` last) when it does.  A render or write error
+    leaves ``directory`` as it was and removes the staging directory.
     """
     files = []
     for result in results:
@@ -464,17 +471,29 @@ def emit_outputs(results, directory, force: bool = False) -> dict:
         })))
         for index, (table_name, table) in enumerate(result.tables.items()):
             files.append((f"{result.name}_{table_name}_{index:03d}.csv", _render_csv(table)))
+    manifest = {"files": [{"name": filename, "sha256": hashlib.sha256(data).hexdigest()}
+                          for filename, data in files]}
+    files.append(("manifest.json", _render_json(manifest)))
 
     out = Path(directory)
-    for target in [out / filename for filename, _ in files] + [out / "manifest.json"]:
-        if target.exists() and not force:
+    for filename, _ in files:
+        if (out / filename).exists() and not force:
             raise FileExistsError(
-                f"{target}: output exists; pass --force to overwrite")
+                f"{out / filename}: output exists; pass --force to overwrite")
 
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {"files": []}
-    for filename, data in files:
-        (out / filename).write_bytes(data)
-        manifest["files"].append({"name": filename, "sha256": hashlib.sha256(data).hexdigest()})
-    (out / "manifest.json").write_bytes(_render_json(manifest))
+    resolved = out.resolve()
+    resolved.parent.mkdir(parents=True, exist_ok=True)
+    # mkdir, not tempfile.mkdtemp, so a renamed-in directory gets the umask mode
+    staging = resolved.parent / f".{resolved.name}.partial-{secrets.token_hex(8)}"
+    staging.mkdir()
+    try:
+        for filename, data in files:
+            (staging / filename).write_bytes(data)
+        if out.exists():
+            for filename, _ in files:
+                os.replace(staging / filename, out / filename)
+        else:
+            os.rename(staging, out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return manifest

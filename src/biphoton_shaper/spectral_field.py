@@ -147,16 +147,25 @@ class SellmeierIndex:
     validity_um: tuple | None = None  # (min, max) vacuum wavelength window
 
     def refractive_index(self, wavelength_um):
-        lam2 = np.asarray(wavelength_um, dtype=float) ** 2
+        lam = np.asarray(wavelength_um, dtype=float)
+        lam2 = lam ** 2
         if self.validity_um is not None:
             lo, hi = self.validity_um
             if np.any(wavelength_um < lo) or np.any(wavelength_um > hi):
                 raise DomainError(
                     f"wavelength outside Sellmeier validity window [{lo}, {hi}] um"
                 )
-        n2 = self.a - self.d * lam2
-        for b, c in self.terms:
-            n2 = n2 + b * lam2 / (lam2 - c)
+        # a pole (l^2 = c_i) or n^2 <= 0 is reported below, not warned about
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n2 = self.a - self.d * lam2
+            for b, c in self.terms:
+                n2 = n2 + b * lam2 / (lam2 - c)
+        bad = ~(np.isfinite(n2) & (n2 > 0))
+        if np.any(bad):
+            raise DomainError(
+                f"Sellmeier index is not physical at {lam[bad].flat[0]:.6g} um: "
+                f"n^2 = {n2[bad].flat[0]:.6g}"
+            )
         return np.sqrt(n2)
 
     def wavevector(self, omega_abs):

@@ -243,6 +243,20 @@ class TestCli:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
         assert "ResolutionError" in capsys.readouterr().err
 
+    def test_non_physical_sellmeier_index_exits_3_naming_it(self, tmp_path, capsys):
+        # n^2 = -5 used to surface as a sqrt RuntimeWarning and a ResolutionError
+        tree = {**QUICK_CONFIG,
+                "dispersion": {"model": "sellmeier", "pump": {"a": -5.0},
+                               "idler": {"a": 2.0}, "signal": {"a": 2.0}},
+                "experiments": [{"id": "fig2_amplitude"}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("simulation error [DomainError]: Sellmeier index is not physical "
+                       "at 0.532 um: n^2 = -5\n")
+        assert not out.exists()
+
     def test_counts_at_float_max_peak_rate_exit_0(self, tmp_path, capsys):
         # peak_rate * signal overflowed to inf before the division by the peak
         tree = {**QUICK_CONFIG,
@@ -383,6 +397,38 @@ class TestEmitOutputs:
         listed = {f["name"] for f in manifest["files"]}
         on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert listed == on_disk
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_write_error_leaves_directory_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                    existing):
+        path = write_config(tmp_path, QUICK_CONFIG)
+        out = tmp_path / "out"
+        if existing:
+            # every file a --force run would replace, with other content
+            assert main(["run", path, "--out", str(out)]) == 0
+            for old in out.iterdir():
+                old.write_bytes(b"old\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
+        real_write_bytes = Path.write_bytes
+        writes = []
+
+        def failing_third_write(self, data):
+            writes.append(self.name)
+            if len(writes) == 3:
+                raise OSError(28, "No space left on device")
+            return real_write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_third_write)
+        argv = ["run", path, "--out", str(out)] + (["--force"] if existing else [])
+        assert main(argv) == 1
+        assert "output error" in capsys.readouterr().err
+        assert len(writes) == 3
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["out", "scenario.yaml"] if existing else ["scenario.yaml"])
 
     def test_stale_manifest_blocks_every_write(self, tmp_path):
         path = write_config(tmp_path, QUICK_CONFIG)

@@ -9,6 +9,7 @@ from biphoton_shaper import (
     SlmModel,
     SpectralGrid,
     TransferFunction,
+    build_joint_amplitude,
     coincidence_scan,
     coincidence_signal,
     double_gaussian_amplitude,
@@ -29,6 +30,7 @@ from biphoton_shaper import (
 )
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.measurement import QuditState
+from conftest import make_crystals
 
 
 def ones_transfer(grid):
@@ -101,6 +103,39 @@ class TestCoincidenceScan:
         loop = _pair_integrals(gamma_psf_small, m_i, m_s)
         assert np.array_equal(coincidence_scan(gamma_psf_small, m_i, m_s),
                               loop / loop.mean())
+
+    def test_schmidt_mode_stack_matches_real_amplitude_loop_bitwise(self, gamma_psf_small):
+        # a stacked GEMM drifts from the row loop on Schmidt modes (~1e-15)
+        values = gamma_psf_small.values
+        basis_i = schmidt_modes(gamma_psf_small, 4)
+        phases = np.linspace(0, np.pi, 12, endpoint=False)[:, np.newaxis] * np.arange(4)
+        m_i = transfer_from_coefficients(basis_i, np.full(4, 0.5), phases)
+        m_s = transfer_from_coefficients(mirrored(basis_i), np.full(4, 0.5), phases)
+        signals = coincidence_signal(gamma_psf_small, m_i, m_s)
+        assert np.array_equal(signals, _pair_integrals(gamma_psf_small, m_i, m_s))
+        # the cast is a local copy: the amplitude keeps its read-only float64 array
+        assert gamma_psf_small.values is values
+        assert values.dtype == np.float64 and not values.flags.writeable
+
+    def test_pixelated_frequency_bin_stack_matches_real_amplitude_loop_bitwise(
+            self, gamma_small):
+        basis_i = frequency_bins([-0.12, 0.0, 0.12], [0.05] * 3, gamma_small.grid)
+        phases = np.linspace(0, np.pi, 12, endpoint=False)[:, np.newaxis] * np.arange(3)
+        slm = SlmModel(n_pixels=96)
+        m_i = pixelate(transfer_from_coefficients(basis_i, np.full(3, 0.2), phases), slm)
+        m_s = pixelate(transfer_from_coefficients(mirrored(basis_i), np.full(3, 0.2), phases),
+                       slm)
+        assert np.array_equal(coincidence_signal(gamma_small, m_i, m_s),
+                              _pair_integrals(gamma_small, m_i, m_s))
+
+    def test_complex_amplitude_matches_loop_bitwise(self, small_grid, pump_cw):
+        spdc, sfg = make_crystals()
+        amp = build_joint_amplitude(small_grid, pump_cw, spdc, sfg, include_phase=True)
+        assert np.iscomplexobj(amp.values)
+        phi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        stack = franson_transfer(0.5, 0.5, 35.0, phi, small_grid)
+        assert np.array_equal(coincidence_signal(amp, stack, stack),
+                              _pair_integrals(amp, stack, stack))
 
     def test_stack_shapes_must_match(self, gamma_small):
         grid = gamma_small.grid

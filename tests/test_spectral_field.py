@@ -1,6 +1,7 @@
 """Spectral-field construction: pump, phase matching, amplitudes, PSF, flux."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ class TestSellmeier:
         index = SellmeierIndex(a=2.25, validity_um=(0.4, 2.0))
         with pytest.raises(DomainError):
             index.refractive_index(3.5)
+
+    @pytest.mark.parametrize("index, wavelength", [
+        (SellmeierIndex(a=2.0, d=5.0), 0.65),                 # n^2 < 0
+        (SellmeierIndex(a=2.0, terms=((1.0, 0.25),)), 0.5),   # pole at l^2 = c
+        (SellmeierIndex(a=2.0, d=8.0), 0.5),                  # n^2 = 0
+    ])
+    def test_non_physical_index_raises_domain_error(self, index, wavelength):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"not physical at {wavelength} um"):
+                index.refractive_index(np.array([0.4, wavelength, 0.6]))
 
     def test_end_to_end_amplitude_with_dispersive_index(self):
         # normally dispersive toy material; poling chosen to quasi-match at
