@@ -10,6 +10,7 @@ from .errors import (
     DomainError,
     FitError,
     GridError,
+    NumericalError,
     RankError,
     ResolutionError,
     ShaperSimError,

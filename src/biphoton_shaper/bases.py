@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, GridError, RankError, ResolutionError
+from .errors import BasisError, GridError, NumericalError, RankError, ResolutionError
 from .spectral_field import JointAmplitude, SpectralGrid, sinc
 
 SCHMIDT_RANK_FLOOR = 1e-12
+# relative magnitude within which two samples tie as a mode's peak
+MODE_PEAK_RTOL = 1e-9
 
 
 @dataclass
@@ -119,12 +121,19 @@ def time_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
 
 
 def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
-    """Rotate each mode's global phase so its largest sample is real positive."""
+    """Rotate each mode's global phase so its peak sample is real positive.
+
+    The peak is the lowest-omega sample within ``MODE_PEAK_RTOL`` of the
+    largest magnitude.  The two mirror peaks of a mode of a mirror-symmetric
+    amplitude tie to rounding, so ``argmax`` alone would let the last bits of
+    the eigensolver pick the sign.
+    """
     out = functions.copy()
     for j in range(out.shape[0]):
-        peak = out[j, np.argmax(np.abs(out[j]))]
-        if peak != 0:
-            out[j] = out[j] * (np.conj(peak) / np.abs(peak))
+        mag = np.abs(out[j])
+        k = np.argmax(mag >= mag.max() * (1.0 - MODE_PEAK_RTOL))
+        if mag[k] != 0:
+            out[j] = out[j] * (np.conj(out[j, k]) / mag[k])
     if np.all(np.abs(out.imag) < 1e-14):
         out = out.real
     return out
@@ -133,27 +142,45 @@ def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
 def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     """Schmidt data of an amplitude: (weights beta, idler modes).
 
-    beta_j sums to one; the idler modes are the left singular vectors as
-    continuum-normalized rows, or None when ``compute_modes`` is false.  The
-    signal side is the :func:`mirrored` idler basis, so the right singular
-    vectors are not kept.
+    Both come from one Hermitian eigenproblem.  With S = h * Gamma and
+    H = S S^dagger, beta holds the eigenvalues of H in descending order, with
+    rounding-level negatives clipped to 0; beta_j sums to one.  The idler
+    modes are the matching eigenvectors as continuum-normalized rows of an
+    (n, n) array, or None when ``compute_modes`` is false (only the
+    eigenvalues are computed then).  H assumes no symmetry of Gamma, so
+    complex amplitudes work too.  The signal side is the :func:`mirrored`
+    idler basis, so the signal problem S^dagger S is never solved.
+
+    beta are the squared singular values of S, and the name is kept from
+    when they were computed by an SVD: the benchmark's tracer
+    (``perfbench/tracer.py``) probes this function by name.
 
     Each amplitude is decomposed at most once per kind of request: the result
     is stored on the (immutable) amplitude, a values-only request reuses a
     full decomposition, and a full request replaces a values-only one.
+    Raises :class:`NumericalError` when the eigensolver fails.
     """
     cached = amp._schmidt
     if cached is None or (compute_modes and cached[1] is None):
         h = amp.grid.spacing
         scaled = amp.values * h
-        if compute_modes:
-            u, sv, _ = np.linalg.svd(scaled)
-            modes = (u / np.sqrt(h)).T
-            modes.flags.writeable = False
-        else:
-            sv, modes = np.linalg.svd(scaled, compute_uv=False), None
-        beta = sv**2
+        gram = scaled @ scaled.conj().T
+        try:
+            if compute_modes:
+                eigenvalues, vectors = np.linalg.eigh(gram)
+            else:
+                eigenvalues, vectors = np.linalg.eigvalsh(gram), None
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"Schmidt eigensolver failed on the {amp.grid.n_points}^2 amplitude: {exc}"
+            ) from exc
+        beta = np.maximum(eigenvalues[::-1], 0.0)
         beta.flags.writeable = False
+        modes = None
+        if compute_modes:
+            vectors /= np.sqrt(h)
+            modes = vectors[:, ::-1].T
+            modes.flags.writeable = False
         cached = amp._schmidt = (beta, modes)
     return cached if compute_modes else (cached[0], None)
 
@@ -162,9 +189,10 @@ def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
     """First d Schmidt modes of the amplitude as a basis for either photon.
 
     The mode weights are the first d of :func:`amplitude_svd`'s beta.  Each
-    mode's global sign is fixed so that its largest-magnitude sample is real
-    positive.  For the signal side of an anti-diagonally correlated amplitude
-    use :func:`mirrored` of this basis.
+    mode's global phase is fixed so that its peak sample is real positive
+    (see :func:`_fix_mode_signs` for how tied peaks are resolved).  For the
+    signal side of an anti-diagonally correlated amplitude use
+    :func:`mirrored` of this basis.
     """
     if d < 1:
         raise BasisError("need d >= 1 Schmidt modes")

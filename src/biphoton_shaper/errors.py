@@ -29,6 +29,10 @@ class FitError(ShaperSimError):
     """Nonlinear fit failed to converge; message carries diagnostics."""
 
 
+class NumericalError(ShaperSimError):
+    """A numerical kernel failed (eigensolver did not converge, non-finite data)."""
+
+
 class ConfigError(ShaperSimError):
     """Scenario configuration is invalid.
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .bases import amplitude_svd
-from .errors import FitError
+from .errors import FitError, NumericalError
 from .measurement import CountRecord, FringeScan
 from .spectral_field import JointAmplitude
 
@@ -64,12 +64,13 @@ def _spectrum_metrics(beta: np.ndarray) -> EntanglementReport:
 def schmidt_decompose(amp: JointAmplitude) -> EntanglementReport:
     """Entanglement report of an amplitude, from its Schmidt weights alone.
 
-    Only the singular values are computed (or reused, when the amplitude
-    already carries a full decomposition); :func:`bases.schmidt_modes` gives
-    the modes.
+    The weights are the eigenvalues of one Hermitian eigenproblem, computed
+    without eigenvectors (or reused, when the amplitude already carries a
+    full decomposition); :func:`bases.schmidt_modes` gives the modes.
+    Raises :class:`NumericalError` for a non-finite amplitude.
     """
     if not np.all(np.isfinite(amp.values)):
-        raise ValueError("amplitude contains non-finite values")
+        raise NumericalError("amplitude contains non-finite values")
     beta, _ = amplitude_svd(amp, compute_modes=False)
     return _spectrum_metrics(beta)
 

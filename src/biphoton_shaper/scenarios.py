@@ -412,7 +412,7 @@ def _amplitudes_needing_modes(scenario: Scenario):
 def run_scenario_experiments(scenario: Scenario):
     """Run every experiment of the scenario; returns results in config order."""
     ctx = ScenarioContext(scenario)
-    # Decompose with modes before any values-only request, so that one SVD
+    # Decompose with modes before any values-only request, so that one eigh
     # per amplitude serves every experiment.
     for use_psf in _amplitudes_needing_modes(scenario):
         bases.amplitude_svd(ctx.amplitude(use_psf))

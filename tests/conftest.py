@@ -43,16 +43,33 @@ def gamma_psf_small(gamma_small):
     return apply_psf(gamma_small, PSF_WIDTH)
 
 
+class EigensolverCalls(list):
+    """``compute_modes`` flag of each eigensolver call, plus an SVD count."""
+
+    svd = 0
+
+
 @pytest.fixture
-def svd_calls(monkeypatch):
-    """Record the ``compute_uv`` flag of every np.linalg.svd call."""
-    calls = []
+def eigensolver_calls(monkeypatch):
+    """Record every np.linalg.eigvalsh (False) and np.linalg.eigh (True) call.
+
+    np.linalg.svd calls are counted in ``.svd``.
+    """
+    calls = EigensolverCalls()
     real_svd = np.linalg.svd
 
-    def counting_svd(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return real_svd(a, *args, **kwargs)
+    def recording(solver, flag):
+        def wrapper(*args, **kwargs):
+            calls.append(flag)
+            return solver(*args, **kwargs)
+        return wrapper
 
+    def counting_svd(*args, **kwargs):
+        calls.svd += 1
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh, True))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, False))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return calls
 

@@ -5,18 +5,26 @@ import pytest
 
 from biphoton_shaper import (
     BasisError,
+    JointAmplitude,
+    PumpSpec,
     RankError,
     ResolutionError,
     SpectralGrid,
+    apply_psf,
+    build_joint_amplitude,
     double_gaussian_amplitude,
     frequency_bins,
     gram_matrix,
     mirrored,
+    schmidt_decompose,
     schmidt_modes,
     time_bins,
 )
 from biphoton_shaper import bases
 from biphoton_shaper.bases import amplitude_svd
+from biphoton_shaper.metrics import ENTROPY_EIGENVALUE_FLOOR
+
+from conftest import PSF_WIDTH, make_crystals
 
 
 def max_offdiag(g):
@@ -138,6 +146,13 @@ class TestSchmidtModes:
             peak = f[np.argmax(np.abs(f))]
             assert np.isreal(peak) and peak.real > 0
 
+    def test_tied_peaks_take_the_phase_of_the_lowest_omega_one(self):
+        # the mirror peaks of an odd mode tie to rounding: the lower one decides
+        tied = np.array([[0.0, -1.0, 0.0, 1.0 + 1e-15, 0.0]])
+        assert np.array_equal(bases._fix_mode_signs(tied), -tied)
+        distinct = np.array([[0.0, -1.0, 0.0, 1.0 + 1e-6, 0.0]])
+        assert np.array_equal(bases._fix_mode_signs(distinct), distinct)
+
     def test_mode_sign_changes(self, gamma_psf_small):
         # mode j oscillates with j sign changes over its support
         basis = schmidt_modes(gamma_psf_small, 4)
@@ -198,22 +213,24 @@ class TestSchmidtModes:
 
 
 class TestSchmidtCache:
-    def test_values_request_reuses_full_decomposition(self, small_grid, svd_calls):
+    def test_values_request_reuses_full_decomposition(self, small_grid, eigensolver_calls):
         amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
         beta, modes = amplitude_svd(amp)
         values_beta, no_modes = amplitude_svd(amp, compute_modes=False)
         assert values_beta is beta and no_modes is None
         assert amplitude_svd(amp)[1] is modes
-        assert svd_calls == [True]
+        assert eigensolver_calls == [True]
+        assert eigensolver_calls.svd == 0
 
-    def test_full_request_replaces_values_only(self, small_grid, svd_calls):
+    def test_full_request_replaces_values_only(self, small_grid, eigensolver_calls):
         amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
         amplitude_svd(amp, compute_modes=False)
         _, modes = amplitude_svd(amp)
         assert modes.shape == (small_grid.n_points, small_grid.n_points)
         amplitude_svd(amp, compute_modes=False)
         amplitude_svd(amp)
-        assert svd_calls == [False, True]
+        assert eigensolver_calls == [False, True]
+        assert eigensolver_calls.svd == 0
 
     def test_cached_beta_bit_identical_to_fresh_decomposition(self, small_grid):
         amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
@@ -234,6 +251,47 @@ class TestSchmidtCache:
         for array in (amp.values, beta, modes):
             with pytest.raises(ValueError):
                 array[0, ...] = 0.0
+
+
+@pytest.fixture(scope="module", params=[257, 1025])
+def paper_psf_svd(request):
+    """Blurred paper amplitude with its SVD: (amp, beta, first 6 left vectors)."""
+    grid = SpectralGrid(n_points=request.param, omega_max=0.35)
+    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals())
+    amp = apply_psf(gamma, PSF_WIDTH)
+    u, sv, _ = np.linalg.svd(amp.values * grid.spacing, full_matrices=False)
+    return amp, sv**2, u[:, :6]
+
+
+class TestEigenproblemMatchesSvd:
+    def test_weights(self, paper_psf_svd):
+        amp, beta_svd, _ = paper_psf_svd
+        for compute_modes in (False, True):
+            fresh = JointAmplitude(grid=amp.grid, values=amp.values)
+            beta, _ = amplitude_svd(fresh, compute_modes)
+            assert np.max(np.abs(beta - beta_svd)) <= 1e-14
+
+    def test_top_modes(self, paper_psf_svd):
+        amp, _, u = paper_psf_svd
+        _, modes = amplitude_svd(amp)
+        e = modes[:6] * np.sqrt(amp.grid.spacing)
+        overlaps = np.abs(np.sum(u.T.conj() * e, axis=1))
+        assert np.all(1.0 - overlaps <= 1e-12)
+
+    def test_entropy(self, paper_psf_svd):
+        amp, beta_svd, _ = paper_psf_svd
+        kept = beta_svd[beta_svd > ENTROPY_EIGENVALUE_FLOOR]
+        entropy_svd = -np.sum(kept * np.log2(kept))
+        assert abs(schmidt_decompose(amp).entropy - entropy_svd) <= 1e-13
+
+    def test_sign_fixed_modes(self, paper_psf_svd):
+        # tied mirror peaks must not let the solver's rounding choose a sign
+        amp, _, u = paper_psf_svd
+        got = schmidt_modes(amp, 6).functions
+        svd_modes = bases._fix_mode_signs(u.T / np.sqrt(amp.grid.spacing))
+        want = bases._renormalize(svd_modes, amp.grid)
+        column_max = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * column_max)
 
 
 class TestMirrored:

@@ -257,6 +257,20 @@ class TestCli:
                        "at 0.532 um: n^2 = -5\n")
         assert not out.exists()
 
+    def test_eigensolver_failure_exits_3_without_traceback(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        path = write_config(tmp_path, SCHMIDT_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("simulation error [NumericalError]: Schmidt eigensolver failed")
+        assert not out.exists()
+
     def test_counts_at_float_max_peak_rate_exit_0(self, tmp_path, capsys):
         # peak_rate * signal overflowed to inf before the division by the peak
         tree = {**QUICK_CONFIG,
@@ -330,12 +344,13 @@ class TestCli:
         assert report["report"]["route_max_gap"] > 1e-6
         assert report["report"]["visibility"] > report["report"]["visibility_critical"]
 
-    def test_each_amplitude_decomposed_once(self, tmp_path, svd_calls):
+    def test_each_amplitude_decomposed_once(self, tmp_path, eigensolver_calls):
         # values only for gamma (fig2), with modes for gamma_psf (fig2, fig3
         # and both Schmidt fringes)
         path = write_config(tmp_path, SCHMIDT_CONFIG)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
-        assert sorted(svd_calls) == [False, True]
+        assert sorted(eigensolver_calls) == [False, True]
+        assert eigensolver_calls.svd == 0
 
     def test_schmidt_reports_match_amplitude_svd(self, tmp_path):
         path = write_config(tmp_path, SCHMIDT_CONFIG)
