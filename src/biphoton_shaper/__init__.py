@@ -23,7 +23,6 @@ from .measurement import (
     coincidence_signal,
     fringe_scan,
     gamma_model_state,
-    max_entangled_state,
     procrustean_amplitudes,
     project_state,
     projection_probability,
@@ -36,7 +35,6 @@ from .metrics import (
     cglmp_parameter,
     cos4_model,
     critical_visibility,
-    double_gaussian_oracle,
     fit_cos4,
     fit_fringe,
     fit_gamma,
@@ -64,7 +62,6 @@ from .spectral_field import (
     TaylorMismatch,
     apply_psf,
     build_joint_amplitude,
-    double_gaussian_amplitude,
     phase_matching,
     phase_mismatch,
     photon_flux_limit,

@@ -2,10 +2,12 @@
 
 The upconversion detector measures S = |integral of Gamma * M_i * M_s|^2,
 which for transfer functions built from an orthonormal basis equals the
-projection probability of the discretized two-photon state.  This module
-evaluates both routes, runs phase-ladder fringe scans, synthesizes Poissonian
-count records, and computes equalizing filter amplitudes.  Every full-field
-scan goes through :func:`coincidence_scan`.
+projection probability of the discretized two-photon state.  Both are the
+product-projection signal |u_i . C . u_s|^2, with C the grid amplitude
+(trapezoid-weighted rows) or the d x d state, and both are evaluated by one
+kernel, :func:`_product_signals`.  This module also runs phase-ladder fringe
+scans, synthesizes Poissonian count records, and computes equalizing filter
+amplitudes.  Every full-field scan goes through :func:`coincidence_scan`.
 """
 
 from dataclasses import dataclass
@@ -54,23 +56,13 @@ class QuditState:
         return 1.0 - self.captured_weight
 
 
-def max_entangled_state(d: int, phi0: float = 0.0) -> QuditState:
-    """Maximally entangled diagonal state c = diag(exp(i*l*phi0))/sqrt(d)."""
-    c = np.diag(np.exp(1j * phi0 * np.arange(d))) / np.sqrt(d)
-    return QuditState(coefficients=c)
-
-
-def gamma_model_state(gamma1: float, gamma2: float, phi0: float = 0.0) -> QuditState:
+def gamma_model_state(gamma1: float, gamma2: float) -> QuditState:
     """Two-level model state interpolating product -> maximally entangled.
 
-    c00 = 1, c01 = c10 = gamma1*exp(i*phi0/2), c11 = gamma2*exp(i*phi0),
-    normalized.  gamma1 weights the single-photon and gamma2 the two-photon
-    interference contribution.
+    c00 = 1, c01 = c10 = gamma1, c11 = gamma2, normalized.  gamma1 weights
+    the single-photon and gamma2 the two-photon interference contribution.
     """
-    c = np.array([
-        [1.0, gamma1 * np.exp(1j * phi0 / 2)],
-        [gamma1 * np.exp(1j * phi0 / 2), gamma2 * np.exp(1j * phi0)],
-    ])
+    c = np.array([[1.0, gamma1], [gamma1, gamma2]])
     c /= np.sqrt(1.0 + 2.0 * gamma1**2 + gamma2**2)
     return QuditState(coefficients=c)
 
@@ -115,28 +107,42 @@ class CountRecord:
         return self.gross.astype(float) - self.background.astype(float)
 
 
+def _product_signals(c: np.ndarray, u_i: np.ndarray, u_s: np.ndarray, w=None):
+    """Signals |(w * u_i) @ c @ (w * u_s)|^2, one per row of two row stacks.
+
+    The one detection kernel: ``c`` is the grid amplitude with trapezoid
+    weights ``w`` (a coincidence integral) or the d x d coefficients of a
+    state with no weights (a projection probability).  ``u_i`` and ``u_s``
+    are equally shaped ``(n,)`` or ``(P, n)``; the result is a float or an
+    array of P signals.  ``c`` is cast once per call to the dtype of the row
+    products (no copy when it already has that dtype), then the rows are
+    evaluated one at a time.  Each row multiplies the same data that
+    ``(w * u_i) @ c`` casts to, so every signal is bit-identical to that
+    per-row expression.
+    """
+    if u_i.shape != u_s.shape:
+        raise ValueError("idler and signal rows must have the same shape")
+    factors = (u_i, c) if w is None else (w, u_i, c)
+    c = c.astype(np.result_type(*factors), copy=False)
+    n = u_i.shape[-1]
+    rows = zip(u_i.reshape(-1, n), u_s.reshape(-1, n))
+    if w is not None:
+        rows = ((w * v_i, w * v_s) for v_i, v_s in rows)
+    signals = np.array([np.abs(v_i @ c @ v_s) ** 2 for v_i, v_s in rows])
+    return signals.reshape(u_i.shape[:-1])[()]
+
+
 def coincidence_signal(amp: JointAmplitude, m_i: TransferFunction,
                        m_s: TransferFunction):
     """Detected upconversion signal |sum Gamma * M_i * M_s * weights|^2.
 
     Trapezoid-weighted double integral over the shared grid, one per row of
-    the two equally shaped transfers: a float for single settings, an array
-    of P signals for stacks of P; deterministic.  The amplitude is cast once
-    per call to the dtype of the row products (complex for complex
-    transfers; no copy when it already has that dtype), then the rows are
-    integrated one at a time.  Each row multiplies the same data that
-    ``(w * v_i) @ amp.values`` casts to, so every signal is bit-identical
-    to that per-row expression.
+    the two equally shaped transfers (:func:`_product_signals`): a float for
+    single settings, an array of P signals for stacks of P; deterministic.
     """
     if not (amp.grid.same_axis(m_i.grid) and amp.grid.same_axis(m_s.grid)):
         raise GridError("amplitude and transfer functions must share one grid")
-    if m_i.values.shape != m_s.values.shape:
-        raise ValueError("idler and signal transfers must have the same shape")
-    w = amp.grid.weights()
-    gamma = amp.values.astype(np.result_type(w, m_i.values, amp.values), copy=False)
-    rows = zip(m_i.values.reshape(-1, w.size), m_s.values.reshape(-1, w.size))
-    signals = np.array([np.abs((w * v_i) @ gamma @ (w * v_s)) ** 2 for v_i, v_s in rows])
-    return signals.reshape(m_i.values.shape[:-1])[()]
+    return _product_signals(amp.values, m_i.values, m_s.values, amp.grid.weights())
 
 
 def project_state(amp: JointAmplitude, basis_i: BasisSet, basis_s: BasisSet) -> QuditState:
@@ -150,15 +156,20 @@ def project_state(amp: JointAmplitude, basis_i: BasisSet, basis_s: BasisSet) -> 
     return QuditState(coefficients=c)
 
 
-def projection_probability(state: QuditState, u_i, u_s) -> float:
-    """Probability |sum_jk u_i[j] u_s[k] c_jk|^2 of a product projection."""
+def projection_probability(state: QuditState, u_i, u_s):
+    """Probability |sum_jk u_i[j] u_s[k] c_jk|^2 of a product projection.
+
+    ``u_i`` and ``u_s`` are equally shaped ``(d,)`` vectors (a float) or
+    ``(P, d)`` stacks (an array of P probabilities), evaluated by
+    :func:`_product_signals`.
+    """
     u_i = np.asarray(u_i)
     u_s = np.asarray(u_s)
-    if u_i.shape != (state.d,) or u_s.shape != (state.d,):
+    if u_i.ndim not in (1, 2) or u_i.shape[-1] != state.d:
         raise ValueError("projection vectors must have the state's dimension")
     if np.any(np.abs(u_i) > 1 + 1e-12) or np.any(np.abs(u_s) > 1 + 1e-12):
         raise ValueError("projection coefficients must have modulus <= 1")
-    return float(np.abs(u_i @ state.coefficients @ u_s) ** 2)
+    return _product_signals(state.coefficients, u_i, u_s)
 
 
 def _unit_mean(values: np.ndarray) -> np.ndarray:
@@ -187,15 +198,10 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
     weights the basis functions on both routes (default: all ones); the
     state-space route normalizes them, the full-field route scales them by
     one common factor that keeps every setting physical.  Values are
-    normalized to unit mean.
+    normalized to unit mean.  Any phase grid is scanned; whether it covers a
+    fringe period is the fit's check (:mod:`metrics`).
     """
     phi = np.asarray(phi, dtype=float)
-    if len(phi) < 2:
-        raise ValueError("need at least two phase samples")
-    span = phi[-1] - phi[0]
-    step = span / (len(phi) - 1)
-    if span + step < np.pi * (1 - 1e-9):
-        raise ValueError("phase grid must cover at least one fringe period (pi)")
     if isinstance(source, QuditState):
         d = source.d
     else:
@@ -209,8 +215,7 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
         if norm == 0:
             raise ValueError("projection amplitudes must not all vanish")
         ladders = a * np.exp(1j * phi[:, np.newaxis] * np.arange(d)) / norm
-        values = _unit_mean(np.array([projection_probability(source, u, u)
-                                      for u in ladders]))
+        values = _unit_mean(projection_probability(source, ladders, ladders))
     else:
         if np.any(a > 1):
             raise ValueError("amplitudes must lie in [0, 1]")

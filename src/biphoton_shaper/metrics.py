@@ -3,7 +3,9 @@
 Schmidt spectrum metrics (entropy, Schmidt number, effective dimension),
 critical visibilities of the d-dimensional Bell inequality, least-squares
 fits of the interference fringe models, and the d = 2 Bell parameter
-evaluated from single-projection signals.
+evaluated from the projection probabilities of a two-qubit state (one stack
+through :func:`measurement.projection_probability`, the package's one
+detection kernel).
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,13 @@ from scipy.optimize import least_squares
 
 from .bases import amplitude_svd
 from .errors import FitError, NumericalError
-from .measurement import CountRecord, FringeScan
+from .measurement import (
+    CountRecord,
+    FringeScan,
+    QuditState,
+    gamma_model_state,
+    projection_probability,
+)
 from .spectral_field import JointAmplitude
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-15
@@ -73,17 +81,6 @@ def schmidt_decompose(amp: JointAmplitude) -> EntanglementReport:
         raise NumericalError("amplitude contains non-finite values")
     beta, _ = amplitude_svd(amp, compute_modes=False)
     return _spectrum_metrics(beta)
-
-
-def double_gaussian_oracle(a: float, b: float) -> float:
-    """Closed-form Schmidt number of exp(-(wi+ws)^2/4a^2 - (wi-ws)^2/4b^2).
-
-    The mode weights are geometric, beta_n = (1-mu)*mu^n with
-    mu = ((a-b)/(a+b))^2, giving K = (a^2 + b^2) / (2ab).
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError("widths must be positive")
-    return (a * a + b * b) / (2.0 * a * b)
 
 
 def visibility_from_lambda(lam: float, d: int) -> float:
@@ -277,55 +274,40 @@ CGLMP_IDLER_OFFSETS = (0.0, np.pi / 2.0)
 CGLMP_SIGNAL_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
 
 
-def cglmp_parameter(probe) -> float:
-    """d = 2 Bell parameter from single-projection signals.
+def cglmp_parameter(state: QuditState) -> float:
+    """d = 2 Bell parameter from the projection probabilities of a two-qubit state.
 
-    ``probe(phi_i, phi_s)`` returns the unnormalized joint signal at the given
-    projection phases.  All four outcome offsets are evaluated per setting
-    pair, normalized into joint probabilities, and combined into I_2.
+    Outcome k of idler setting a projects onto the ladder
+    (1, e^{i(theta_a + pi*k)}) and outcome l of signal setting b onto
+    (1, e^{i(theta_b - pi*l)}).  The 16 outcome probabilities are one stack;
+    each setting pair's 2 x 2 table is normalized, and with P_ab = P(l = k)
+    I_2 = 2*(P_00 + P_01 + P_11 - P_10) - 2.
     """
-    probs = {}
-    for a, th_i in enumerate(CGLMP_IDLER_OFFSETS):
-        for b, th_s in enumerate(CGLMP_SIGNAL_OFFSETS):
-            table = np.empty((2, 2))
-            for k in range(2):
-                for l in range(2):
-                    table[k, l] = probe(th_i + np.pi * k, th_s - np.pi * l)
-            total = table.sum()
-            if total <= 0:
-                raise ValueError("probe produced a non-positive probability table")
-            probs[(a, b)] = table / total
-
-    def p_equal(a, b, shift):
-        """P(l = k + shift mod 2) for idler setting a and signal setting b."""
-        table = probs[(a, b)]
-        return table[0, shift % 2] + table[1, (1 + shift) % 2]
-
-    return float(p_equal(0, 0, 0) + p_equal(1, 0, -1)
-                 + p_equal(1, 1, 0) + p_equal(0, 1, 0)
-                 - p_equal(0, 0, -1) - p_equal(1, 0, 0)
-                 - p_equal(1, 1, -1) - p_equal(0, 1, 1))
+    set_i, set_s, out_i, out_s = np.indices((2, 2, 2, 2)).reshape(4, -1)
+    phi_i = np.take(CGLMP_IDLER_OFFSETS, set_i) + np.pi * out_i
+    phi_s = np.take(CGLMP_SIGNAL_OFFSETS, set_s) - np.pi * out_s
+    tables = projection_probability(state, np.exp(1j * np.outer(phi_i, [0, 1])),
+                                    np.exp(1j * np.outer(phi_s, [0, 1])))
+    tables = tables.reshape(2, 2, 2, 2)
+    totals = tables.sum(axis=(2, 3))
+    if np.any(totals <= 0):
+        raise ValueError("state gives a non-positive probability table")
+    p_equal = np.trace(tables, axis1=2, axis2=3) / totals
+    return float(2.0 * (p_equal[0, 0] + p_equal[0, 1] + p_equal[1, 1] - p_equal[1, 0]) - 2.0)
 
 
 def bell_i2(gamma1: float, gamma2: float) -> float:
     """d = 2 Bell parameter of the one-/two-photon interference model.
 
-    The joint signal is |1 + g1*(e^{i phi_i} + e^{i phi_s}) +
-    g2*e^{i(phi_i + phi_s)}|^2: g2 drives the two-photon (entangled) term, so
-    g1 = 0, g2 = 1 is the maximally entangled qubit and reaches 2*sqrt(2).
-    A value above that quantum ceiling raises ``ValueError``.
+    The state is :func:`measurement.gamma_model_state`, whose joint signal is
+    |1 + g1*(e^{i phi_i} + e^{i phi_s}) + g2*e^{i(phi_i + phi_s)}|^2 up to
+    normalization: g2 drives the two-photon (entangled) term, so g1 = 0,
+    g2 = 1 is the maximally entangled qubit and reaches 2*sqrt(2).  A value
+    above that quantum ceiling raises ``ValueError``.
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("gamma coefficients must be non-negative")
-
-    def probe(phi_i, phi_s):
-        return float(np.abs(
-            1.0
-            + gamma1 * (np.exp(1j * phi_i) + np.exp(1j * phi_s))
-            + gamma2 * np.exp(1j * (phi_i + phi_s))
-        ) ** 2)
-
-    value = cglmp_parameter(probe)
+    value = cglmp_parameter(gamma_model_state(gamma1, gamma2))
     if value > QUANTUM_BELL_CEILING + 1e-9:
         raise ValueError(f"Bell parameter {value} exceeds the quantum ceiling")
     return value

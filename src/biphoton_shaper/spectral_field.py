@@ -393,10 +393,3 @@ def photon_flux_limit(spdc_bandwidth_nm: float, center_wavelength: float) -> Flu
     flux = C_NM_PER_S * spdc_bandwidth_nm / center_wavelength**2
     power = flux * photon_energy_j(center_wavelength)
     return FluxLimit(flux=flux, power=power)
-
-
-def double_gaussian_amplitude(grid: SpectralGrid, a: float, b: float) -> JointAmplitude:
-    """Analytic test amplitude exp(-(wi+ws)^2/4a^2 - (wi-ws)^2/4b^2)."""
-    wi, ws = grid.mesh()
-    values = np.exp(-((wi + ws) ** 2) / (4 * a * a) - ((wi - ws) ** 2) / (4 * b * b))
-    return JointAmplitude(grid=grid, values=values)

@@ -16,8 +16,6 @@ from biphoton_shaper import (
     build_joint_amplitude,
     coincidence_signal,
     critical_visibility,
-    double_gaussian_amplitude,
-    double_gaussian_oracle,
     fit_cos4,
     fit_fringe,
     fit_gamma,
@@ -26,7 +24,6 @@ from biphoton_shaper import (
     fringe_scan,
     gram_matrix,
     lambda_fringe_model,
-    max_entangled_state,
     mirrored,
     photon_flux_limit,
     procrustean_amplitudes,
@@ -43,6 +40,7 @@ from biphoton_shaper.measurement import FringeScan
 from biphoton_shaper.metrics import QUANTUM_BELL_CEILING
 
 from conftest import PSF_WIDTH, make_crystals
+from oracles import double_gaussian_amplitude, double_gaussian_oracle, max_entangled_state
 
 RESULTS = []
 

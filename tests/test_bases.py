@@ -12,7 +12,6 @@ from biphoton_shaper import (
     SpectralGrid,
     apply_psf,
     build_joint_amplitude,
-    double_gaussian_amplitude,
     frequency_bins,
     gram_matrix,
     mirrored,
@@ -25,6 +24,7 @@ from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.metrics import ENTROPY_EIGENVALUE_FLOOR
 
 from conftest import PSF_WIDTH, make_crystals
+from oracles import double_gaussian_amplitude
 
 
 def max_offdiag(g):

@@ -271,6 +271,20 @@ class TestCli:
         assert err.startswith("simulation error [NumericalError]: Schmidt eigensolver failed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["freq_bin_fringes", "procrustean",
+                                            "schmidt_fringes"])
+    def test_single_phase_point_exits_3_without_traceback(self, tmp_path, capsys,
+                                                          experiment):
+        # the fit's coverage rule is the only phase-grid check
+        tree = {**QUICK_CONFIG, "experiments": [{"id": experiment, "phi_points": 1}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("simulation error [FitError]: need at least")
+        assert not out.exists()
+
     def test_counts_at_float_max_peak_rate_exit_0(self, tmp_path, capsys):
         # peak_rate * signal overflowed to inf before the division by the peak
         tree = {**QUICK_CONFIG,

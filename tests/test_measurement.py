@@ -12,12 +12,10 @@ from biphoton_shaper import (
     build_joint_amplitude,
     coincidence_scan,
     coincidence_signal,
-    double_gaussian_amplitude,
     franson_transfer,
     fringe_scan,
     frequency_bins,
     gamma_model_state,
-    max_entangled_state,
     mirrored,
     pixelate,
     procrustean_amplitudes,
@@ -31,6 +29,7 @@ from biphoton_shaper import (
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.measurement import QuditState
 from conftest import make_crystals
+from oracles import double_gaussian_amplitude, max_entangled_state
 
 
 def ones_transfer(grid):
@@ -208,10 +207,27 @@ class TestProjectionProbability:
         u = np.exp(1j * (np.pi / 2) * np.arange(4)) / 2.0  # theta = pi
         assert projection_probability(state, u, u) < 1e-15
 
+    def test_stack_equals_per_row_calls(self, gamma_psf_small):
+        rng = np.random.default_rng(8)
+        c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        basis = frequency_bins([-0.1, 0.0, 0.1], [0.04] * 3, gamma_psf_small.grid)
+        states = (QuditState(coefficients=c / (1.3 * np.linalg.norm(c))),
+                  project_state(gamma_psf_small, basis, mirrored(basis)))
+        phi = np.linspace(0, np.pi, 17, endpoint=False)
+        ladders = np.exp(1j * phi[:, np.newaxis] * np.arange(3)) / np.sqrt(3)
+        for state in states:
+            stacked = projection_probability(state, ladders, ladders[::-1])
+            rows = [projection_probability(state, u_i, u_s)
+                    for u_i, u_s in zip(ladders, ladders[::-1])]
+            assert stacked.shape == (len(phi),)
+            assert np.array_equal(stacked, rows)
+
     def test_dimension_mismatch(self):
         state = max_entangled_state(2)
         with pytest.raises(ValueError):
             projection_probability(state, np.ones(3) / 2, np.ones(3) / 2)
+        with pytest.raises(ValueError):
+            projection_probability(state, np.ones((4, 2)) / 2, np.ones(2) / 2)
 
 
 class TestFringeScan:
@@ -237,7 +253,7 @@ class TestFringeScan:
         # both time bins at t = 0: separable state, single-photon fringes squared
         from biphoton_shaper import fit_cos4
 
-        state = gamma_model_state(1.0, 1.0, phi0=0.0)
+        state = gamma_model_state(1.0, 1.0)
         phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
         scan = fringe_scan(state, phi)
         fit = fit_cos4(scan)
@@ -291,9 +307,14 @@ class TestFringeScan:
         assert np.max(np.abs(scan.values - plain.values)) > 1e-6  # quantization shows
 
     def test_short_phase_grid_rejected(self):
+        # the scan takes any phase grid; the fit's coverage rule rejects it
+        from biphoton_shaper import FitError, fit_fringe
+
         state = max_entangled_state(2)
-        with pytest.raises(ValueError):
-            fringe_scan(state, np.linspace(0, 1.0, 20))  # < one period
+        for phi in (np.linspace(0, 1.0, 20), np.zeros(1)):  # < one period
+            scan = fringe_scan(state, phi)
+            with pytest.raises(FitError):
+                fit_fringe(scan, 2)
 
     def test_basis_dimension_mismatch(self, gamma_psf_small):
         basis_i = frequency_bins([-0.1, 0.1], [0.04, 0.04], gamma_psf_small.grid)

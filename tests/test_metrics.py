@@ -12,15 +12,12 @@ from biphoton_shaper import (
     cglmp_parameter,
     cos4_model,
     critical_visibility,
-    double_gaussian_amplitude,
-    double_gaussian_oracle,
     fit_cos4,
     fit_fringe,
     fit_gamma,
     gamma_fringe_model,
     lambda_fringe_model,
     lambda_from_visibility,
-    max_entangled_state,
     schmidt_decompose,
     synthesize_counts,
     visibility_from_lambda,
@@ -28,6 +25,8 @@ from biphoton_shaper import (
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.measurement import FringeScan
 from biphoton_shaper.metrics import QUANTUM_BELL_CEILING
+
+from oracles import double_gaussian_amplitude, double_gaussian_oracle, max_entangled_state
 
 
 def scan_from_model(d, lam, phi0=0.0, n=40, kind="lambda"):
@@ -226,20 +225,35 @@ class TestBellParameter:
             g1, g2 = rng.uniform(0, 1, 2)
             assert bell_i2(g1, g2) <= QUANTUM_BELL_CEILING + 1e-9
 
-    def test_cross_check_against_state_projection(self):
-        # independent route: outcome probabilities from the maximally
-        # entangled state vector instead of the closed-form signal
-        from biphoton_shaper import projection_probability
+    def test_cross_check_against_closed_form_probe(self):
+        # independent route: the closed-form model signal and the explicit
+        # eight-term combination, not the state projections bell_i2 uses
+        def oracle_i2(g1, g2):
+            def probe(phi_i, phi_s):
+                return abs(1.0 + g1 * (np.exp(1j * phi_i) + np.exp(1j * phi_s))
+                           + g2 * np.exp(1j * (phi_i + phi_s))) ** 2
 
-        state = max_entangled_state(2)
+            probs = {}
+            for a, th_i in enumerate((0.0, np.pi / 2.0)):
+                for b, th_s in enumerate((np.pi / 4.0, -np.pi / 4.0)):
+                    table = np.array([[probe(th_i + np.pi * k, th_s - np.pi * l)
+                                       for l in range(2)] for k in range(2)])
+                    probs[(a, b)] = table / table.sum()
 
-        def probe(phi_i, phi_s):
-            u_i = np.exp(1j * phi_i * np.arange(2)) / np.sqrt(2)
-            u_s = np.exp(1j * phi_s * np.arange(2)) / np.sqrt(2)
-            return projection_probability(state, u_i, u_s)
+            def p_equal(a, b, shift):
+                table = probs[(a, b)]
+                return table[0, shift % 2] + table[1, (1 + shift) % 2]
 
-        direct = cglmp_parameter(probe)
-        assert abs(direct - bell_i2(0.0, 1.0)) < 1e-12
+            return (p_equal(0, 0, 0) + p_equal(1, 0, -1) + p_equal(1, 1, 0)
+                    + p_equal(0, 1, 0) - p_equal(0, 0, -1) - p_equal(1, 0, 0)
+                    - p_equal(1, 1, -1) - p_equal(0, 1, 1))
+
+        sweep = np.linspace(0.0, 1.0, 11)
+        pairs = [(g1, g2) for g1 in sweep for g2 in sweep]
+        pairs += list(np.random.default_rng(5).uniform(0.0, 1.0, (100, 2)))
+        for g1, g2 in pairs:
+            assert abs(bell_i2(g1, g2) - oracle_i2(g1, g2)) < 1e-14
+        assert abs(cglmp_parameter(max_entangled_state(2)) - 2.0 * np.sqrt(2.0)) < 1e-12
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from biphoton_shaper import (
     TaylorMismatch,
     apply_psf,
     build_joint_amplitude,
-    double_gaussian_amplitude,
     phase_matching,
     phase_mismatch,
     photon_flux_limit,
@@ -34,6 +33,7 @@ from biphoton_shaper.spectral_field import (
 )
 
 from conftest import PSF_WIDTH, make_crystals
+from oracles import double_gaussian_amplitude
 
 LN2 = np.log(2.0)
 
