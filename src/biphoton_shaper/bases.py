@@ -165,6 +165,7 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
         h = amp.grid.spacing
         scaled = amp.values * h
         gram = scaled @ scaled.conj().T
+        del scaled
         try:
             if compute_modes:
                 eigenvalues, vectors = np.linalg.eigh(gram)

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from biphoton_shaper import JointAmplitude, QuditState, SpectralGrid
+from biphoton_shaper import (
+    JointAmplitude,
+    QuditState,
+    SpectralGrid,
+    phase_matching,
+    pump_envelope,
+)
+from biphoton_shaper.spectral_field import effective_pump
 
 
 def max_entangled_state(d: int, phi0: float = 0.0) -> QuditState:
@@ -13,8 +20,35 @@ def max_entangled_state(d: int, phi0: float = 0.0) -> QuditState:
 
 def double_gaussian_amplitude(grid: SpectralGrid, a: float, b: float) -> JointAmplitude:
     """Analytic test amplitude exp(-(wi+ws)^2/4a^2 - (wi-ws)^2/4b^2)."""
-    wi, ws = grid.mesh()
+    ax = grid.axis()
+    wi, ws = np.meshgrid(ax, ax, indexing="ij")
     values = np.exp(-((wi + ws) ** 2) / (4 * a * a) - ((wi - ws) ** 2) / (4 * b * b))
+    return JointAmplitude(grid=grid, values=values)
+
+
+def dense_joint_amplitude(grid, pump, spdc, sfg=None, include_phase=False) -> JointAmplitude:
+    """The joint amplitude evaluated on every sample of the (wi, ws) mesh.
+
+    Reference for ``build_joint_amplitude``, which evaluates the phase
+    matching only where the pump envelope is nonzero; the resolution checks
+    are skipped.  Outside the pump band this holds 0 * phase matching, which
+    is -0.0 where the phase matching is negative.
+    """
+    ax = grid.axis()
+    wi, ws = np.meshgrid(ax, ax, indexing="ij")
+    pc = grid.pump_center_frequency
+    values = pump_envelope(wi + ws, effective_pump(pump, grid)) * phase_matching(
+        wi, ws, spdc, include_phase=include_phase, pump_center=pc
+    )
+    if sfg is not None:
+        # ``values * phase_matching(...)`` ran as ``phase_matching(...) *
+        # values``: numpy reused the right-hand temporary in place, and the
+        # operand order decides the last bit of complex products.
+        values = phase_matching(
+            wi, ws, sfg, include_phase=include_phase, pump_center=pc
+        ) * values
+    if not include_phase:
+        values = values.real
     return JointAmplitude(grid=grid, values=values)
 
 

@@ -1,10 +1,13 @@
 """Spectral-field construction: pump, phase matching, amplitudes, PSF, flux."""
 
+import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fft import next_fast_len
 
 from biphoton_shaper import (
@@ -26,6 +29,7 @@ from biphoton_shaper import (
     pump_envelope,
 )
 from biphoton_shaper.bases import amplitude_svd
+from biphoton_shaper.config import load_config, validate_config
 from biphoton_shaper.spectral_field import (
     effective_pump,
     psf_kernel,
@@ -33,7 +37,7 @@ from biphoton_shaper.spectral_field import (
 )
 
 from conftest import PSF_WIDTH, make_crystals
-from oracles import double_gaussian_amplitude
+from oracles import dense_joint_amplitude, double_gaussian_amplitude
 
 LN2 = np.log(2.0)
 
@@ -186,7 +190,8 @@ class TestBuildJointAmplitude:
         pump = PumpSpec(bandwidth=0.2)
         spdc, _ = make_crystals(a2=0.0)
         amp = build_joint_amplitude(small_grid, pump, spdc)
-        wi, ws = small_grid.mesh()
+        ax = small_grid.axis()
+        wi, ws = np.meshgrid(ax, ax, indexing="ij")
         expected = pump_envelope(wi + ws, pump)
         expected /= np.sqrt((expected**2).sum() * small_grid.spacing**2)
         assert np.allclose(amp.values, expected, atol=1e-12)
@@ -205,7 +210,8 @@ class TestBuildJointAmplitude:
         # quasi-monochromatic pump: the intensity lives on a thin ridge along
         # the energy-conservation line
         grid = gamma_small.grid
-        wi, ws = grid.mesh()
+        ax = grid.axis()
+        wi, ws = np.meshgrid(ax, ax, indexing="ij")
         intensity = np.abs(gamma_small.values) ** 2
         near_ridge = np.abs(wi + ws) < 5 * grid.spacing
         assert intensity[near_ridge].sum() / intensity.sum() > 0.99
@@ -239,6 +245,78 @@ class TestBuildJointAmplitude:
     def test_shape_mismatch_rejected(self, small_grid):
         with pytest.raises(GridError):
             JointAmplitude(grid=small_grid, values=np.ones((5, 5)))
+
+
+def _sellmeier_crystals(grid):
+    """Toy normally dispersive crystals, poled to quasi-match at degeneracy."""
+    toy = SellmeierIndex(a=3.2, terms=((0.9, 0.06),), d=0.008)
+    model = SellmeierMismatch(index_i=toy, index_s=toy, index_p=toy)
+    dk0 = model.mismatch(0.0, 0.0, pump_center=grid.pump_center_frequency)
+    poling_um = 2.0 * np.pi / (-dk0) * 1e3
+    return (CrystalSpec(11.5, poling_um, model, role="SPDC"),
+            CrystalSpec(11.5, poling_um, model, role="SFG"))
+
+
+CW_BANDWIDTH = PumpSpec.from_linewidth_mhz(5.0).bandwidth
+
+
+class TestBandLimitedBuild:
+    """The build evaluates the phase matching only where the pump envelope is
+    nonzero; it must equal the full-grid oracle bit for bit.
+
+    The 3-cell pump clamp bounds the band from below: the clamped
+    continuous-wave pump is nonzero on 79% of a 129-point grid, 47% of a
+    257-point grid and 13% of a 1025-point grid.  A 0.5 rad/fs pump covers
+    the whole window.
+    """
+
+    @pytest.mark.parametrize("n, pump_bandwidth, band_share", [
+        (129, 0.5, 1.0), (257, 0.5, 1.0),
+        (129, CW_BANDWIDTH, 0.79), (257, CW_BANDWIDTH, 0.47), (1025, CW_BANDWIDTH, 0.13),
+    ])
+    @pytest.mark.parametrize("dispersion", ["taylor", "sellmeier"])
+    @pytest.mark.parametrize("with_sfg", [False, True], ids=["spdc", "spdc+sfg"])
+    @pytest.mark.parametrize("include_phase", [False, True], ids=["real", "phase"])
+    def test_equals_full_grid_oracle(self, n, pump_bandwidth, band_share, dispersion,
+                                     with_sfg, include_phase):
+        grid = SpectralGrid(n_points=n, omega_max=0.35)
+        spdc, sfg = make_crystals() if dispersion == "taylor" else _sellmeier_crystals(grid)
+        sfg = sfg if with_sfg else None
+        pump = PumpSpec(bandwidth=pump_bandwidth)
+        amp = build_joint_amplitude(grid, pump, spdc, sfg, include_phase=include_phase)
+        want = dense_joint_amplitude(grid, pump, spdc, sfg, include_phase=include_phase)
+        assert amp.values.dtype == want.values.dtype
+        assert np.array_equal(amp.values, want.values)
+        ax = grid.axis()
+        outside = pump_envelope(ax[:, None] + ax, effective_pump(pump, grid)) == 0.0
+        assert abs(1.0 - outside.mean() - band_share) < 0.01
+        # +0.0 outside the band, whatever the sign of the phase matching there
+        zeros = amp.values[outside]
+        assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag))
+
+    def test_dispersion_is_evaluated_in_the_band_only(self, small_grid, pump_cw):
+        # a pump index valid only within 0.2 rad/fs of the pump center: the
+        # grid corners (sum frequency +-0.7 rad/fs) lie outside its window
+        # but also outside the clamped pump's band, where the amplitude is 0
+        pc = small_grid.pump_center_frequency
+        window = tuple(2e-3 * np.pi * 299.792458 / (pc + dw) for dw in (0.2, -0.2))
+        toy = dict(a=3.2, terms=((0.9, 0.06),), d=0.008)
+        model = SellmeierMismatch(index_i=SellmeierIndex(**toy), index_s=SellmeierIndex(**toy),
+                                  index_p=SellmeierIndex(**toy, validity_um=window))
+        dk0 = model.mismatch(0.0, 0.0, pump_center=pc)
+        spdc = CrystalSpec(11.5, 2.0 * np.pi / (-dk0) * 1e3, model, role="SPDC")
+        amp = build_joint_amplitude(small_grid, pump_cw, spdc)
+        with pytest.raises(DomainError):
+            dense_joint_amplitude(small_grid, pump_cw, spdc)
+        assert abs(amp.norm() - 1.0) < 1e-9
+
+    def test_quick_config_amplitude_bytes(self):
+        root = Path(__file__).resolve().parents[1]
+        scenario = validate_config(load_config(root / "configs" / "quick.yaml"))
+        args = (scenario.grid, scenario.pump, scenario.spdc, scenario.sfg)
+        amp = build_joint_amplitude(*args, include_phase=scenario.include_phase)
+        want = dense_joint_amplitude(*args, include_phase=scenario.include_phase)
+        assert amp.values.tobytes() == want.values.tobytes()
 
 
 class TestApplyPsf:
@@ -332,6 +410,30 @@ class TestApplyPsf:
             tracemalloc.stop()
         assert peak <= 3.25 * spectrum_bytes
 
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_same_bytes_for_any_worker_count(self, small_grid, complex_values,
+                                             monkeypatch):
+        n = small_grid.n_points
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((n, n))
+        if complex_values:
+            values = values + 1j * rng.standard_normal((n, n))
+        amp = JointAmplitude(grid=small_grid, values=values)
+        real_fft = scipy.fft.fft
+        blurred = {}
+        for cpus in ({0}, {0, 1}):
+            workers = set()
+
+            def recording_fft(*args, **kwargs):
+                workers.add(kwargs["workers"])
+                return real_fft(*args, **kwargs)
+
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            monkeypatch.setattr(scipy.fft, "fft", recording_fft)
+            blurred[len(cpus)] = apply_psf(amp, PSF_WIDTH).values.tobytes()
+            assert workers == {len(cpus)}
+        assert blurred[1] == blurred[2]
+
     def test_schmidt_number_nonincreasing_in_psf_width(self, gamma_small):
         widths = [0.0, 0.005, 0.01, 0.02, 0.04]
         ks = []
@@ -355,6 +457,43 @@ class TestApplyPsf:
             ks.append(1.0 / (kept**2).sum())
         assert abs(ks[1] - ks[0]) / ks[0] < 0.01
         assert abs(es[1] - es[0]) / es[0] < 0.01
+
+
+class TestPeakMemory:
+    """Peak traced allocation at 1025^2, in planes of n^2 float64 (8.4 MB).
+
+    tracemalloc sees numpy's arrays but not pocketfft's internal buffers, so
+    these bound the Python-visible working set only.  Measured: the build
+    peaks at 3.7 planes and the blur at 5.0; a full-grid build needs 8.0 and
+    a blur through padded 2-D spectra 13.3.
+    """
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return SpectralGrid(n_points=1025, omega_max=0.35)
+
+    @staticmethod
+    def _traced_peak_planes(n, call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (n * n * 8)
+
+    def test_build_joint_amplitude(self, grid, pump_cw):
+        spdc, sfg = make_crystals()
+        planes = self._traced_peak_planes(grid.n_points, build_joint_amplitude,
+                                          grid, pump_cw, spdc, sfg)
+        assert planes <= 4.5
+
+    def test_apply_psf(self, grid, pump_cw):
+        spdc, sfg = make_crystals()
+        amp = build_joint_amplitude(grid, pump_cw, spdc, sfg)
+        apply_psf(amp, PSF_WIDTH)  # warm the transform plan cache
+        planes = self._traced_peak_planes(grid.n_points, apply_psf, amp, PSF_WIDTH)
+        assert planes <= 6.0
 
 
 class TestFluxLimit:
