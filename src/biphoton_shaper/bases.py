@@ -17,6 +17,11 @@ from .spectral_field import JointAmplitude, SpectralGrid, sinc
 SCHMIDT_RANK_FLOOR = 1e-12
 # relative magnitude within which two samples tie as a mode's peak
 MODE_PEAK_RTOL = 1e-9
+# largest mirror coupling c at which the Schmidt problem splits by parity;
+# Weyl's bound 2c + c^2 then keeps every weight within 1e-14
+PARITY_COUPLING_MAX = 5e-15
+# rows per block of the coupling sum and of the mode lift
+_ROW_BLOCK = 64
 
 
 @dataclass
@@ -139,15 +144,89 @@ def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold(x: np.ndarray, parity: int) -> np.ndarray:
+    """Even (parity 0) or odd (parity 1) mirror coordinates of the rows of x.
+
+    Sample i pairs with its mirror n-1-i (omega with -omega).  The even
+    coordinates are (x_i + x_{n-1-i})/sqrt(2) for i < n//2, followed by the
+    centre row when n is odd; the odd ones are (x_i - x_{n-1-i})/sqrt(2).
+    """
+    n = len(x)
+    m = n // 2
+    upper, lower = x[:m], x[:n - m - 1:-1]
+    if parity:
+        return (upper - lower) / np.sqrt(2.0)
+    return np.concatenate([(upper + lower) / np.sqrt(2.0), x[m:n - m]])
+
+
+def _unfold(coords: np.ndarray, first: int, n: int) -> np.ndarray:
+    """Rows of samples from rows of mirror coordinates first, first+1, ...
+
+    The inverse of :func:`_fold` (the even coordinates, then the odd ones)
+    with every coordinate outside the given range zero, so a vector of one
+    parity lifts to an exactly (anti)symmetric row.
+    """
+    m = n // 2
+    padded = np.zeros((len(coords), n), dtype=coords.dtype)
+    padded[:, first:first + coords.shape[1]] = coords
+    even, centre, odd = padded[:, :m], padded[:, m:n - m], padded[:, n - m:]
+    return np.concatenate(
+        [(even + odd) / np.sqrt(2.0), centre, ((even - odd) / np.sqrt(2.0))[:, ::-1]], axis=1)
+
+
+def _mirror_coupling(amp: JointAmplitude) -> float:
+    """c = ||S - J S J||_F / 2 for S = h * Gamma and J the sample reversal.
+
+    c is the norm of the blocks of S that couple even and odd mirror
+    coordinates; it is 0 for an amplitude symmetric under
+    (omega_i, omega_s) -> (-omega_i, -omega_s).  Summed in row blocks, so no
+    full-size temporary is made.
+    """
+    flipped = amp.values[::-1, ::-1]
+    total = 0.0
+    for start in range(0, len(flipped), _ROW_BLOCK):
+        diff = amp.values[start:start + _ROW_BLOCK] - flipped[start:start + _ROW_BLOCK]
+        total += np.vdot(diff, diff).real
+    return amp.grid.spacing * np.sqrt(total) / 2.0
+
+
+def _parity_blocks(amp: JointAmplitude) -> list:
+    """Diagonal blocks of S' = Q S Q^T, in the order of their coordinates.
+
+    [S_ee, S_oo] when :func:`_mirror_coupling` is at most
+    ``PARITY_COUPLING_MAX``, else [S'].
+    """
+    def block(p, q):
+        return _fold(_fold(amp.values, p).T, q).T * amp.grid.spacing
+
+    if _mirror_coupling(amp) <= PARITY_COUPLING_MAX:
+        return [block(0, 0), block(1, 1)]
+    return [np.block([[block(0, 0), block(0, 1)], [block(1, 0), block(1, 1)]])]
+
+
 def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     """Schmidt data of an amplitude: (weights beta, idler modes).
 
-    Both come from one Hermitian eigenproblem.  With S = h * Gamma and
-    H = S S^dagger, beta holds the eigenvalues of H in descending order, with
-    rounding-level negatives clipped to 0; beta_j sums to one.  The idler
-    modes are the matching eigenvectors as continuum-normalized rows of an
+    Both come from Hermitian eigenproblems on S = h * Gamma, split by mirror
+    parity.  Q pairs each sample with its mirror (omega with -omega) and maps
+    them to the even and odd coordinates of :func:`_fold`; S' = Q S Q^T then
+    has the blocks S_ee, S_eo, S_oe and S_oo.  When the coupling
+    c = (||S_eo||^2 + ||S_oe||^2)^(1/2) (:func:`_mirror_coupling`) is at most
+    ``PARITY_COUPLING_MAX``, the blocks solved are S_ee and S_oo, of orders
+    (n+1)/2 and (n-1)/2 (n/2 each for even n); otherwise the only block is
+    the whole S'.  Since ||S||_F = 1, Weyl's bound moves no weight by more
+    than 2c + c^2 when S_eo and S_oe are dropped, so the split keeps every
+    beta within 1e-14.  An amplitude symmetric under
+    (omega_i, omega_s) -> (-omega_i, -omega_s), as the degenerate one is,
+    has c = 0 and Schmidt modes of definite parity (Law, Walmsley & Eberly,
+    PRL 84, 5304 (2000)).
+
+    For each block B, beta holds the eigenvalues of B B^dagger, merged over
+    the blocks in descending order (a stable sort) with rounding-level
+    negatives clipped to 0; beta_j sums to one.  The idler modes are the
+    matching eigenvectors lifted by Q^T, as continuum-normalized rows of an
     (n, n) array, or None when ``compute_modes`` is false (only the
-    eigenvalues are computed then).  H assumes no symmetry of Gamma, so
+    eigenvalues are computed then).  No symmetry of Gamma is assumed, so
     complex amplitudes work too.  The signal side is the :func:`mirrored`
     idler basis, so the signal problem S^dagger S is never solved.
 
@@ -158,29 +237,42 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     Each amplitude is decomposed at most once per kind of request: the result
     is stored on the (immutable) amplitude, a values-only request reuses a
     full decomposition, and a full request replaces a values-only one.
-    Raises :class:`NumericalError` when the eigensolver fails.
+    Raises :class:`NumericalError` when the eigensolver fails on any block.
     """
     cached = amp._schmidt
     if cached is None or (compute_modes and cached[1] is None):
-        h = amp.grid.spacing
-        scaled = amp.values * h
-        gram = scaled @ scaled.conj().T
-        del scaled
+        n = amp.grid.n_points
+        grams = [b @ b.conj().T for b in _parity_blocks(amp)]
+        values, vectors = [], []
         try:
-            if compute_modes:
-                eigenvalues, vectors = np.linalg.eigh(gram)
-            else:
-                eigenvalues, vectors = np.linalg.eigvalsh(gram), None
+            while grams:  # popped, so each gram is freed once it is solved
+                if compute_modes:
+                    w, v = np.linalg.eigh(grams.pop(0))
+                    vectors.append(v[:, ::-1])
+                else:
+                    w = np.linalg.eigvalsh(grams.pop(0))
+                values.append(w[::-1])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
-                f"Schmidt eigensolver failed on the {amp.grid.n_points}^2 amplitude: {exc}"
+                f"Schmidt eigensolver failed on the {n}^2 amplitude: {exc}"
             ) from exc
-        beta = np.maximum(eigenvalues[::-1], 0.0)
+        merged = np.concatenate(values)
+        order = np.argsort(-merged, kind="stable")
+        beta = np.maximum(merged[order], 0.0)
         beta.flags.writeable = False
         modes = None
         if compute_modes:
-            vectors /= np.sqrt(h)
-            modes = vectors[:, ::-1].T
+            rank = np.empty(n, dtype=np.intp)
+            rank[order] = np.arange(n)
+            modes = np.empty((n, n), dtype=vectors[0].dtype)
+            # a block's eigenvalues and its mirror coordinates share offsets
+            offset = 0
+            for v in vectors:
+                for start in range(0, len(v), _ROW_BLOCK):
+                    cols = v[:, start:start + _ROW_BLOCK] / np.sqrt(amp.grid.spacing)
+                    rows = rank[offset + start:offset + start + cols.shape[1]]
+                    modes[rows] = _unfold(cols.T, offset, n)
+                offset += len(v)
             modes.flags.writeable = False
         cached = amp._schmidt = (beta, modes)
     return cached if compute_modes else (cached[0], None)
@@ -193,7 +285,10 @@ def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
     mode's global phase is fixed so that its peak sample is real positive
     (see :func:`_fix_mode_signs` for how tied peaks are resolved).  For the
     signal side of an anti-diagonally correlated amplitude use
-    :func:`mirrored` of this basis.
+    :func:`mirrored` of this basis.  When the amplitude splits by mirror
+    parity (see :func:`amplitude_svd`), every mode is exactly even or odd,
+    so :func:`mirrored` of the basis is the idler basis with the odd modes'
+    signs flipped.
     """
     if d < 1:
         raise BasisError("need d >= 1 Schmidt modes")

@@ -16,8 +16,8 @@ from biphoton_shaper.config import DEFAULT_TAYLOR_A2
 PSF_WIDTH = 9.6e-3
 
 
-def make_crystals(a2=DEFAULT_TAYLOR_A2, length=11.5, poling=9.0):
-    disp = TaylorMismatch.quasi_phase_matched(poling, a2=a2)
+def make_crystals(a2=DEFAULT_TAYLOR_A2, length=11.5, poling=9.0, a1=0.0):
+    disp = TaylorMismatch.quasi_phase_matched(poling, a1=a1, a2=a2)
     return (CrystalSpec(length, poling, disp, role="SPDC"),
             CrystalSpec(length, poling, disp, role="SFG"))
 
@@ -44,32 +44,51 @@ def gamma_psf_small(gamma_small):
 
 
 class EigensolverCalls(list):
-    """``compute_modes`` flag of each eigensolver call, plus an SVD count."""
+    """(kind, block order) of each eigensolver call, plus an SVD count.
+
+    kind is "eigh" or "eigvalsh"; the block order is the matrix's order.
+    """
 
     svd = 0
+
+    def decompositions(self, n):
+        """Kinds of the decompositions of an n-point amplitude, in call order.
+
+        One decomposition is a run of calls of one kind whose block orders
+        sum to n.
+        """
+        kinds, left = [], 0
+        for kind, order in self:
+            if left == 0:
+                kinds.append(kind)
+                left = n
+            assert kind == kinds[-1] and order <= left, list(self)
+            left -= order
+        assert left == 0, list(self)
+        return kinds
 
 
 @pytest.fixture
 def eigensolver_calls(monkeypatch):
-    """Record every np.linalg.eigvalsh (False) and np.linalg.eigh (True) call.
+    """Record every np.linalg.eigh and np.linalg.eigvalsh call.
 
     np.linalg.svd calls are counted in ``.svd``.
     """
     calls = EigensolverCalls()
     real_svd = np.linalg.svd
 
-    def recording(solver, flag):
-        def wrapper(*args, **kwargs):
-            calls.append(flag)
-            return solver(*args, **kwargs)
+    def recording(solver, kind):
+        def wrapper(matrix, *args, **kwargs):
+            calls.append((kind, len(matrix)))
+            return solver(matrix, *args, **kwargs)
         return wrapper
 
     def counting_svd(*args, **kwargs):
         calls.svd += 1
         return real_svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh, True))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, False))
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh, "eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh, "eigvalsh"))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return calls
 

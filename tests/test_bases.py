@@ -1,5 +1,7 @@
 """Basis construction: frequency bins, time bins, Schmidt modes, Gram checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from biphoton_shaper import (
 )
 from biphoton_shaper import bases
 from biphoton_shaper.bases import amplitude_svd
+from biphoton_shaper.config import load_config, validate_config
 from biphoton_shaper.metrics import ENTROPY_EIGENVALUE_FLOOR
+from biphoton_shaper.scenarios import ScenarioContext
 
 from conftest import PSF_WIDTH, make_crystals
 from oracles import double_gaussian_amplitude
@@ -163,6 +167,20 @@ class TestSchmidtModes:
             changes = int(np.sum(signs[1:] != signs[:-1]))
             assert changes == j
 
+    def test_quick_config_modes_have_exact_parity(self):
+        # mode j of a mirror-symmetric amplitude is even for even j, odd for
+        # odd j, to the last bit: mirrored() of the basis is +-the basis
+        root = Path(__file__).resolve().parents[1]
+        ctx = ScenarioContext(validate_config(load_config(root / "configs" / "quick.yaml")))
+        for amp in (ctx.gamma, ctx.gamma_psf):
+            basis = schmidt_modes(amp, 6)
+            signs = (-1.0) ** np.arange(6)
+            for j, f in enumerate(basis.functions):
+                assert np.array_equal(f[::-1], signs[j] * f)
+                if j % 2:
+                    assert f[amp.grid.n_points // 2] == 0.0
+            assert np.array_equal(mirrored(basis).functions, signs[:, None] * basis.functions)
+
     def test_double_gaussian_geometric_spectrum(self, small_grid):
         a, b = 0.012, 0.09
         amp = double_gaussian_amplitude(small_grid, a, b)
@@ -219,7 +237,7 @@ class TestSchmidtCache:
         values_beta, no_modes = amplitude_svd(amp, compute_modes=False)
         assert values_beta is beta and no_modes is None
         assert amplitude_svd(amp)[1] is modes
-        assert eigensolver_calls == [True]
+        assert eigensolver_calls.decompositions(small_grid.n_points) == ["eigh"]
         assert eigensolver_calls.svd == 0
 
     def test_full_request_replaces_values_only(self, small_grid, eigensolver_calls):
@@ -229,7 +247,7 @@ class TestSchmidtCache:
         assert modes.shape == (small_grid.n_points, small_grid.n_points)
         amplitude_svd(amp, compute_modes=False)
         amplitude_svd(amp)
-        assert eigensolver_calls == [False, True]
+        assert eigensolver_calls.decompositions(small_grid.n_points) == ["eigvalsh", "eigh"]
         assert eigensolver_calls.svd == 0
 
     def test_cached_beta_bit_identical_to_fresh_decomposition(self, small_grid):
@@ -253,45 +271,90 @@ class TestSchmidtCache:
                 array[0, ...] = 0.0
 
 
-@pytest.fixture(scope="module", params=[257, 1025])
+# (grid points, Taylor a1, include_phase): a nonzero a1 breaks the mirror
+# symmetry, so those amplitudes take the coupled route, one block of order n
+PAPER_CASES = [(257, 0.0, False), (1025, 0.0, False), (257, 0.0, True),
+               (257, 2.0, False), (257, 2.0, True)]
+
+
+@pytest.fixture(scope="module", params=PAPER_CASES, ids=lambda case: "-".join(map(str, case)))
 def paper_psf_svd(request):
-    """Blurred paper amplitude with its SVD: (amp, beta, first 6 left vectors)."""
-    grid = SpectralGrid(n_points=request.param, omega_max=0.35)
-    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals())
+    """Blurred paper amplitude with its SVD.
+
+    (amp, beta, first 6 left vectors, whether the amplitude is mirror symmetric)
+    """
+    n, a1, include_phase = request.param
+    grid = SpectralGrid(n_points=n, omega_max=0.35)
+    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals(a1=a1),
+                                  include_phase=include_phase)
     amp = apply_psf(gamma, PSF_WIDTH)
     u, sv, _ = np.linalg.svd(amp.values * grid.spacing, full_matrices=False)
-    return amp, sv**2, u[:, :6]
+    return amp, sv**2, u[:, :6], a1 == 0.0
+
+
+class EvenGrid(SpectralGrid):
+    """A grid with an even number of points, which SpectralGrid rejects."""
+
+    def __post_init__(self):
+        pass
+
+
+def top_mode_overlaps(modes, u, grid):
+    e = modes[:u.shape[1]] * np.sqrt(grid.spacing)
+    return np.abs(np.sum(u.T.conj() * e, axis=1))
 
 
 class TestEigenproblemMatchesSvd:
     def test_weights(self, paper_psf_svd):
-        amp, beta_svd, _ = paper_psf_svd
+        amp, beta_svd, _, _ = paper_psf_svd
         for compute_modes in (False, True):
             fresh = JointAmplitude(grid=amp.grid, values=amp.values)
             beta, _ = amplitude_svd(fresh, compute_modes)
             assert np.max(np.abs(beta - beta_svd)) <= 1e-14
 
     def test_top_modes(self, paper_psf_svd):
-        amp, _, u = paper_psf_svd
+        amp, _, u, _ = paper_psf_svd
         _, modes = amplitude_svd(amp)
-        e = modes[:6] * np.sqrt(amp.grid.spacing)
-        overlaps = np.abs(np.sum(u.T.conj() * e, axis=1))
-        assert np.all(1.0 - overlaps <= 1e-12)
+        assert np.all(1.0 - top_mode_overlaps(modes, u, amp.grid) <= 1e-12)
+
+    def test_parity_blocks(self, paper_psf_svd, eigensolver_calls):
+        amp, _, _, symmetric = paper_psf_svd
+        n = amp.grid.n_points
+        coupling = bases._mirror_coupling(amp)
+        amplitude_svd(JointAmplitude(grid=amp.grid, values=amp.values), compute_modes=False)
+        if symmetric:
+            assert coupling <= bases.PARITY_COUPLING_MAX
+            assert eigensolver_calls == [("eigvalsh", (n + 1) // 2), ("eigvalsh", (n - 1) // 2)]
+        else:
+            assert coupling >= 1e-4
+            assert eigensolver_calls == [("eigvalsh", n)]
 
     def test_entropy(self, paper_psf_svd):
-        amp, beta_svd, _ = paper_psf_svd
+        amp, beta_svd, _, _ = paper_psf_svd
         kept = beta_svd[beta_svd > ENTROPY_EIGENVALUE_FLOOR]
         entropy_svd = -np.sum(kept * np.log2(kept))
         assert abs(schmidt_decompose(amp).entropy - entropy_svd) <= 1e-13
 
     def test_sign_fixed_modes(self, paper_psf_svd):
         # tied mirror peaks must not let the solver's rounding choose a sign
-        amp, _, u = paper_psf_svd
+        amp, _, u, _ = paper_psf_svd
         got = schmidt_modes(amp, 6).functions
         svd_modes = bases._fix_mode_signs(u.T / np.sqrt(amp.grid.spacing))
         want = bases._renormalize(svd_modes, amp.grid)
         column_max = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * column_max)
+
+    def test_even_grid_splits_into_equal_blocks(self, eigensolver_calls):
+        # an even grid has no centre sample: both blocks have order n/2
+        grid = EvenGrid(n_points=256, omega_max=0.35)
+        amp = double_gaussian_amplitude(grid, 0.012, 0.09)
+        u, sv, _ = np.linalg.svd(amp.values * grid.spacing)
+        beta, modes = amplitude_svd(amp)
+        assert eigensolver_calls == [("eigh", 128), ("eigh", 128)]
+        assert np.max(np.abs(beta - sv**2)) <= 1e-14
+        assert np.all(1.0 - top_mode_overlaps(modes, u[:, :6], grid) <= 1e-12)
+        for j, f in enumerate(modes[:6]):
+            assert np.array_equal(f[::-1], (-1) ** j * f)
 
 
 class TestMirrored:

@@ -363,8 +363,12 @@ class TestCli:
         # and both Schmidt fringes)
         path = write_config(tmp_path, SCHMIDT_CONFIG)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
-        assert sorted(eigensolver_calls) == [False, True]
+        n = SCHMIDT_CONFIG["grid"]["n_points"]
+        assert sorted(eigensolver_calls.decompositions(n)) == ["eigh", "eigvalsh"]
         assert eigensolver_calls.svd == 0
+        # both amplitudes are mirror symmetric: the even and odd parity blocks
+        assert sorted(eigensolver_calls) == [(kind, order) for kind in ("eigh", "eigvalsh")
+                                             for order in ((n - 1) // 2, (n + 1) // 2)]
 
     def test_schmidt_reports_match_amplitude_svd(self, tmp_path):
         path = write_config(tmp_path, SCHMIDT_CONFIG)

@@ -495,6 +495,19 @@ class TestPeakMemory:
         planes = self._traced_peak_planes(grid.n_points, apply_psf, amp, PSF_WIDTH)
         assert planes <= 6.0
 
+    def test_amplitude_svd(self, grid, pump_cw):
+        """Full decomposition (modes) of the 1025^2 amplitude.
+
+        LAPACK's workspace is not traced.  Measured: the one n x n
+        eigenproblem peaked at 2.0 planes (S and H); split by mirror parity
+        it peaks at 1.72 (the mode matrix, both blocks' eigenvectors and the
+        lift's row blocks).
+        """
+        spdc, sfg = make_crystals()
+        amp = build_joint_amplitude(grid, pump_cw, spdc, sfg)
+        planes = self._traced_peak_planes(grid.n_points, amplitude_svd, amp)
+        assert planes <= 1.85
+
 
 class TestFluxLimit:
     def test_reported_flux_and_power(self):
