@@ -224,9 +224,13 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     For each block B, beta holds the eigenvalues of B B^dagger, merged over
     the blocks in descending order (a stable sort) with rounding-level
     negatives clipped to 0; beta_j sums to one.  The idler modes are the
-    matching eigenvectors lifted by Q^T, as continuum-normalized rows of an
-    (n, n) array, or None when ``compute_modes`` is false (only the
-    eigenvalues are computed then).  No symmetry of Gamma is assumed, so
+    eigenvectors of the r weights at or above ``SCHMIDT_RANK_FLOOR``, lifted
+    by Q^T, as continuum-normalized rows of an (r, n) array, or None when
+    ``compute_modes`` is false (only the eigenvalues are computed then).
+    Those are the modes :func:`schmidt_modes` can return (r is 104 of 2049
+    for the blurred amplitude of the paper's source, 612 of 1025 unblurred);
+    each block's other eigenvectors are dropped once it is solved and are
+    never lifted.  No symmetry of Gamma is assumed, so
     complex amplitudes work too.  The signal side is the :func:`mirrored`
     idler basis, so the signal problem S^dagger S is never solved.
 
@@ -248,7 +252,10 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
             while grams:  # popped, so each gram is freed once it is solved
                 if compute_modes:
                     w, v = np.linalg.eigh(grams.pop(0))
-                    vectors.append(v[:, ::-1])
+                    # a block's readable modes are its leading eigenvectors
+                    kept = np.count_nonzero(w >= SCHMIDT_RANK_FLOOR)
+                    vectors.append(v[:, ::-1][:, :kept].copy())
+                    del v  # freed before the next block is solved
                 else:
                     w = np.linalg.eigvalsh(grams.pop(0))
                 values.append(w[::-1])
@@ -264,15 +271,15 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
         if compute_modes:
             rank = np.empty(n, dtype=np.intp)
             rank[order] = np.arange(n)
-            modes = np.empty((n, n), dtype=vectors[0].dtype)
+            modes = np.empty((sum(v.shape[1] for v in vectors), n), dtype=vectors[0].dtype)
             # a block's eigenvalues and its mirror coordinates share offsets
             offset = 0
-            for v in vectors:
-                for start in range(0, len(v), _ROW_BLOCK):
+            for w, v in zip(values, vectors):
+                for start in range(0, v.shape[1], _ROW_BLOCK):
                     cols = v[:, start:start + _ROW_BLOCK] / np.sqrt(amp.grid.spacing)
                     rows = rank[offset + start:offset + start + cols.shape[1]]
                     modes[rows] = _unfold(cols.T, offset, n)
-                offset += len(v)
+                offset += len(w)
             modes.flags.writeable = False
         cached = amp._schmidt = (beta, modes)
     return cached if compute_modes else (cached[0], None)
@@ -281,8 +288,11 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
 def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
     """First d Schmidt modes of the amplitude as a basis for either photon.
 
-    The mode weights are the first d of :func:`amplitude_svd`'s beta.  Each
-    mode's global phase is fixed so that its peak sample is real positive
+    The mode weights are the first d of :func:`amplitude_svd`'s beta, and d
+    may not exceed the number of weights at or above ``SCHMIDT_RANK_FLOOR``
+    (the modes :func:`amplitude_svd` keeps): a larger d raises
+    :class:`RankError`, as does one above the grid size.  Each mode's global
+    phase is fixed so that its peak sample is real positive
     (see :func:`_fix_mode_signs` for how tied peaks are resolved).  For the
     signal side of an anti-diagonally correlated amplitude use
     :func:`mirrored` of this basis.  When the amplitude splits by mirror

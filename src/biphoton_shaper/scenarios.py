@@ -447,18 +447,50 @@ def _render_json(payload) -> bytes:
             + "\n").encode("utf-8")
 
 
+def _replace_files(staging: Path, out: Path, names) -> None:
+    """Move the named files from ``staging`` into ``out``, all of them or none.
+
+    Each file a move replaces is first renamed into a hidden backup
+    directory next to ``out``.  When a move fails, every file already moved
+    is put back (a file that did not exist before is removed) and the backup
+    directory is removed before the error propagates; if putting back fails
+    too, the backup directory keeps the old files.
+    """
+    backup = out.parent / f".{out.name}.backup-{secrets.token_hex(8)}"
+    backup.mkdir()
+    moved = []
+    try:
+        for name in names:
+            existed = os.path.lexists(out / name)
+            if existed:
+                os.rename(out / name, backup / name)
+            moved.append((name, existed))
+            os.replace(staging / name, out / name)
+    except BaseException:
+        for name, existed in reversed(moved):
+            if existed:
+                os.replace(backup / name, out / name)
+            elif os.path.lexists(out / name):
+                os.unlink(out / name)
+        backup.rmdir()
+        raise
+    shutil.rmtree(backup, ignore_errors=True)
+
+
 def emit_outputs(results, directory, force: bool = False) -> dict:
     """Write per-experiment CSV/report files plus a hash manifest.
 
     File names are deterministic: <experiment>_<table>_<index>.csv and
     <experiment>_report.json.  Existing files are only overwritten with
-    ``force``; the manifest maps every artifact to its SHA-256.
+    ``force``, and a directory where a file would go is an error; the
+    manifest maps every artifact to its SHA-256.
 
     Outputs are all-or-nothing: every file is rendered first, then written
     into a hidden staging directory next to ``directory`` and moved into
     place, by one rename when ``directory`` does not exist yet and file by
-    file (``manifest.json`` last) when it does.  A render or write error
-    leaves ``directory`` as it was and removes the staging directory.
+    file (``manifest.json`` last, see :func:`_replace_files`) when it does.
+    A render, write or move error leaves ``directory`` as it was, files the
+    run does not write included, and removes the staging directory.
     """
     files = []
     for result in results:
@@ -477,9 +509,12 @@ def emit_outputs(results, directory, force: bool = False) -> dict:
 
     out = Path(directory)
     for filename, _ in files:
-        if (out / filename).exists() and not force:
+        target = out / filename
+        if target.exists() and not force:
             raise FileExistsError(
-                f"{out / filename}: output exists; pass --force to overwrite")
+                f"{target}: output exists; pass --force to overwrite")
+        if target.is_dir() and not target.is_symlink():
+            raise IsADirectoryError(f"{target}: output path is a directory")
 
     resolved = out.resolve()
     resolved.parent.mkdir(parents=True, exist_ok=True)
@@ -490,8 +525,7 @@ def emit_outputs(results, directory, force: bool = False) -> dict:
         for filename, data in files:
             (staging / filename).write_bytes(data)
         if out.exists():
-            for filename, _ in files:
-                os.replace(staging / filename, out / filename)
+            _replace_files(staging, resolved, [filename for filename, _ in files])
         else:
             os.rename(staging, out)
     finally:

@@ -345,11 +345,16 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     return JointAmplitude(grid=grid, values=values)
 
 
+def _gaussian(sq_sum, delta_omega_psf: float):
+    """The kernel's expression at squared offsets sq_sum = w_i^2 + w_s^2."""
+    return np.exp(-sq_sum * 2.0 * _LN2 / delta_omega_psf**2)
+
+
 def psf_kernel(grid: SpectralGrid, delta_omega_psf: float) -> np.ndarray:
     """Isotropic Gaussian blur kernel sampled on the grid's offset lattice,
     exp(-(w_i^2 + w_s^2) * 2 ln 2 / delta^2), built from the squared axis."""
     sq = grid.axis() ** 2
-    return np.exp(-(sq[:, None] + sq) * 2.0 * _LN2 / delta_omega_psf**2)
+    return _gaussian(sq[:, None] + sq, delta_omega_psf)
 
 
 # Rows per block of the blur's row transforms and columns per block of its
@@ -357,12 +362,16 @@ def psf_kernel(grid: SpectralGrid, delta_omega_psf: float) -> np.ndarray:
 _PSF_BLOCK = 64
 
 
-def _row_spectra(plane: np.ndarray, m: int, workers: int) -> np.ndarray:
-    """Length-m real-to-complex transform of each row of ``plane``, zero padded."""
-    spectra = np.empty((plane.shape[0], m // 2 + 1), dtype=complex)
-    for r in range(0, plane.shape[0], _PSF_BLOCK):
-        spectra[r:r + _PSF_BLOCK] = sp_fft.rfft(plane[r:r + _PSF_BLOCK], m, axis=1,
-                                                workers=workers)
+def _row_spectra(rows_of, count: int, m: int, workers: int) -> np.ndarray:
+    """Length-m real-to-complex transform of ``count`` rows, zero padded.
+
+    ``rows_of(block)`` gives the rows selected by the slice ``block``, so a
+    block of rows need exist only while it is transformed.
+    """
+    spectra = np.empty((count, m // 2 + 1), dtype=complex)
+    for r in range(0, count, _PSF_BLOCK):
+        block = slice(r, r + _PSF_BLOCK)
+        spectra[block] = sp_fft.rfft(rows_of(block), m, axis=1, workers=workers)
     return spectra
 
 
@@ -375,14 +384,20 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     by axis in the order ``rfftn``/``irfftn`` use, on only the data that
     reach the crop:
 
-    - a real-to-complex transform along axis 1 of the n data rows of the
-      kernel and of each (real or imaginary) plane; the m - n padded rows
-      are zero and are not stored;
-    - per block of columns, the complex transform along axis 0, the product
-      with the kernel's block of spectrum and the unscaled inverse, of which
-      only the n cropped rows are kept;
+    - a real-to-complex transform along axis 1 of the n data rows of each
+      (real or imaginary) plane, and of the kernel rows that are not all
+      zero; the m - n padded rows are zero and are not stored.  A kernel
+      row is all zero when its peak, at the column of smallest |omega|,
+      underflows (:func:`psf_kernel`'s expression evaluated there); the
+      other rows (1303 of 2049 at the paper's width) are evaluated one
+      block at a time, so no n x n kernel exists;
+    - per block of columns, the complex transform along axis 0 (the kernel's
+      zero rows fed in as zeros), the product with the kernel's block of
+      spectrum and the unscaled inverse, of which only the n cropped rows
+      are kept;
     - the complex-to-real inverse along axis 1 of those rows, scaled once by
-      1/m^2 and cropped.
+      1/m^2 and cropped; the row spectra are freed before the output is
+      renormalized.
 
     The transforms use every CPU the process may run on; pocketfft gives the
     same bits for any worker count.  The arithmetic, padding, product order
@@ -402,17 +417,24 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     workers = len(os.sched_getaffinity(0))
     complex_values = np.iscomplexobj(amp.values)
     planes = (amp.values.real, amp.values.imag) if complex_values else (amp.values,)
-    kernel_rows = _row_spectra(psf_kernel(amp.grid, delta_omega_psf), m, workers)
-    spectra = [_row_spectra(plane, m, workers) for plane in planes]
+    sq = amp.grid.axis() ** 2
+    live = np.flatnonzero(_gaussian(sq + sq[np.argmin(sq)], delta_omega_psf))
+    kernel_rows = _row_spectra(
+        lambda block: _gaussian(sq[live[block], None] + sq, delta_omega_psf),
+        len(live), m, workers)
+    spectra = [_row_spectra(plane.__getitem__, n, m, workers) for plane in planes]
     for c in range(0, m // 2 + 1, _PSF_BLOCK):
         cols = slice(c, c + _PSF_BLOCK)
-        kernel_block = sp_fft.fft(kernel_rows[:, cols], m, axis=0, workers=workers)
+        live_block = kernel_rows[:, cols]
+        kernel_block = np.zeros((n, live_block.shape[1]), dtype=complex)
+        kernel_block[live] = live_block
+        kernel_block = sp_fft.fft(kernel_block, m, axis=0, workers=workers)
         for spec in spectra:
             block = sp_fft.fft(spec[:, cols], m, axis=0, workers=workers)
             block *= kernel_block
             spec[:, cols] = sp_fft.ifft(block, axis=0, norm="forward", overwrite_x=True,
                                         workers=workers)[crop]
-    del kernel_rows, kernel_block
+    del kernel_rows, live_block, kernel_block, block
     # irfftn's factor, which pocketfft computes in long double
     scale = float(1 / np.longdouble(m * m))
     out = []
@@ -423,7 +445,7 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
                                 workers=workers)
             np.multiply(rows[:, crop], scale, out=plane[r:r + _PSF_BLOCK])
         out.append(plane)
-    del spectra
+    del spectra, spec, rows
     blurred = out[0] + 1j * out[1] if complex_values else out[0]
     return JointAmplitude(amp.grid, blurred)
 

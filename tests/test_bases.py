@@ -181,6 +181,19 @@ class TestSchmidtModes:
                     assert f[amp.grid.n_points // 2] == 0.0
             assert np.array_equal(mirrored(basis).functions, signs[:, None] * basis.functions)
 
+    def test_quick_config_modes_stop_at_the_rank_floor(self):
+        # 86 weights of quick's blurred amplitude reach SCHMIDT_RANK_FLOOR:
+        # those modes are kept and readable, the 87th is a RankError
+        root = Path(__file__).resolve().parents[1]
+        ctx = ScenarioContext(validate_config(load_config(root / "configs" / "quick.yaml")))
+        amp = ctx.gamma_psf
+        beta, modes = amplitude_svd(amp)
+        assert beta[85] >= bases.SCHMIDT_RANK_FLOOR > beta[86]
+        assert modes.shape == (86, amp.grid.n_points)
+        assert schmidt_modes(amp, 86).d == 86
+        with pytest.raises(RankError):
+            schmidt_modes(amp, 87)
+
     def test_double_gaussian_geometric_spectrum(self, small_grid):
         a, b = 0.012, 0.09
         amp = double_gaussian_amplitude(small_grid, a, b)
@@ -243,8 +256,11 @@ class TestSchmidtCache:
     def test_full_request_replaces_values_only(self, small_grid, eigensolver_calls):
         amp = double_gaussian_amplitude(small_grid, 0.012, 0.09)
         amplitude_svd(amp, compute_modes=False)
-        _, modes = amplitude_svd(amp)
-        assert modes.shape == (small_grid.n_points, small_grid.n_points)
+        beta, modes = amplitude_svd(amp)
+        # only the modes with a weight at or above the rank floor are kept
+        readable = np.count_nonzero(beta >= bases.SCHMIDT_RANK_FLOOR)
+        assert readable < small_grid.n_points
+        assert modes.shape == (readable, small_grid.n_points)
         amplitude_svd(amp, compute_modes=False)
         amplitude_svd(amp)
         assert eigensolver_calls.decompositions(small_grid.n_points) == ["eigvalsh", "eigh"]

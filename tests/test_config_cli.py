@@ -1,6 +1,7 @@
 """Config validation and the scenario-runner CLI contract."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -462,6 +463,61 @@ class TestEmitOutputs:
             assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["out", "scenario.yaml"] if existing else ["scenario.yaml"])
+
+    @staticmethod
+    def _contents(directory):
+        return {str(p.relative_to(directory)): p.read_bytes()
+                for p in sorted(directory.rglob("*")) if p.is_file()}
+
+    def test_directory_in_place_of_an_output_leaves_outputs_as_they_were(self, tmp_path):
+        path = write_config(tmp_path, QUICK_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        # the last output before the manifest, so every other file comes first
+        blocked = json.loads((out / "manifest.json").read_text())["files"][-1]["name"]
+        for old in out.iterdir():
+            old.write_bytes(b"old\n")
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        (out / blocked / "keep.txt").write_bytes(b"keep\n")
+        before = self._contents(out)
+        assert main(["run", path, "--out", str(out), "--force", "--seed", "8"]) == 1
+        assert self._contents(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.yaml"]
+
+    def test_failed_move_puts_every_file_back(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, QUICK_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        order = [f["name"] for f in json.loads((out / "manifest.json").read_text())["files"]]
+        for old in out.iterdir():
+            old.write_bytes(b"old\n")
+        (out / order[0]).unlink()  # an output the failed run writes anew
+        (out / "notes.txt").write_bytes(b"not an output\n")
+        before = self._contents(out)
+        real_replace = os.replace
+        moves = []
+
+        def failing_third_move(src, dst):
+            moves.append(Path(dst).name)
+            if len(moves) == 3:
+                raise OSError(5, "Input/output error")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_third_move)
+        assert main(["run", path, "--out", str(out), "--force"]) == 1
+        assert "output error" in capsys.readouterr().err
+        assert moves[:3] == order[:3]
+        assert self._contents(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.yaml"]
+
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert main(["run", path, "--out", str(out), "--force"]) == 0
+        after = self._contents(out)
+        assert after["notes.txt"] == b"not an output\n"
+        assert sorted(after) == sorted(order + ["manifest.json", "notes.txt"])
+        assert b"old\n" not in after.values()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.yaml"]
 
     def test_stale_manifest_blocks_every_write(self, tmp_path):
         path = write_config(tmp_path, QUICK_CONFIG)
