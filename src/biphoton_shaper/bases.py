@@ -20,7 +20,7 @@ MODE_PEAK_RTOL = 1e-9
 # largest mirror coupling c at which the Schmidt problem splits by parity;
 # Weyl's bound 2c + c^2 then keeps every weight within 1e-14
 PARITY_COUPLING_MAX = 5e-15
-# rows per block of the coupling sum and of the mode lift
+# rows per block of the mode lift
 _ROW_BLOCK = 64
 
 
@@ -71,13 +71,14 @@ def _check_separation(centers, widths, what: str):
         raise BasisError("centers and widths must be 1-d and of equal length")
     if np.any(widths < 0):
         raise BasisError(f"{what} widths must be non-negative")
-    for j in range(len(centers)):
-        for k in range(j + 1, len(centers)):
-            if abs(centers[j] - centers[k]) <= 0.5 * (widths[j] + widths[k]):
-                raise BasisError(
-                    f"{what}s {j} and {k} overlap: |{centers[j]:g} - {centers[k]:g}| "
-                    f"<= ({widths[j]:g} + {widths[k]:g})/2"
-                )
+    # if any two intervals overlap, two neighbours in centre order do
+    order = np.argsort(centers, kind="stable")
+    c, w = centers[order], widths[order]
+    clash = np.flatnonzero(np.diff(c) <= 0.5 * (w[1:] + w[:-1]))
+    if len(clash):
+        j, k = sorted(order[clash[0]:clash[0] + 2])
+        raise BasisError(f"{what}s {j} and {k} overlap: |{centers[j]:g} - {centers[k]:g}| "
+                         f"<= ({widths[j]:g} + {widths[k]:g})/2")
     return centers, widths
 
 
@@ -156,7 +157,10 @@ def _fold(x: np.ndarray, parity: int) -> np.ndarray:
     upper, lower = x[:m], x[:n - m - 1:-1]
     if parity:
         return (upper - lower) / np.sqrt(2.0)
-    return np.concatenate([(upper + lower) / np.sqrt(2.0), x[m:n - m]])
+    out = np.empty_like(x[:n - m])  # filled in place: no concatenation copy
+    np.divide(np.add(upper, lower, out=out[:m]), np.sqrt(2.0), out=out[:m])
+    out[m:] = x[m:n - m]
+    return out
 
 
 def _unfold(coords: np.ndarray, first: int, n: int) -> np.ndarray:
@@ -174,34 +178,31 @@ def _unfold(coords: np.ndarray, first: int, n: int) -> np.ndarray:
         [(even + odd) / np.sqrt(2.0), centre, ((even - odd) / np.sqrt(2.0))[:, ::-1]], axis=1)
 
 
-def _mirror_coupling(amp: JointAmplitude) -> float:
-    """c = ||S - J S J||_F / 2 for S = h * Gamma and J the sample reversal.
+def _parity_blocks(amp: JointAmplitude):
+    """Diagonal blocks of S' = Q S Q^T, in the order of their coordinates, and
+    the mirror coupling c = (||S_eo||^2 + ||S_oe||^2)^(1/2) = ||S - J S J||_F / 2
+    (J the sample reversal; c = 0 for an amplitude symmetric under
+    (omega_i, omega_s) -> (-omega_i, -omega_s)).
 
-    c is the norm of the blocks of S that couple even and odd mirror
-    coordinates; it is 0 for an amplitude symmetric under
-    (omega_i, omega_s) -> (-omega_i, -omega_s).  Summed in row blocks, so no
-    full-size temporary is made.
+    The rows are folded one parity at a time; both blocks of that row parity
+    come from the fold, and the off-diagonal one is dropped once its norm is
+    summed.  The blocks are [S_ee, S_oo] when c is at most
+    ``PARITY_COUPLING_MAX``, else [S'], with S_eo and S_oe folded again.
     """
-    flipped = amp.values[::-1, ::-1]
-    total = 0.0
-    for start in range(0, len(flipped), _ROW_BLOCK):
-        diff = amp.values[start:start + _ROW_BLOCK] - flipped[start:start + _ROW_BLOCK]
-        total += np.vdot(diff, diff).real
-    return amp.grid.spacing * np.sqrt(total) / 2.0
-
-
-def _parity_blocks(amp: JointAmplitude) -> list:
-    """Diagonal blocks of S' = Q S Q^T, in the order of their coordinates.
-
-    [S_ee, S_oo] when :func:`_mirror_coupling` is at most
-    ``PARITY_COUPLING_MAX``, else [S'].
-    """
-    def block(p, q):
-        return _fold(_fold(amp.values, p).T, q).T * amp.grid.spacing
-
-    if _mirror_coupling(amp) <= PARITY_COUPLING_MAX:
-        return [block(0, 0), block(1, 1)]
-    return [np.block([[block(0, 0), block(0, 1)], [block(1, 0), block(1, 1)]])]
+    h = amp.grid.spacing
+    diagonal, coupling2 = [], 0.0
+    for p in (0, 1):
+        rows = _fold(amp.values, p).T
+        coupling2 += np.linalg.norm(_fold(rows, 1 - p)) ** 2
+        folded = _fold(rows, p)
+        del rows  # each fold is freed before the next array is made
+        diagonal.append(folded.T * h)
+        del folded
+    coupling = h * float(np.sqrt(coupling2))
+    if coupling <= PARITY_COUPLING_MAX:
+        return diagonal, coupling
+    s_eo, s_oe = (_fold(_fold(amp.values, p).T, 1 - p).T * h for p in (0, 1))
+    return [np.block([[diagonal[0], s_eo], [s_oe, diagonal[1]]])], coupling
 
 
 def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
@@ -211,7 +212,7 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     parity.  Q pairs each sample with its mirror (omega with -omega) and maps
     them to the even and odd coordinates of :func:`_fold`; S' = Q S Q^T then
     has the blocks S_ee, S_eo, S_oe and S_oo.  When the coupling
-    c = (||S_eo||^2 + ||S_oe||^2)^(1/2) (:func:`_mirror_coupling`) is at most
+    c = (||S_eo||^2 + ||S_oe||^2)^(1/2) (:func:`_parity_blocks`) is at most
     ``PARITY_COUPLING_MAX``, the blocks solved are S_ee and S_oo, of orders
     (n+1)/2 and (n-1)/2 (n/2 each for even n); otherwise the only block is
     the whole S'.  Since ||S||_F = 1, Weyl's bound moves no weight by more
@@ -246,7 +247,7 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     cached = amp._schmidt
     if cached is None or (compute_modes and cached[1] is None):
         n = amp.grid.n_points
-        grams = [b @ b.conj().T for b in _parity_blocks(amp)]
+        grams = [b @ b.conj().T for b in _parity_blocks(amp)[0]]
         values, vectors = [], []
         try:
             while grams:  # popped, so each gram is freed once it is solved

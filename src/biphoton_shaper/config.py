@@ -238,8 +238,8 @@ def _parse_experiment(entry, index, seen_names):
                                bound=_POSITIVE if key in _POSITIVE_LISTS else ())
               if isinstance(value, list) else value
               for key, value in _section(entry, path, schema, extra=("id",)).items()}
-    if "d" in params and params["d"] not in (2, 3, 4):
-        raise ConfigError(f"{path}.d", f"dimension must be 2, 3 or 4, got {params['d']}")
+    if "d" in params and params["d"] < 2:
+        raise ConfigError(f"{path}.d", f"dimension must be >= 2, got {params['d']}")
     t1_values = params.get("t1_values_fs", [])
     if any(b <= a for a, b in zip(t1_values, t1_values[1:])):
         raise ConfigError(f"{path}.t1_values_fs",

@@ -26,10 +26,6 @@ from .spectral_field import JointAmplitude
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-15
 
-# Maximal Bell parameter per dimension, derived by inverting the critical
-# visibilities 0.707 / 0.775 / 0.817 through V = d*lambda/(2 + lambda*(d-2)).
-BELL_PARAMETER_MAX = {2: 2.828, 3: 2.873, 4: 2.896}
-
 QUANTUM_BELL_CEILING = 2.0 * np.sqrt(2.0)
 
 
@@ -99,34 +95,40 @@ def lambda_from_visibility(v: float, d: int) -> float:
     return 2.0 * v / (d - v * (d - 2))
 
 
+def cglmp_maximum(d: int) -> float:
+    """Bell parameter I_d of the maximally entangled d x d state, in closed form.
+
+    I_d = 4d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}) with
+    q_k = 1/(2 d^3 sin^2(pi(k + 1/4)/d)) (Collins, Gisin, Linden, Massar &
+    Popescu, PRL 88, 040404 (2002)): 2*sqrt(2) at d = 2, rising towards
+    32G/pi^2 (G Catalan's constant).  Raises ``ValueError`` for d < 2.
+    """
+    if d < 2:
+        raise ValueError(f"the Bell parameter needs d >= 2, got {d}")
+    k = np.arange(d // 2)
+    q_k, q_mirror = (1.0 / (2.0 * d**3 * np.sin(np.pi * (j + 0.25) / d) ** 2)
+                     for j in (k, -(k + 1)))
+    return float(4 * d * np.sum((1.0 - 2.0 * k / (d - 1)) * (q_k - q_mirror)))
+
+
 def critical_visibility(d: int) -> float:
     """Fringe visibility above which the d-dimensional Bell inequality is violated.
 
-    The critical mixing parameter is 2 / BELL_PARAMETER_MAX[d].
+    The critical mixing parameter is 2 / I_d (:func:`cglmp_maximum`).
     """
-    if d not in BELL_PARAMETER_MAX:
-        raise ValueError(f"unsupported dimension {d}; expected one of {sorted(BELL_PARAMETER_MAX)}")
-    return visibility_from_lambda(2.0 / BELL_PARAMETER_MAX[d], d)
+    return visibility_from_lambda(2.0 / cglmp_maximum(d), d)
 
 
 # ---------------------------------------------------------------------------
 # Fringe models
 # ---------------------------------------------------------------------------
 
-_MODEL_MEAN = {2: 1.0, 3: 3.0, 4: 4.0}
-
-
 def lambda_fringe_model(d: int, phi, lam: float, phi0: float = 0.0):
-    """Phase-ladder coincidence fringe of the symmetric-noise model (unit scale)."""
+    """Phase-ladder coincidence fringe of the symmetric-noise model (unit scale),
+    d + 2*lam * sum_{k=1}^{d-1} (d-k) cos(k*theta) with theta = 2*phi + phi0:
+    its mean over a period is d, and at lam = 1 it peaks at d^2."""
     theta = 2.0 * np.asarray(phi) + phi0
-    if d == 2:
-        return 1.0 + lam * np.cos(theta)
-    if d == 3:
-        return 3.0 + 2.0 * lam * (2.0 * np.cos(theta) + np.cos(2 * theta))
-    if d == 4:
-        return 4.0 + 2.0 * lam * (3.0 * np.cos(theta) + 2.0 * np.cos(2 * theta)
-                                  + np.cos(3 * theta))
-    raise ValueError(f"no fringe model for d = {d}")
+    return d + 2.0 * lam * sum((d - k) * np.cos(k * theta) for k in range(1, d))
 
 
 def cos4_model(phi, phi0: float = 0.0):
@@ -198,12 +200,12 @@ def fit_fringe(source, d: int) -> FitResult:
     classical visibility mapped through the noise model, phi0 from the argmax.
     CountRecord input is background-subtracted and Poisson-weighted.
     """
-    if d not in _MODEL_MEAN:
+    if d < 2:
         raise ValueError(f"no fringe model for d = {d}")
     phi, y, sigma = _fit_inputs(source)
     _check_coverage(phi, 3, np.pi)
 
-    scale0 = max(float(np.mean(y)) / _MODEL_MEAN[d], 1e-12)
+    scale0 = max(float(np.mean(y)) / d, 1e-12)
     top, bottom = float(np.max(y)), float(np.min(y))
     vis = (top - bottom) / max(top + bottom, 1e-12)
     lam0 = float(np.clip(lambda_from_visibility(min(vis, 0.999), d), 1e-3, 1.0))

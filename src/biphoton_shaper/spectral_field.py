@@ -346,15 +346,9 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
 
 
 def _gaussian(sq_sum, delta_omega_psf: float):
-    """The kernel's expression at squared offsets sq_sum = w_i^2 + w_s^2."""
+    """The isotropic Gaussian blur kernel exp(-(w_i^2 + w_s^2) * 2 ln 2 / delta^2)
+    at squared offsets sq_sum = w_i^2 + w_s^2 of the grid's offset lattice."""
     return np.exp(-sq_sum * 2.0 * _LN2 / delta_omega_psf**2)
-
-
-def psf_kernel(grid: SpectralGrid, delta_omega_psf: float) -> np.ndarray:
-    """Isotropic Gaussian blur kernel sampled on the grid's offset lattice,
-    exp(-(w_i^2 + w_s^2) * 2 ln 2 / delta^2), built from the squared axis."""
-    sq = grid.axis() ** 2
-    return _gaussian(sq[:, None] + sq, delta_omega_psf)
 
 
 # Rows per block of the blur's row transforms and columns per block of its
@@ -388,9 +382,9 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
       (real or imaginary) plane, and of the kernel rows that are not all
       zero; the m - n padded rows are zero and are not stored.  A kernel
       row is all zero when its peak, at the column of smallest |omega|,
-      underflows (:func:`psf_kernel`'s expression evaluated there); the
-      other rows (1303 of 2049 at the paper's width) are evaluated one
-      block at a time, so no n x n kernel exists;
+      underflows (:func:`_gaussian` evaluated there); the other rows (1303
+      of 2049 at the paper's width) are evaluated one block at a time, so
+      no n x n kernel exists;
     - per block of columns, the complex transform along axis 0 (the kernel's
       zero rows fed in as zeros), the product with the kernel's block of
       spectrum and the unscaled inverse, of which only the n cropped rows
@@ -402,7 +396,8 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     The transforms use every CPU the process may run on; pocketfft gives the
     same bits for any worker count.  The arithmetic, padding, product order
     and crop are those of SciPy's ``fftconvolve(values, kernel,
-    mode="same")``, so the result is bit-identical to it.  The output is
+    mode="same")`` with the kernel :func:`_gaussian` sampled on the whole
+    offset lattice, so the result is bit-identical to it.  The output is
     renormalized.  A kernel narrower than one grid cell degenerates to the
     identity; scenario configs reject such a width.
     """

@@ -61,3 +61,37 @@ def double_gaussian_oracle(a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         raise ValueError("widths must be positive")
     return (a * a + b * b) / (2.0 * a * b)
+
+
+def psf_kernel(grid: SpectralGrid, delta_omega_psf: float) -> np.ndarray:
+    """The blur kernel exp(-(w_i^2 + w_s^2) * 2 ln 2 / delta^2) on the whole
+    offset lattice, in the operation order of ``apply_psf``'s rows, so that
+    ``fftconvolve`` with it is a bit-exact reference for the blur."""
+    sq = grid.axis() ** 2
+    return np.exp(-(sq[:, None] + sq) * 2.0 * np.log(2.0) / delta_omega_psf**2)
+
+
+def mirror_coupling(amp: JointAmplitude) -> float:
+    """c = ||S - J S J||_F / 2 for S = h * Gamma and J the sample reversal.
+
+    The norm of the blocks of S that couple even and odd mirror coordinates,
+    computed on the samples rather than on the folded blocks.
+    """
+    diff = amp.values - amp.values[::-1, ::-1]
+    return amp.grid.spacing * np.sqrt(np.vdot(diff, diff).real) / 2.0
+
+
+def lambda_fringe_branches(d: int, phi, lam: float, phi0: float = 0.0):
+    """The symmetric-noise fringe written out per dimension, d = 2, 3 and 4.
+
+    d = 2 is at half the scale of the general model, 1 + lam*cos(theta).
+    """
+    theta = 2.0 * np.asarray(phi) + phi0
+    if d == 2:
+        return 1.0 + lam * np.cos(theta)
+    if d == 3:
+        return 3.0 + 2.0 * lam * (2.0 * np.cos(theta) + np.cos(2 * theta))
+    if d == 4:
+        return 4.0 + 2.0 * lam * (3.0 * np.cos(theta) + 2.0 * np.cos(2 * theta)
+                                  + np.cos(3 * theta))
+    raise ValueError(f"no written-out fringe for d = {d}")

@@ -28,7 +28,7 @@ from biphoton_shaper.metrics import ENTROPY_EIGENVALUE_FLOOR
 from biphoton_shaper.scenarios import ScenarioContext
 
 from conftest import PSF_WIDTH, make_crystals
-from oracles import double_gaussian_amplitude
+from oracles import double_gaussian_amplitude, mirror_coupling
 
 
 def max_offdiag(g):
@@ -49,6 +49,31 @@ class TestFrequencyBins:
     def test_overlap_rejected(self, small_grid):
         with pytest.raises(BasisError):
             frequency_bins([0.0, 0.03], [0.05, 0.05], small_grid)
+
+    def test_overlap_rule_matches_every_pair(self):
+        # the pairwise rule |c_j - c_k| <= (w_j + w_k)/2, checked on random
+        # sets with touching, nested, coincident and zero-width intervals
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            d = int(rng.integers(2, 8))
+            centers = np.round(rng.uniform(-1.0, 1.0, d), 1)
+            widths = np.round(rng.uniform(0.0, 0.4, d), 1) * (trial % 3 > 0)
+            clash = {(j, k) for j in range(d) for k in range(j + 1, d)
+                     if abs(centers[j] - centers[k]) <= 0.5 * (widths[j] + widths[k])}
+            if clash:
+                with pytest.raises(BasisError) as err:
+                    bases._check_separation(centers, widths, "bin")
+                j, k = map(int, str(err.value).split(" overlap")[0].split()[1::2])
+                assert (j, k) in clash
+            else:
+                bases._check_separation(centers, widths, "bin")
+
+    def test_many_bins_fail_fast(self, small_grid):
+        # 10^5 disjoint bins: the separation check is not quadratic in d
+        d = 100_000
+        with pytest.raises(BasisError, match="outside the grid window"):
+            frequency_bins((np.arange(d) - (d - 1) / 2.0) * 0.036, np.full(d, 0.024),
+                           small_grid)
 
     def test_subresolution_bin_rejected(self, small_grid):
         with pytest.raises(ResolutionError):
@@ -336,8 +361,23 @@ class TestEigenproblemMatchesSvd:
     def test_parity_blocks(self, paper_psf_svd, eigensolver_calls):
         amp, _, _, symmetric = paper_psf_svd
         n = amp.grid.n_points
-        coupling = bases._mirror_coupling(amp)
+        coupling = mirror_coupling(amp)
+        _, folded_coupling = bases._parity_blocks(amp)
+        assert abs(folded_coupling - coupling) <= 1e-15 + 1e-12 * coupling
         amplitude_svd(JointAmplitude(grid=amp.grid, values=amp.values), compute_modes=False)
+        if n <= 257:
+            # Q from its definition: mirror pairs (i, n-1-i) as even, centre, odd rows
+            m = n // 2
+            q = np.zeros((n, n))
+            q[np.arange(m), np.arange(m)] = q[np.arange(m), n - 1 - np.arange(m)] = 2**-0.5
+            q[m, m] = 1.0
+            q[m + 1 + np.arange(m), np.arange(m)] = 2**-0.5
+            q[m + 1 + np.arange(m), n - 1 - np.arange(m)] = -(2**-0.5)
+            folded = q @ (amp.values * amp.grid.spacing) @ q.T
+            blocks, _ = bases._parity_blocks(amp)
+            want = [folded[:m + 1, :m + 1], folded[m + 1:, m + 1:]] if symmetric else [folded]
+            assert [b.shape for b in blocks] == [w.shape for w in want]
+            assert all(np.max(np.abs(b - w)) <= 1e-15 for b, w in zip(blocks, want))
         if symmetric:
             assert coupling <= bases.PARITY_COUPLING_MAX
             assert eigensolver_calls == [("eigvalsh", (n + 1) // 2), ("eigvalsh", (n - 1) // 2)]

@@ -126,7 +126,7 @@ class TestValidateConfig:
 
     def test_bad_dimension(self):
         tree = default_config()
-        tree["experiments"] = [{"id": "freq_bin_fringes", "d": 7}]
+        tree["experiments"] = [{"id": "freq_bin_fringes", "d": 1}]
         with pytest.raises(ConfigError) as err:
             validate_config(tree)
         assert err.value.path == "experiments[0].d"
@@ -284,6 +284,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("simulation error [FitError]: need at least")
+        assert not out.exists()
+
+    def test_dimension_five_runs(self, tmp_path, capsys):
+        tree = {**SCHMIDT_CONFIG,
+                "experiments": [{"id": "schmidt_fringes", "d": 5, "phi_points": 12}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "schmidt_fringes_d5_report.json").read_text())["report"]
+        assert report["d"] == 5
+        assert len(report["mode_weights"]) == 5
+        assert round(report["visibility_critical"], 5) == 0.84595
+
+    def test_dimension_one_exits_2(self, tmp_path, capsys):
+        tree = {**SCHMIDT_CONFIG, "experiments": [{"id": "schmidt_fringes", "d": 1}]}
+        path = write_config(tmp_path, tree)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: experiments[0].d: ")
+
+    # d bins of the default spacing overrun the 257-point window; d = 200
+    # exceeds the blurred amplitude's numerical Schmidt rank
+    @pytest.mark.parametrize("experiment, error", [
+        ({"id": "freq_bin_fringes", "d": 30}, "BasisError"),
+        ({"id": "procrustean", "d": 30, "bin_widths": [0.01] * 30}, "BasisError"),
+        ({"id": "schmidt_fringes", "d": 200}, "RankError"),
+    ], ids=lambda case: case["id"] if isinstance(case, dict) else case)
+    def test_dimension_too_large_for_the_grid_exits_3(self, tmp_path, capsys, experiment,
+                                                      error):
+        tree = {**SCHMIDT_CONFIG, "experiments": [{**experiment, "phi_points": 12}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"simulation error [{error}]: ")
         assert not out.exists()
 
     def test_counts_at_float_max_peak_rate_exit_0(self, tmp_path, capsys):

@@ -24,9 +24,14 @@ from biphoton_shaper import (
 )
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.measurement import FringeScan
-from biphoton_shaper.metrics import QUANTUM_BELL_CEILING
+from biphoton_shaper.metrics import QUANTUM_BELL_CEILING, cglmp_maximum
 
-from oracles import double_gaussian_amplitude, double_gaussian_oracle, max_entangled_state
+from oracles import (
+    double_gaussian_amplitude,
+    double_gaussian_oracle,
+    lambda_fringe_branches,
+    max_entangled_state,
+)
 
 
 def scan_from_model(d, lam, phi0=0.0, n=40, kind="lambda"):
@@ -101,9 +106,30 @@ class TestThresholds:
             got = critical_visibility(d)
             assert abs(got - want) < 5e-4
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            critical_visibility(5)
+    def test_dimension_below_two_rejected(self):
+        for d in (1, 0, -3):
+            with pytest.raises(ValueError):
+                critical_visibility(d)
+            with pytest.raises(ValueError):
+                cglmp_maximum(d)
+
+    def test_cglmp_maximum_closed_form(self):
+        # Collins et al., PRL 88, 040404 (2002), maximally entangled state
+        for d, want in ((2, 2.828427), (3, 2.872934), (4, 2.896243)):
+            assert abs(cglmp_maximum(d) - want) <= 1e-6
+        assert cglmp_maximum(2) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-15)
+
+    def test_cglmp_maximum_rises_to_its_limit(self):
+        values = [cglmp_maximum(d) for d in range(2, 51)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        catalan = 0.915965594177219015054603514932384110774
+        assert abs(cglmp_maximum(10000) - 32.0 * catalan / np.pi**2) <= 5e-5
+
+    def test_critical_visibility_from_cglmp_maximum(self):
+        for d in (2, 3, 4, 5, 9):
+            lam = lambda_from_visibility(critical_visibility(d), d)
+            assert lam * cglmp_maximum(d) == pytest.approx(2.0, rel=1e-14)
+        assert critical_visibility(5) == pytest.approx(0.84595, abs=5e-6)
 
     def test_visibility_identity_for_qubits(self):
         for lam in (0.0, 0.3, 0.9, 1.0):
@@ -119,6 +145,37 @@ class TestThresholds:
             for v in (0.2, 0.707, 0.95):
                 lam = lambda_from_visibility(v, d)
                 assert visibility_from_lambda(lam, d) == pytest.approx(v, abs=1e-12)
+
+
+class TestLambdaFringeModel:
+    PHI = np.random.default_rng(3).uniform(-10.0, 10.0, 1000)
+
+    def test_matches_written_out_branches(self):
+        rng = np.random.default_rng(4)
+        for lam, phi0 in [(0.0, 0.0), (1.0, 0.0), *rng.uniform(0.0, 1.0, (5, 2))]:
+            for d in (3, 4):
+                assert np.array_equal(lambda_fringe_model(d, self.PHI, lam, phi0),
+                                      lambda_fringe_branches(d, self.PHI, lam, phi0))
+            assert np.array_equal(lambda_fringe_model(2, self.PHI, lam, phi0),
+                                  2.0 * lambda_fringe_branches(2, self.PHI, lam, phi0))
+
+    def test_mean_and_peak(self):
+        # mean d over a period; at lam = 1 the peak is d^2 and the trough 0
+        for d in (2, 5, 8):
+            phi = np.linspace(0, np.pi, 4 * d, endpoint=False)
+            assert lambda_fringe_model(d, phi, 0.6).mean() == pytest.approx(d, rel=1e-14)
+            full = lambda_fringe_model(d, phi, 1.0)
+            assert full.max() == pytest.approx(d * d, rel=1e-14)
+            assert abs(full.min()) <= 1e-12 * d * d
+
+    def test_fit_any_dimension(self):
+        for d in (5, 6):
+            fit = fit_fringe(scan_from_model(d, 0.87, phi0=0.5, n=48), d)
+            assert abs(fit.parameters["lambda"] - 0.87) < 1e-6
+
+    def test_fit_rejects_dimension_below_two(self):
+        with pytest.raises(ValueError):
+            fit_fringe(scan_from_model(2, 0.9), 1)
 
 
 class TestFitFringe:

@@ -30,14 +30,10 @@ from biphoton_shaper import (
 )
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.config import load_config, validate_config
-from biphoton_shaper.spectral_field import (
-    effective_pump,
-    psf_kernel,
-    taylor_curvature_for_bandwidth,
-)
+from biphoton_shaper.spectral_field import effective_pump, taylor_curvature_for_bandwidth
 
 from conftest import PSF_WIDTH, make_crystals
-from oracles import dense_joint_amplitude, double_gaussian_amplitude
+from oracles import dense_joint_amplitude, double_gaussian_amplitude, psf_kernel
 
 LN2 = np.log(2.0)
 
