@@ -33,7 +33,6 @@ from .metrics import (
     FitResult,
     bell_i2,
     cglmp_parameter,
-    cos4_model,
     critical_visibility,
     fit_cos4,
     fit_fringe,

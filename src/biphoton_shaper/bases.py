@@ -163,46 +163,48 @@ def _fold(x: np.ndarray, parity: int) -> np.ndarray:
     return out
 
 
-def _unfold(coords: np.ndarray, first: int, n: int) -> np.ndarray:
-    """Rows of samples from rows of mirror coordinates first, first+1, ...
+def _lift(modes: np.ndarray, rows, coords: np.ndarray, parity: int) -> None:
+    """Write rows of one parity's mirror coordinates x into ``modes[rows]``.
 
-    The inverse of :func:`_fold` (the even coordinates, then the odd ones)
-    with every coordinate outside the given range zero, so a vector of one
-    parity lifts to an exactly (anti)symmetric row.
+    The inverse of :func:`_fold` with the other parity zero, so each row is
+    exactly (anti)symmetric, computed as (x + 0, x - 0)/sqrt(2) for even x
+    (then the centre) and (0 + x, 0 - x)/sqrt(2) for odd x: zeros keep the
+    signs they had when the other parity was padded with zeros.
     """
+    n = modes.shape[1]
     m = n // 2
-    padded = np.zeros((len(coords), n), dtype=coords.dtype)
-    padded[:, first:first + coords.shape[1]] = coords
-    even, centre, odd = padded[:, :m], padded[:, m:n - m], padded[:, n - m:]
-    return np.concatenate(
-        [(even + odd) / np.sqrt(2.0), centre, ((even - odd) / np.sqrt(2.0))[:, ::-1]], axis=1)
+    x = coords[:, :m]
+    modes[rows, :m] = (x + 0) / np.sqrt(2.0)
+    modes[rows, n - m:] = ((0 - x) if parity else (x - 0))[:, ::-1] / np.sqrt(2.0)
+    modes[rows, m:n - m] = 0 if parity else coords[:, m:]
 
 
 def _parity_blocks(amp: JointAmplitude):
-    """Diagonal blocks of S' = Q S Q^T, in the order of their coordinates, and
-    the mirror coupling c = (||S_eo||^2 + ||S_oe||^2)^(1/2) = ||S - J S J||_F / 2
+    """The blocks to solve, and the mirror coupling
+    c = (||S_eo||^2 + ||S_oe||^2)^(1/2) = ||S - J S J||_F / 2 of S = h * Gamma
     (J the sample reversal; c = 0 for an amplitude symmetric under
     (omega_i, omega_s) -> (-omega_i, -omega_s)).
 
     The rows are folded one parity at a time; both blocks of that row parity
-    come from the fold, and the off-diagonal one is dropped once its norm is
-    summed.  The blocks are [S_ee, S_oo] when c is at most
-    ``PARITY_COUPLING_MAX``, else [S'], with S_eo and S_oe folded again.
+    of S' = Q S Q^T come from the fold, and the off-diagonal one is dropped
+    once its norm is summed.  The blocks are the diagonal ones, [S_ee, S_oo],
+    in mirror coordinates when c is at most ``PARITY_COUPLING_MAX``, else
+    [S] in sample coordinates.
     """
     h = amp.grid.spacing
-    diagonal, coupling2 = [], 0.0
+    blocks, coupling2 = [], 0.0
     for p in (0, 1):
         rows = _fold(amp.values, p).T
         coupling2 += np.linalg.norm(_fold(rows, 1 - p)) ** 2
         folded = _fold(rows, p)
         del rows  # each fold is freed before the next array is made
-        diagonal.append(folded.T * h)
+        blocks.append(folded.T * h)
         del folded
     coupling = h * float(np.sqrt(coupling2))
-    if coupling <= PARITY_COUPLING_MAX:
-        return diagonal, coupling
-    s_eo, s_oe = (_fold(_fold(amp.values, p).T, 1 - p).T * h for p in (0, 1))
-    return [np.block([[diagonal[0], s_eo], [s_oe, diagonal[1]]])], coupling
+    if coupling > PARITY_COUPLING_MAX:
+        blocks.clear()  # the folded blocks are freed before S is made
+        blocks.append(amp.values * h)
+    return blocks, coupling
 
 
 def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
@@ -215,9 +217,9 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     c = (||S_eo||^2 + ||S_oe||^2)^(1/2) (:func:`_parity_blocks`) is at most
     ``PARITY_COUPLING_MAX``, the blocks solved are S_ee and S_oo, of orders
     (n+1)/2 and (n-1)/2 (n/2 each for even n); otherwise the only block is
-    the whole S'.  Since ||S||_F = 1, Weyl's bound moves no weight by more
-    than 2c + c^2 when S_eo and S_oe are dropped, so the split keeps every
-    beta within 1e-14.  An amplitude symmetric under
+    S itself, in sample coordinates.  Since ||S||_F = 1, Weyl's bound moves
+    no weight by more than 2c + c^2 when S_eo and S_oe are dropped, so the
+    split keeps every beta within 1e-14.  An amplitude symmetric under
     (omega_i, omega_s) -> (-omega_i, -omega_s), as the degenerate one is,
     has c = 0 and Schmidt modes of definite parity (Law, Walmsley & Eberly,
     PRL 84, 5304 (2000)).
@@ -225,15 +227,16 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     For each block B, beta holds the eigenvalues of B B^dagger, merged over
     the blocks in descending order (a stable sort) with rounding-level
     negatives clipped to 0; beta_j sums to one.  The idler modes are the
-    eigenvectors of the r weights at or above ``SCHMIDT_RANK_FLOOR``, lifted
-    by Q^T, as continuum-normalized rows of an (r, n) array, or None when
+    eigenvectors of the r weights at or above ``SCHMIDT_RANK_FLOOR``, as
+    continuum-normalized rows of an (r, n) array (a parity block's lifted by
+    Q^T, 64 at a time, straight into their rows), or None when
     ``compute_modes`` is false (only the eigenvalues are computed then).
     Those are the modes :func:`schmidt_modes` can return (r is 104 of 2049
     for the blurred amplitude of the paper's source, 612 of 1025 unblurred);
     each block's other eigenvectors are dropped once it is solved and are
-    never lifted.  No symmetry of Gamma is assumed, so
-    complex amplitudes work too.  The signal side is the :func:`mirrored`
-    idler basis, so the signal problem S^dagger S is never solved.
+    never lifted.  No symmetry of Gamma is assumed, so complex amplitudes
+    work too.  The signal side is the :func:`mirrored` idler basis, so the
+    signal problem S^dagger S is never solved.
 
     beta are the squared singular values of S, and the name is kept from
     when they were computed by an SVD: the benchmark's tracer
@@ -273,13 +276,16 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
             rank = np.empty(n, dtype=np.intp)
             rank[order] = np.arange(n)
             modes = np.empty((sum(v.shape[1] for v in vectors), n), dtype=vectors[0].dtype)
-            # a block's eigenvalues and its mirror coordinates share offsets
+            parities = (0, 1) if len(vectors) == 2 else (None,)  # None: on samples
             offset = 0
-            for w, v in zip(values, vectors):
+            for parity, w, v in zip(parities, values, vectors):
                 for start in range(0, v.shape[1], _ROW_BLOCK):
                     cols = v[:, start:start + _ROW_BLOCK] / np.sqrt(amp.grid.spacing)
                     rows = rank[offset + start:offset + start + cols.shape[1]]
-                    modes[rows] = _unfold(cols.T, offset, n)
+                    if parity is None:
+                        modes[rows] = cols.T
+                    else:
+                        _lift(modes, rows, cols.T, parity)
                 offset += len(w)
             modes.flags.writeable = False
         cached = amp._schmidt = (beta, modes)

@@ -9,6 +9,7 @@ detection kernel).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -131,11 +132,6 @@ def lambda_fringe_model(d: int, phi, lam: float, phi0: float = 0.0):
     return d + 2.0 * lam * sum((d - k) * np.cos(k * theta) for k in range(1, d))
 
 
-def cos4_model(phi, phi0: float = 0.0):
-    """Product of two single-photon interference rates, cos^4((phi + phi0/2)/2)."""
-    return np.cos((np.asarray(phi) + phi0 / 2.0) / 2.0) ** 4
-
-
 def gamma_fringe_model(phi, gamma1: float, gamma2: float, phi0: float = 0.0):
     """|1 + 2*g1*e^{i(phi+phi0/2)} + g2*e^{i(2phi+phi0)}|^2 (unit scale)."""
     theta = np.asarray(phi) + phi0 / 2.0
@@ -157,40 +153,47 @@ class FitResult:
     residual_norm: float
 
 
-def _fit_inputs(source):
-    """(phi, y, sigma) from a FringeScan or CountRecord."""
+def _fit(source, model, start, bounds, names, period, gradient=None):
+    """Fit scale * model(phi, *rest) to a FringeScan or CountRecord.
+
+    The parameters (scale, *rest) are named by ``names`` and start at
+    ``start(phi, y)``; the phases must cover one fringe ``period`` with two
+    points per parameter.  CountRecord input is background-subtracted and
+    Poisson-weighted.  ``gradient(phi, *rest)`` gives the model's derivatives
+    in ``rest``; without it the Jacobian is a two-point finite difference.
+    """
     if isinstance(source, CountRecord):
-        y = source.net()
+        phi, y = source.phi, source.net()
         sigma = np.sqrt(np.maximum(source.gross + source.background, 1.0))
-        return source.phi, y, sigma
-    if isinstance(source, FringeScan):
-        return source.phi, source.values, np.ones_like(source.values)
-    raise TypeError("expected a FringeScan or CountRecord")
-
-
-def _check_coverage(phi, n_params, period):
-    if len(phi) < 2 * n_params:
-        raise FitError(f"need at least {2 * n_params} points, got {len(phi)}")
+    elif isinstance(source, FringeScan):
+        phi, y, sigma = source.phi, source.values, np.ones_like(source.values)
+    else:
+        raise TypeError("expected a FringeScan or CountRecord")
+    if len(phi) < 2 * len(names):
+        raise FitError(f"need at least {2 * len(names)} points, got {len(phi)}")
     span = phi[-1] - phi[0]
-    mean_step = span / (len(phi) - 1)
-    if span + mean_step < period * (1 - 1e-9):
+    if span + span / (len(phi) - 1) < period * (1 - 1e-9):
         raise FitError(f"phase span {span:.3f} rad does not cover one period ({period:.3f})")
 
+    def residual(p):
+        return (p[0] * model(phi, *p[1:]) - y) / sigma
 
-def _run_fit(residual, x0, bounds, names):
-    result = least_squares(residual, x0, bounds=bounds, method="trf",
+    def jacobian(p):
+        columns = [model(phi, *p[1:]), *(p[0] * g for g in gradient(phi, *p[1:]))]
+        return np.stack(columns, axis=1) / sigma[:, None]
+
+    x0 = start(phi, y)
+    result = least_squares(residual, x0, jac="2-point" if gradient is None else jacobian,
+                           bounds=bounds, method="trf",
                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
     if not result.success and result.status <= 0:
         raise FitError(f"fit did not converge: {result.message} (nfev={result.nfev})")
     dof = max(len(result.fun) - len(x0), 1)
-    scale2 = 2.0 * result.cost / dof
-    jtj = result.jac.T @ result.jac
-    cov = np.linalg.pinv(jtj) * scale2
+    cov = np.linalg.pinv(result.jac.T @ result.jac) * (2.0 * result.cost / dof)
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    params = dict(zip(names, result.x))
-    uncertainties = dict(zip(names, err))
-    rms = float(np.sqrt(np.mean(result.fun**2)))
-    return FitResult(parameters=params, uncertainties=uncertainties, residual_norm=rms)
+    return FitResult(parameters=dict(zip(names, result.x)),
+                     uncertainties=dict(zip(names, err)),
+                     residual_norm=float(np.sqrt(np.mean(result.fun**2))))
 
 
 def fit_fringe(source, d: int) -> FitResult:
@@ -198,41 +201,37 @@ def fit_fringe(source, d: int) -> FitResult:
 
     Deterministic initialization: scale from the mean, lambda from the
     classical visibility mapped through the noise model, phi0 from the argmax.
-    CountRecord input is background-subtracted and Poisson-weighted.
+    The Jacobian is analytic.
     """
     if d < 2:
         raise ValueError(f"no fringe model for d = {d}")
-    phi, y, sigma = _fit_inputs(source)
-    _check_coverage(phi, 3, np.pi)
+    k = np.arange(1, d)[:, None]
 
-    scale0 = max(float(np.mean(y)) / d, 1e-12)
-    top, bottom = float(np.max(y)), float(np.min(y))
-    vis = (top - bottom) / max(top + bottom, 1e-12)
-    lam0 = float(np.clip(lambda_from_visibility(min(vis, 0.999), d), 1e-3, 1.0))
-    phi0_0 = float((-2.0 * phi[np.argmax(y)]) % (2.0 * np.pi))
+    def start(phi, y):
+        top, bottom = float(np.max(y)), float(np.min(y))
+        vis = (top - bottom) / max(top + bottom, 1e-12)
+        return [max(float(np.mean(y)) / d, 1e-12),
+                float(np.clip(lambda_from_visibility(min(vis, 0.999), d), 1e-3, 1.0)),
+                float((-2.0 * phi[np.argmax(y)]) % (2.0 * np.pi))]
 
-    def residual(p):
-        scale, lam, phi0 = p
-        return (scale * lambda_fringe_model(d, phi, lam, phi0) - y) / sigma
+    def gradient(phi, lam, phi0):
+        theta = 2.0 * phi + phi0
+        return (2.0 * ((d - k) * np.cos(k * theta)).sum(axis=0),
+                -2.0 * lam * (k * (d - k) * np.sin(k * theta)).sum(axis=0))
 
-    return _run_fit(residual, [scale0, lam0, phi0_0],
-                    ([0.0, 0.0, -np.inf], [np.inf, 1.0, np.inf]),
-                    ("scale", "lambda", "phi0"))
+    return _fit(source, partial(lambda_fringe_model, d), start,
+                ([0.0, 0.0, -np.inf], [np.inf, 1.0, np.inf]), ("scale", "lambda", "phi0"),
+                np.pi, gradient)
 
 
 def fit_cos4(source) -> FitResult:
-    """Fit the separable-state fringe scale * cos^4((phi + phi0/2)/2)."""
-    phi, y, sigma = _fit_inputs(source)
-    _check_coverage(phi, 2, 2.0 * np.pi)
-    scale0 = max(float(np.max(y)), 1e-12)
-    phi0_0 = float((-2.0 * phi[np.argmax(y)]) % (4.0 * np.pi))
-
-    def residual(p):
-        scale, phi0 = p
-        return (scale * cos4_model(phi, phi0) - y) / sigma
-
-    return _run_fit(residual, [scale0, phi0_0], ([0.0, -np.inf], [np.inf, np.inf]),
-                    ("scale", "phi0"))
+    """Fit the separable-state fringe scale * cos^4((phi + phi0/2)/2), the
+    product of two single-photon interference rates: the gamma model at
+    gamma1 = gamma2 = 1, divided by 16."""
+    return _fit(source, lambda phi, phi0: gamma_fringe_model(phi, 1.0, 1.0, phi0) / 16.0,
+                lambda phi, y: [max(float(np.max(y)), 1e-12),
+                                float((-2.0 * phi[np.argmax(y)]) % (4.0 * np.pi))],
+                ([0.0, -np.inf], [np.inf, np.inf]), ("scale", "phi0"), 2.0 * np.pi)
 
 
 def fit_gamma(source) -> FitResult:
@@ -247,24 +246,17 @@ def fit_gamma(source) -> FitResult:
     branch returned is decided by two residuals at rounding level (about
     1e-15), and gamma2 may still come back above 1.
     """
-    phi, y, sigma = _fit_inputs(source)
-    _check_coverage(phi, 4, 2.0 * np.pi)
-    g0 = 0.5
-    scale0 = max(float(np.mean(y)) / (1.0 + 4.0 * g0**2 + g0**2), 1e-12)
-    phi0_0 = float((-2.0 * phi[np.argmax(y)]) % (4.0 * np.pi))
-
-    def residual(p):
-        scale, g1, g2, phi0 = p
-        return (scale * gamma_fringe_model(phi, g1, g2, phi0) - y) / sigma
-
     bounds = ([0.0, 0.0, 0.0, -np.inf], [np.inf, np.inf, np.inf, np.inf])
     names = ("scale", "gamma1", "gamma2", "phi0")
-    fit = _run_fit(residual, [scale0, g0, g0, phi0_0], bounds, names)
-    g2 = fit.parameters["gamma2"]
+    # from gamma1 = gamma2 = 0.5, where the model's mean is 1 + 5 * 0.5^2 = 2.25
+    fit = _fit(source, gamma_fringe_model,
+               lambda phi, y: [max(float(np.mean(y)) / 2.25, 1e-12), 0.5, 0.5,
+                               float((-2.0 * phi[np.argmax(y)]) % (4.0 * np.pi))],
+               bounds, names, 2.0 * np.pi)
+    scale, g1, g2, phi0 = fit.parameters.values()
     if g2 > 1.0:
-        mirrored_start = [fit.parameters["scale"] * g2**2, fit.parameters["gamma1"],
-                          1.0 / g2, fit.parameters["phi0"]]
-        alt = _run_fit(residual, mirrored_start, bounds, names)
+        alt = _fit(source, gamma_fringe_model, lambda *_: [scale * g2**2, g1, 1.0 / g2, phi0],
+                   bounds, names, 2.0 * np.pi)
         if alt.residual_norm <= fit.residual_norm * (1.0 + 1e-9):
             fit = alt
     return fit

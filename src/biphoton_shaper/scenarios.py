@@ -138,14 +138,13 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     n_eigen = req.params["n_eigenvalues"]
     basis = bases.schmidt_modes(ctx.gamma_psf, n_modes)
     report_full = metrics.schmidt_decompose(ctx.gamma_psf)
-    weights, _ = bases.amplitude_svd(ctx.gamma_psf)
     beta = report_full.eigenvalues[:n_eigen]
     modes = {"omega": ctx.grid.axis()}
     for j, f in enumerate(basis.functions):
         modes.update({f"re_f{j}": f.real, f"im_f{j}": f.imag})
     report = {
         "eigenvalues": beta,
-        "captured_weight": float(weights[:n_modes].sum()),
+        "captured_weight": float(report_full.eigenvalues[:n_modes].sum()),
         "gram_max_offdiag": bases.max_offdiag(basis),
     }
     summary = (f"{req.name}: first {n_modes} modes capture "
@@ -176,7 +175,8 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     from the projected state.  Fits lambda to the full-field scan and judges
     it against the CGLMP critical visibility.  Returns the result, carrying
     the report keys and tables both experiments share, and the full-field
-    scan.
+    scan.  The idler transfer table is the phase-zero setting, quantized
+    onto ``slm`` as the scan's is.
     """
     d = basis_i.d
     basis_s = bases.mirrored(basis_i)
@@ -205,11 +205,12 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     }
     summary = (f"{req.name}: lambda={lam:.3f} V={vis:.3f} vs "
                f"Vc={v_c:.3f} -> {'PASS' if passed else 'FAIL'}")
+    transfer = shaper.transfer_from_coefficients(basis_i, filt, np.zeros(d))
     tables = {
         "fringe_full_field": _fringe_table(scan_ff),
         "fringe_state_space": _fringe_table(scan_ss),
         "transfer_idler": _transfer_table(
-            shaper.transfer_from_coefficients(basis_i, filt, np.zeros(d))),
+            transfer if slm is None else shaper.pixelate(transfer, slm)),
     }
     return ExperimentResult(req.name, req.id, summary, passed, report, tables), scan_ff
 

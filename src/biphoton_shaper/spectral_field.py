@@ -244,9 +244,6 @@ class JointAmplitude:
         self.values = self.values / norm
         self.values.flags.writeable = False
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2))
-
 
 def pump_envelope(omega_sum, pump: PumpSpec):
     """Gaussian pump amplitude at the given sum frequency (peak value 1)."""

@@ -52,6 +52,11 @@ def dense_joint_amplitude(grid, pump, spdc, sfg=None, include_phase=False) -> Jo
     return JointAmplitude(grid=grid, values=values)
 
 
+def amplitude_norm(amp: JointAmplitude) -> float:
+    """L2 norm of the amplitude, (sum |values|^2 * spacing^2)^(1/2)."""
+    return float(np.sqrt(np.sum(np.abs(amp.values) ** 2) * amp.grid.spacing**2))
+
+
 def double_gaussian_oracle(a: float, b: float) -> float:
     """Closed-form Schmidt number of exp(-(wi+ws)^2/4a^2 - (wi-ws)^2/4b^2).
 

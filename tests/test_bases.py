@@ -375,7 +375,9 @@ class TestEigenproblemMatchesSvd:
             q[m + 1 + np.arange(m), n - 1 - np.arange(m)] = -(2**-0.5)
             folded = q @ (amp.values * amp.grid.spacing) @ q.T
             blocks, _ = bases._parity_blocks(amp)
-            want = [folded[:m + 1, :m + 1], folded[m + 1:, m + 1:]] if symmetric else [folded]
+            # the coupled route solves S = h * Gamma on the samples
+            want = ([folded[:m + 1, :m + 1], folded[m + 1:, m + 1:]] if symmetric
+                    else [amp.values * amp.grid.spacing])
             assert [b.shape for b in blocks] == [w.shape for w in want]
             assert all(np.max(np.abs(b - w)) <= 1e-15 for b, w in zip(blocks, want))
         if symmetric:

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import biphoton_shaper
-from biphoton_shaper import ConfigError
+from biphoton_shaper import ConfigError, frequency_bins, pixelate, transfer_from_coefficients
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import default_config, validate_config
 from biphoton_shaper.bases import amplitude_svd, max_offdiag, schmidt_modes
@@ -394,6 +394,24 @@ class TestCli:
         # but the violation survives
         assert report["report"]["route_max_gap"] > 1e-6
         assert report["report"]["visibility"] > report["report"]["visibility_critical"]
+
+    def test_pixelated_transfer_table_is_the_quantized_setting(self):
+        # the exported idler transfer is the phase-zero setting as the
+        # modulator applies it: opaque at the inter-pixel gaps
+        tree = {**QUICK_CONFIG, "grid": {"n_points": 257, "omega_max": 0.35},
+                "slm": {"n_pixels": 128, "pixel_width_um": 100.0, "gap_um": 3.0},
+                "experiments": [{"id": "freq_bin_fringes", "d": 3, "phi_points": 12,
+                                 "pixelate": True}]}
+        scenario = validate_config(tree)
+        req = scenario.experiments[0]
+        result = EXPERIMENT_RUNNERS[req.id](ScenarioContext(scenario), req)
+        report, table = result.report, result.tables["transfer_idler"]
+        basis = frequency_bins(report["bin_centers"], report["bin_widths"], scenario.grid)
+        raw = transfer_from_coefficients(basis, report["procrustean_amplitudes"], np.zeros(3))
+        want = pixelate(raw, scenario.slm).values
+        assert np.array_equal(table["re_m"], want.real)
+        assert np.array_equal(table["im_m"], want.imag)
+        assert np.any((table["abs_m"] == 0.0) & (np.abs(raw.values) > 0.5))
 
     def test_each_amplitude_decomposed_once(self, tmp_path, eigensolver_calls):
         # values only for gamma (fig2), with modes for gamma_psf (fig2, fig3

@@ -1,5 +1,7 @@
 """Entanglement metrics, thresholds, fringe fits and the Bell parameter."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from biphoton_shaper import (
     SpectralGrid,
     bell_i2,
     cglmp_parameter,
-    cos4_model,
     critical_visibility,
     fit_cos4,
     fit_fringe,
@@ -32,6 +33,11 @@ from oracles import (
     lambda_fringe_branches,
     max_entangled_state,
 )
+
+
+def cos4(phi, phi0):
+    """The separable-state fringe cos^4((phi + phi0/2)/2), written out."""
+    return np.cos((phi + phi0 / 2.0) / 2.0) ** 4
 
 
 def scan_from_model(d, lam, phi0=0.0, n=40, kind="lambda"):
@@ -212,6 +218,21 @@ class TestFitFringe:
         with pytest.raises(FitError):
             fit_fringe(scan, 2)
 
+    def test_lambda_stable_under_rounding_noise(self):
+        # The pixelated d = 3 full-field fringe (96 points, lambda 0.9958) of
+        # perfbench's fringe_scan workload.  With a finite-difference
+        # Jacobian, 1e-15 relative noise moved lambda by 1.5e-10 to 5.8e-10;
+        # with the analytic one, by at most 4e-12.
+        path = Path(__file__).parent / "data" / "fringe_scan_d3_pixelated.csv"
+        phi, values = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        lam = fit_fringe(FringeScan(phi=phi, values=values), 3).parameters["lambda"]
+        assert abs(lam - 0.99579448) < 1e-8
+        rng = np.random.default_rng(7)
+        for _ in range(7):
+            noisy = values * (1.0 + 1e-15 * rng.standard_normal(len(values)))
+            moved = fit_fringe(FringeScan(phi=phi, values=noisy), 3).parameters["lambda"]
+            assert abs(moved - lam) <= 2e-11
+
     def test_counts_fit_recovers(self):
         scan = scan_from_model(2, 0.9, phi0=0.4)
         record = synthesize_counts(scan, 80.0, 11.0, 300.0, seed=5)
@@ -224,7 +245,7 @@ class TestFitGamma:
     def test_both_unity_matches_cos4(self):
         phi = np.linspace(0, 2 * np.pi, 60, endpoint=False)
         assert np.allclose(gamma_fringe_model(phi, 1.0, 1.0, 0.5),
-                           16.0 * cos4_model(phi, 0.5), atol=1e-9)
+                           16.0 * cos4(phi, 0.5), atol=1e-9)
 
     def test_pure_two_photon_term_recovers_lambda_model(self):
         for g2 in (1.0, 0.6):
@@ -260,7 +281,7 @@ class TestFitGamma:
 
     def test_cos4_fit(self):
         phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-        values = 7.0 * cos4_model(phi, 0.9)
+        values = 7.0 * cos4(phi, 0.9)
         scan = FringeScan(phi=phi, values=values)
         fit = fit_cos4(scan)
         assert fit.residual_norm < 1e-9

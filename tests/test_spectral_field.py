@@ -33,7 +33,12 @@ from biphoton_shaper.config import load_config, validate_config
 from biphoton_shaper.spectral_field import effective_pump, taylor_curvature_for_bandwidth
 
 from conftest import PSF_WIDTH, make_crystals
-from oracles import dense_joint_amplitude, double_gaussian_amplitude, psf_kernel
+from oracles import (
+    amplitude_norm,
+    dense_joint_amplitude,
+    double_gaussian_amplitude,
+    psf_kernel,
+)
 
 LN2 = np.log(2.0)
 
@@ -172,7 +177,7 @@ class TestSellmeier:
         poling_um = 2.0 * np.pi / (-dk0) * 1e3
         spdc = CrystalSpec(11.5, poling_um, model, role="SPDC")
         amp = build_joint_amplitude(grid, PumpSpec(bandwidth=0.05), spdc)
-        assert abs(amp.norm() - 1.0) < 1e-9
+        assert abs(amplitude_norm(amp) - 1.0) < 1e-9
         assert np.max(np.abs(amp.values - amp.values.T)) < 1e-9
         x = phase_matching(0.0, 0.0, spdc, pump_center=grid.pump_center_frequency)
         assert np.isclose(abs(x), 1.0, atol=1e-9)
@@ -180,7 +185,7 @@ class TestSellmeier:
 
 class TestBuildJointAmplitude:
     def test_unit_l2_norm(self, gamma_small):
-        assert abs(gamma_small.norm() - 1.0) < 1e-9
+        assert abs(amplitude_norm(gamma_small) - 1.0) < 1e-9
 
     def test_perfect_matching_reduces_to_pump(self, small_grid):
         pump = PumpSpec(bandwidth=0.2)
@@ -304,7 +309,7 @@ class TestBandLimitedBuild:
         amp = build_joint_amplitude(small_grid, pump_cw, spdc)
         with pytest.raises(DomainError):
             dense_joint_amplitude(small_grid, pump_cw, spdc)
-        assert abs(amp.norm() - 1.0) < 1e-9
+        assert abs(amplitude_norm(amp) - 1.0) < 1e-9
 
     def test_quick_config_amplitude_bytes(self):
         root = Path(__file__).resolve().parents[1]
@@ -527,13 +532,15 @@ class TestPeakMemory:
 
         LAPACK's workspace is not traced.  Measured: the one n x n
         eigenproblem peaked at 2.0 planes (S and H); split by mirror parity
-        it peaked at 1.72 with all n modes lifted, and at 1.12 with only the
-        612 modes whose weight reaches the rank floor.
+        it peaked at 1.72 with all n modes lifted, at 1.12 with only the
+        612 modes whose weight reaches the rank floor, each 64-row chunk
+        padded to n mirror coordinates before the lift, and at 1.02 with
+        each chunk lifted straight into its rows of the mode array.
         """
         spdc, sfg = make_crystals()
         amp = build_joint_amplitude(grid, pump_cw, spdc, sfg)
         planes = self._traced_peak_planes(grid.n_points, amplitude_svd, amp)
-        assert planes <= 1.3
+        assert planes <= 1.07
 
 
 class TestFluxLimit:
@@ -572,5 +579,5 @@ class TestCalibration:
 class TestDoubleGaussian:
     def test_constructor_normalized_and_symmetric(self, small_grid):
         amp = double_gaussian_amplitude(small_grid, 0.05, 0.01)
-        assert abs(amp.norm() - 1.0) < 1e-9
+        assert abs(amplitude_norm(amp) - 1.0) < 1e-9
         assert np.max(np.abs(amp.values - amp.values.T)) < 1e-12
