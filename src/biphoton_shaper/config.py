@@ -82,14 +82,13 @@ _EXPERIMENT_PARAMS = {
     "fig2_amplitude": {"export_stride": 16},
     "fig3_schmidt": {"n_modes": 6, "n_eigenvalues": 21},
     "freq_bin_fringes": {"d": 2, "bin_width": 0.024, "bin_spacing": 0.036,
-                         "phi_points": 36, "use_psf": True, "counts": False,
-                         "pixelate": False},
+                         "phi_points": 36, "counts": False, "pixelate": False},
     "time_bin_sweep": {"t1_values_fs": [0.0, 10.0, 25.0, 35.0, 50.0, 70.0, 100.0],
                        "phi_points": 48},
-    "schmidt_fringes": {"d": 2, "phi_points": 36, "use_psf": True},
+    "schmidt_fringes": {"d": 2, "phi_points": 36},
     "bell_i2_sweep": {"grid_points": 11},
     "procrustean": {"d": 3, "bin_widths": [0.04, 0.024, 0.015], "bin_spacing": 0.05,
-                    "phi_points": 36, "use_psf": True},
+                    "phi_points": 36},
 }
 _POSITIVE_LISTS = {"bin_widths"}
 

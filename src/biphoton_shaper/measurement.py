@@ -196,10 +196,13 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
     per photon, one row per phase, quantized onto the modulator pixels when
     ``slm`` is given and fed to :func:`coincidence_scan`).  ``amplitudes``
     weights the basis functions on both routes (default: all ones); the
-    state-space route normalizes them, the full-field route scales them by
-    one common factor that keeps every setting physical.  Values are
-    normalized to unit mean.  Any phase grid is scanned; whether it covers a
-    fringe period is the fit's check (:mod:`metrics`).
+    state-space route normalizes them, and on the full-field route
+    :func:`~biphoton_shaper.shaper.transfer_from_coefficients` scales every
+    row of a stack by its one phase-independent factor, so the setting at
+    phase zero is the scan's first row and a fringe is never distorted by a
+    per-point rescale.  Values are normalized to unit mean.  Any phase grid
+    is scanned; whether it covers a fringe period is the fit's check
+    (:mod:`metrics`).
     """
     phi = np.asarray(phi, dtype=float)
     if isinstance(source, QuditState):
@@ -217,21 +220,11 @@ def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> Fr
         ladders = a * np.exp(1j * phi[:, np.newaxis] * np.arange(d)) / norm
         values = _unit_mean(projection_probability(source, ladders, ladders))
     else:
-        if np.any(a > 1):
-            raise ValueError("amplitudes must lie in [0, 1]")
         phases = phi[:, np.newaxis] * np.arange(d)
-
-        def transfers(basis):
-            # One common physicality rescale for the whole scan: the
-            # worst-case modulus over all phase settings is bounded by
-            # sum_j |u_j| |f_j|.  A per-point rescale would distort the
-            # fringe for overlapping bases.
-            worst = float((a @ np.abs(basis.functions)).max())
-            scale = min(1.0, 1.0 / worst) if worst > 0 else 1.0
-            m = transfer_from_coefficients(basis, a * scale, phases)
-            return m if slm is None else pixelate(m, slm)
-
-        values = coincidence_scan(amp, transfers(basis_i), transfers(basis_s))
+        m_i, m_s = (transfer_from_coefficients(basis, a, phases) for basis in (basis_i, basis_s))
+        if slm is not None:
+            m_i, m_s = pixelate(m_i, slm), pixelate(m_s, slm)
+        values = coincidence_scan(amp, m_i, m_s)
     return FringeScan(phi=phi, values=values)
 
 

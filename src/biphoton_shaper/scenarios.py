@@ -12,6 +12,7 @@ import os
 import secrets
 import shutil
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ class ScenarioContext:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._cache = {}
         children = np.random.SeedSequence(scenario.seed).spawn(len(scenario.experiments))
         self._seeds = {req.name: int(child.generate_state(1, dtype=np.uint64)[0] >> 1)
                        for req, child in zip(scenario.experiments, children)}
@@ -49,23 +49,17 @@ class ScenarioContext:
     def grid(self):
         return self.scenario.grid
 
-    @property
+    @cached_property
     def gamma(self):
-        if "gamma" not in self._cache:
-            self._cache["gamma"] = spectral_field.build_joint_amplitude(
-                self.scenario.grid, self.scenario.pump, self.scenario.spdc,
-                self.scenario.sfg, include_phase=self.scenario.include_phase)
-        return self._cache["gamma"]
+        return spectral_field.build_joint_amplitude(
+            self.scenario.grid, self.scenario.pump, self.scenario.spdc,
+            self.scenario.sfg, include_phase=self.scenario.include_phase)
 
-    @property
+    @cached_property
     def gamma_psf(self):
-        if "gamma_psf" not in self._cache:
-            self._cache["gamma_psf"] = spectral_field.apply_psf(
-                self.gamma, self.scenario.psf_delta_omega)
-        return self._cache["gamma_psf"]
-
-    def amplitude(self, use_psf: bool):
-        return self.gamma_psf if use_psf else self.gamma
+        """The amplitude blurred by the detection PSF; the qudit experiments
+        measure this one, as the paper's measurements do."""
+        return spectral_field.apply_psf(self.gamma, self.scenario.psf_delta_omega)
 
 
 def _symmetric_centers(d: int, spacing: float):
@@ -156,36 +150,46 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     })
 
 
-def _diagonal_signals(state) -> np.ndarray:
-    """Single-projection signals onto each diagonal basis pair (k, k)."""
-    return np.abs(np.diag(state.coefficients)) ** 2
-
-
 def _transfer_table(m: shaper.TransferFunction):
     return {"omega": m.grid.axis(), "re_m": m.values.real, "im_m": m.values.imag,
             "abs_m": np.abs(m.values)}
 
 
+def _filtered_state_scan(amp, basis_i, phi_points: int):
+    """The state-space steps every qudit experiment shares.
+
+    Projects ``amp`` onto ``basis_i`` and its mirror, takes the
+    single-projection signals onto each diagonal pair (k, k), equalizes them
+    with the Procrustean filter and scans the filtered phase ladder over
+    ``phi_points`` phases in [0, pi) from the projected state.  Returns
+    (mirror basis, state, diagonal signals, filter amplitudes, scan).
+    """
+    basis_s = bases.mirrored(basis_i)
+    state = measurement.project_state(amp, basis_i, basis_s)
+    signals = np.abs(np.diag(state.coefficients)) ** 2
+    filt = measurement.procrustean_amplitudes(signals)
+    phi = np.linspace(0.0, np.pi, phi_points, endpoint=False)
+    return basis_s, state, signals, filt, measurement.fringe_scan(state, phi, amplitudes=filt)
+
+
 def _qudit_fringes(req, amp, basis_i, slm=None):
     """Shared body of the qudit fringe experiments.
 
-    Projects ``amp`` onto ``basis_i`` and its mirror, equalizes the diagonal
-    signals with the Procrustean filter, and scans the phase ladder on both
-    routes: full field (quantized onto ``slm`` when given) and state space
-    from the projected state.  Fits lambda to the full-field scan and judges
-    it against the CGLMP critical visibility.  Returns the result, carrying
-    the report keys and tables both experiments share, and the full-field
-    scan.  The idler transfer table is the phase-zero setting, quantized
-    onto ``slm`` as the scan's is.
+    Runs :func:`_filtered_state_scan` and scans the same filtered phase
+    ladder on the full-field route (quantized onto ``slm`` when given).
+    Fits lambda to the full-field scan and judges it against the CGLMP
+    critical visibility.  Returns the result, carrying the report keys and
+    tables both experiments share, and the full-field scan.  The idler
+    transfer table is the phase-zero setting, scaled by
+    :func:`~biphoton_shaper.shaper.transfer_from_coefficients` as every
+    scan row is and quantized onto ``slm`` as the scan's is, so it is the
+    scan's first idler row bit for bit.
     """
     d = basis_i.d
-    basis_s = bases.mirrored(basis_i)
-    state = measurement.project_state(amp, basis_i, basis_s)
-    filt = measurement.procrustean_amplitudes(_diagonal_signals(state))
-    phi = np.linspace(0.0, np.pi, req.params["phi_points"], endpoint=False)
-    scan_ff = measurement.fringe_scan((amp, basis_i, basis_s), phi, amplitudes=filt,
-                                      slm=slm)
-    scan_ss = measurement.fringe_scan(state, phi, amplitudes=filt)
+    basis_s, state, _, filt, scan_ss = _filtered_state_scan(amp, basis_i,
+                                                            req.params["phi_points"])
+    scan_ff = measurement.fringe_scan((amp, basis_i, basis_s), scan_ss.phi,
+                                      amplitudes=filt, slm=slm)
 
     fit = metrics.fit_fringe(scan_ff, d)
     lam = fit.parameters["lambda"]
@@ -218,11 +222,10 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
 def run_freq_bin_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
     p = req.params
     d = p["d"]
-    amp = ctx.amplitude(p["use_psf"])
     centers = _symmetric_centers(d, p["bin_spacing"])
     widths = np.full(d, p["bin_width"])
     basis_i = bases.frequency_bins(centers, widths, ctx.grid)
-    result, scan_ff = _qudit_fringes(req, amp, basis_i,
+    result, scan_ff = _qudit_fringes(req, ctx.gamma_psf, basis_i,
                                      slm=ctx.scenario.slm if p["pixelate"] else None)
     report = result.report
     report.update(bin_centers=centers, bin_widths=widths,
@@ -316,7 +319,7 @@ def run_time_bin_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
 
 
 def run_schmidt_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
-    amp = ctx.amplitude(req.params["use_psf"])
+    amp = ctx.gamma_psf
     basis_i = bases.schmidt_modes(amp, req.params["d"])
     result, _ = _qudit_fringes(req, amp, basis_i)
     result.report["mode_weights"] = bases.amplitude_svd(amp)[0][:basis_i.d]
@@ -353,18 +356,11 @@ def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
     d = p["d"]
     widths = np.asarray(p["bin_widths"], dtype=float)  # length d, config-checked
     centers = _symmetric_centers(d, p["bin_spacing"])
-    amp = ctx.amplitude(p["use_psf"])
     basis_i = bases.frequency_bins(centers, widths, ctx.grid)
-    basis_s = bases.mirrored(basis_i)
-    state = measurement.project_state(amp, basis_i, basis_s)
-
-    before = _diagonal_signals(state)
-    filt = measurement.procrustean_amplitudes(before)
+    _, _, before, filt, scan = _filtered_state_scan(ctx.gamma_psf, basis_i,
+                                                    p["phi_points"])
     after = filt**4 * before
     spread = float(after.max() / after.min() - 1.0)
-
-    phi = np.linspace(0.0, np.pi, p["phi_points"], endpoint=False)
-    scan = measurement.fringe_scan(state, phi, amplitudes=filt)
     fit = metrics.fit_fringe(scan, d)
     lam = fit.parameters["lambda"]
 
@@ -399,24 +395,13 @@ EXPERIMENT_RUNNERS = {
 }
 
 
-def _amplitudes_needing_modes(scenario: Scenario):
-    """``use_psf`` flags of the amplitudes whose Schmidt modes an experiment reads."""
-    flags = set()
-    for req in scenario.experiments:
-        if req.id == "fig3_schmidt":
-            flags.add(True)
-        elif req.id == "schmidt_fringes":
-            flags.add(req.params["use_psf"])
-    return sorted(flags)
-
-
 def run_scenario_experiments(scenario: Scenario):
     """Run every experiment of the scenario; returns results in config order."""
     ctx = ScenarioContext(scenario)
     # Decompose with modes before any values-only request, so that one eigh
-    # per amplitude serves every experiment.
-    for use_psf in _amplitudes_needing_modes(scenario):
-        bases.amplitude_svd(ctx.amplitude(use_psf))
+    # of the blurred amplitude serves every experiment.
+    if any(req.id in ("fig3_schmidt", "schmidt_fringes") for req in scenario.experiments):
+        bases.amplitude_svd(ctx.gamma_psf)
     return [EXPERIMENT_RUNNERS[req.id](ctx, req) for req in scenario.experiments]
 
 

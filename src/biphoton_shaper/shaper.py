@@ -69,24 +69,17 @@ class SlmModel:
         return (ax - ax[0]) / (ax[-1] - ax[0]) * self.extent
 
 
-def _physical(values: np.ndarray, grid: SpectralGrid) -> TransferFunction:
-    """Wrap samples as a TransferFunction, rescaling each row to unit peak if needed.
-
-    A rescale of the whole row (never clipping) preserves all projection
-    ratios of that setting.
-    """
-    peak = np.max(np.abs(values), axis=-1, keepdims=True)
-    values = np.where(peak > 1.0, values * (1.0 / np.maximum(peak, 1.0)), values)
-    return TransferFunction(grid=grid, values=values)
-
-
 def transfer_from_coefficients(basis: BasisSet, amplitudes, phases) -> TransferFunction:
-    """M(omega) = sum_j |u_j| exp(i*phi_j) conj(f_j(omega)), made physical.
+    """M(omega) = s * sum_j |u_j| exp(i*phi_j) conj(f_j(omega)), made physical.
 
     ``amplitudes`` |u_j| in [0, 1], one per basis function; ``phases`` in rad
     (reduced mod 2*pi), shape (d,) for one setting or (P, d) for a stack of P.
-    A setting whose raw superposition exceeds unit modulus is rescaled by
-    1/max|M|, which leaves every projection ratio intact.
+    This is the one place that scales coefficient transfers: every setting
+    is multiplied by the same phase-independent factor
+    s = min(1, 1 / max_omega sum_j |u_j| |f_j(omega)|), which bounds |M| by 1
+    for any phases and leaves every projection ratio and every fringe
+    contrast intact.  So a single setting equals the row of a stack built
+    at its phases, bit for bit (each row is its own product).
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     phases = np.mod(np.asarray(phases, dtype=float), 2 * np.pi)
@@ -95,10 +88,12 @@ def transfer_from_coefficients(basis: BasisSet, amplitudes, phases) -> TransferF
         raise ValueError("need one amplitude and phase per basis function")
     if np.any(amplitudes < 0) or np.any(amplitudes > 1):
         raise ValueError("amplitudes must lie in [0, 1]")
-    coeff = amplitudes * np.exp(1j * phases)
+    worst = float((amplitudes @ np.abs(basis.functions)).max())
+    scale = min(1.0, 1.0 / worst) if worst > 0 else 1.0
+    coeff = amplitudes * scale * np.exp(1j * phases)
     conj = basis.functions.conj()
     values = np.array([row @ conj for row in coeff.reshape(-1, d)])
-    return _physical(values.reshape(phases.shape[:-1] + conj.shape[-1:]), basis.grid)
+    return TransferFunction(basis.grid, values.reshape(phases.shape[:-1] + conj.shape[-1:]))
 
 
 def franson_transfer(transmission: float, reflection: float, delta_t10: float,
@@ -116,7 +111,11 @@ def franson_transfer(transmission: float, reflection: float, delta_t10: float,
     ax = grid.axis()
     phi = np.asarray(phi, dtype=float)[..., np.newaxis]
     values = transmission + reflection * np.exp(1j * (ax * delta_t10 + phi))
-    return _physical(values, grid)
+    # rounding may lift the peak of T + R = 1 above 1: rescale that row (a
+    # rescale, never a clip, keeps the setting's ratios)
+    peak = np.max(np.abs(values), axis=-1, keepdims=True)
+    values = np.where(peak > 1.0, values * (1.0 / np.maximum(peak, 1.0)), values)
+    return TransferFunction(grid=grid, values=values)
 
 
 def pixelate(m: TransferFunction, slm: SlmModel) -> TransferFunction:

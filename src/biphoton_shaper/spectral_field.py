@@ -395,13 +395,15 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     and crop are those of SciPy's ``fftconvolve(values, kernel,
     mode="same")`` with the kernel :func:`_gaussian` sampled on the whole
     offset lattice, so the result is bit-identical to it.  The output is
-    renormalized.  A kernel narrower than one grid cell degenerates to the
-    identity; scenario configs reject such a width.
+    renormalized.  A zero width returns ``amp`` itself (amplitudes are
+    immutable, so its Schmidt data are shared); any other kernel narrower
+    than one grid cell degenerates to the identity, and scenario configs
+    reject such a width.
     """
     if delta_omega_psf < 0:
         raise ValueError("PSF width must be non-negative")
     if delta_omega_psf == 0.0:
-        return JointAmplitude(amp.grid, amp.values.copy())
+        return amp
 
     n = amp.grid.n_points
     m = sp_fft.next_fast_len(2 * n - 1, True)

@@ -95,7 +95,17 @@ MALFORMED_VALUES = [
     pytest.param("experiments[0].bin_widths[0]",
                  {"experiments": [{"id": "procrustean", "bin_widths": [-1234, 0.024, 0.015]}]},
                  id="bin-width-negative"),
+    # the qudit experiments always measure the blurred amplitude
+    pytest.param("experiments[0].use_psf",
+                 {"experiments": [{"id": "schmidt_fringes", "use_psf": False}]},
+                 id="use-psf-removed"),
 ]
+
+
+@pytest.fixture(scope="module")
+def paper_context():
+    """Shared state of the shipped default scenario, on the 1025^2 paper amplitude."""
+    return ScenarioContext(validate_config(default_config()))
 
 
 def write_config(tmp_path, tree, name="scenario.yaml"):
@@ -413,6 +423,29 @@ class TestCli:
         assert np.array_equal(table["im_m"], want.imag)
         assert np.any((table["abs_m"] == 0.0) & (np.abs(raw.values) > 0.5))
 
+    @pytest.mark.parametrize("experiment", [
+        *({"id": "schmidt_fringes", "d": d, "phi_points": 16} for d in (2, 3, 4, 5)),
+        *({"id": "freq_bin_fringes", "d": d, "phi_points": 12, "pixelate": True}
+          for d in (2, 3)),
+    ], ids=lambda e: f"{e['id']}-d{e['d']}")
+    def test_transfer_table_is_the_first_scan_row(self, paper_context, monkeypatch,
+                                                  experiment):
+        # one phase-independent scale: the exported phase-zero setting is the
+        # idler row the full-field scan applied at phi = 0, bit for bit
+        idler_stacks = []
+        real_scan = biphoton_shaper.measurement.coincidence_scan
+
+        def recording(amp, m_i, m_s):
+            idler_stacks.append(m_i.values)
+            return real_scan(amp, m_i, m_s)
+
+        monkeypatch.setattr(biphoton_shaper.measurement, "coincidence_scan", recording)
+        req = validate_config({**default_config(), "experiments": [experiment]}).experiments[0]
+        table = EXPERIMENT_RUNNERS[req.id](paper_context, req).tables["transfer_idler"]
+        (stack,) = idler_stacks
+        assert np.array_equal(table["re_m"], stack[0].real)
+        assert np.array_equal(table["im_m"], stack[0].imag)
+
     def test_each_amplitude_decomposed_once(self, tmp_path, eigensolver_calls):
         # values only for gamma (fig2), with modes for gamma_psf (fig2, fig3
         # and both Schmidt fringes)
@@ -424,6 +457,13 @@ class TestCli:
         # both amplitudes are mirror symmetric: the even and odd parity blocks
         assert sorted(eigensolver_calls) == [(kind, order) for kind in ("eigh", "eigvalsh")
                                              for order in ((n - 1) // 2, (n + 1) // 2)]
+
+    def test_zero_width_psf_decomposes_one_amplitude_once(self, tmp_path, eigensolver_calls):
+        # with no blur gamma_psf is gamma itself, so fig2's values-only
+        # request on gamma reads the modes decomposed up front
+        path = write_config(tmp_path, {**SCHMIDT_CONFIG, "psf": {"delta_omega": 0.0}})
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert eigensolver_calls.decompositions(SCHMIDT_CONFIG["grid"]["n_points"]) == ["eigh"]
 
     def test_schmidt_reports_match_amplitude_svd(self, tmp_path):
         path = write_config(tmp_path, SCHMIDT_CONFIG)

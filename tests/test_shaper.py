@@ -167,14 +167,22 @@ class TestStacks:
         assert np.array_equal(stack.values, np.array(rows))
 
     def test_schmidt_mode_stack_equals_per_phase_builds(self, gamma_psf_small):
-        # overlapping modes: every row is rescaled by its own peak
+        # overlapping modes: every row is its raw superposition times one
+        # and the same phase-independent factor, and no row exceeds 1
         basis = mirrored(schmidt_modes(gamma_psf_small, 3))
         amps = np.array([1.0, 0.6, 0.8])
         phases = self.PHI[:, np.newaxis] * np.arange(3)
         stack = transfer_from_coefficients(basis, amps, phases)
         rows = [transfer_from_coefficients(basis, amps, row).values for row in phases]
         assert np.array_equal(stack.values, np.array(rows))
-        assert np.allclose(np.abs(stack.values).max(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        raw = np.array([(amps * np.exp(1j * row)) @ basis.functions.conj() for row in phases])
+        factors = np.abs(stack.values).max(axis=1) / np.abs(raw).max(axis=1)
+        assert np.allclose(factors, factors[0], rtol=1e-14, atol=0.0)
+        assert factors[0] == pytest.approx(1.0 / (amps @ np.abs(basis.functions)).max(),
+                                           rel=1e-14)
+        assert factors[0] < 1.0
+        assert np.allclose(stack.values, factors[0] * raw, rtol=0.0, atol=1e-15)
+        assert np.abs(stack.values).max() <= 1.0
 
     def test_pixelated_stack_equals_per_row_quantization(self, small_grid):
         slm = SlmModel(n_pixels=128, pixel_width=100.0, gap=3.0)
