@@ -62,8 +62,7 @@ _SCHEMA = {
     "output_dir": (str, "results"),
     "grid": {"n_points": (int, 1025, ">=", 3), "omega_max": (float, 0.35, *_POSITIVE),
              "center_wavelength_nm": (float, 1064.0, *_POSITIVE)},
-    "pump": {"wavelength_nm": (float, 532.0, *_POSITIVE),
-             "linewidth_mhz": (float, 5.0, *_POSITIVE)},
+    "pump": {"linewidth_mhz": (float, 5.0, *_POSITIVE)},
     "crystals": {"spdc": _CRYSTAL, "sfg": _CRYSTAL},
     "dispersion": _DISPERSION["taylor"],
     "psf": {"delta_omega": (float, 9.6e-3, *_NON_NEGATIVE)},
@@ -285,8 +284,7 @@ def validate_config(tree: dict) -> Scenario:
         raise ConfigError("psf.delta_omega", f"must be 0 or >= the grid spacing "
                                              f"{grid.spacing}, got {psf_width}")
     with _built_from("pump.linewidth_mhz"):
-        pump = PumpSpec.from_linewidth_mhz(cfg["pump"]["linewidth_mhz"],
-                                           wavelength=cfg["pump"]["wavelength_nm"])
+        pump = PumpSpec.from_linewidth_mhz(cfg["pump"]["linewidth_mhz"])
 
     if "target_bandwidth_nm" in raw_dispersion and "a2" in raw_dispersion:
         raise ConfigError("dispersion.a2", "give either a2 or target_bandwidth_nm, not both")

@@ -49,7 +49,7 @@ class SpectralGrid:
 
     n_points: int
     omega_max: float
-    center_wavelength: float = 1064.0  # nm, degenerate emission
+    center_wavelength: float = 1064.0  # nm, degenerate emission; the pump is at half
 
     def __post_init__(self):
         if self.n_points < 3 or self.n_points % 2 == 0:
@@ -85,18 +85,18 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump field: FWHM of the spectral intensity [rad/fs] and wavelength [nm]."""
+    """Pump field: FWHM of the spectral intensity [rad/fs].  It is centred at
+    half the grid's ``center_wavelength`` (532 nm for 1064 nm pairs)."""
 
     bandwidth: float
-    wavelength: float = 532.0
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise ValueError("pump bandwidth must be positive")
 
     @classmethod
-    def from_linewidth_mhz(cls, linewidth_mhz: float, wavelength: float = 532.0):
-        return cls(bandwidth=linewidth_mhz_to_rad_fs(linewidth_mhz), wavelength=wavelength)
+    def from_linewidth_mhz(cls, linewidth_mhz: float):
+        return cls(bandwidth=linewidth_mhz_to_rad_fs(linewidth_mhz))
 
 
 @dataclass(frozen=True)
@@ -298,8 +298,7 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec, min_samples
 def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
     """The pump the grid represents: a bandwidth narrower than PUMP_CLAMP_CELLS
     grid cells is clamped to that width (continuous-wave limit)."""
-    return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing),
-                    wavelength=pump.wavelength)
+    return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing))
 
 
 def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
@@ -408,7 +407,8 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     n = amp.grid.n_points
     m = sp_fft.next_fast_len(2 * n - 1, True)
     crop = slice((n - 1) // 2, (n - 1) // 2 + n)
-    workers = len(os.sched_getaffinity(0))
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)  # macOS and Windows have no affinity call
     complex_values = np.iscomplexobj(amp.values)
     planes = (amp.values.real, amp.values.imag) if complex_values else (amp.values,)
     sq = amp.grid.axis() ** 2

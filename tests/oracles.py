@@ -100,3 +100,20 @@ def lambda_fringe_branches(d: int, phi, lam: float, phi0: float = 0.0):
         return 4.0 + 2.0 * lam * (3.0 * np.cos(theta) + 2.0 * np.cos(2 * theta)
                                   + np.cos(3 * theta))
     raise ValueError(f"no written-out fringe for d = {d}")
+
+
+def per_cell_csv(table) -> bytes:
+    """A table's CSV text with every cell formatted by its own ``str()`` call.
+
+    Reference for ``scenarios`` emission, which formats each distinct value
+    of a float64 column once; boolean columns read ``true``/``false``.
+    """
+    def cells(column):
+        column = np.asarray(column)
+        if column.dtype == bool:
+            return ["true" if cell else "false" for cell in column.tolist()]
+        return [str(cell) for cell in column.tolist()]
+
+    rows = zip(*(cells(column) for column in table.values()))
+    lines = [",".join(table)] + [",".join(row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -13,7 +13,7 @@ import yaml
 import biphoton_shaper
 from biphoton_shaper import ConfigError, frequency_bins, pixelate, transfer_from_coefficients
 from biphoton_shaper.cli import main
-from biphoton_shaper.config import default_config, validate_config
+from biphoton_shaper.config import default_config, load_config, validate_config
 from biphoton_shaper.bases import amplitude_svd, max_offdiag, schmidt_modes
 from biphoton_shaper.scenarios import (
     EXPERIMENT_RUNNERS,
@@ -21,6 +21,8 @@ from biphoton_shaper.scenarios import (
     ScenarioContext,
     emit_outputs,
 )
+
+from oracles import per_cell_csv
 
 QUICK_CONFIG = {
     "version": 1,
@@ -99,6 +101,9 @@ MALFORMED_VALUES = [
     pytest.param("experiments[0].use_psf",
                  {"experiments": [{"id": "schmidt_fringes", "use_psf": False}]},
                  id="use-psf-removed"),
+    # the pump sits at half grid.center_wavelength_nm
+    pytest.param("pump.wavelength_nm", {"pump": {"wavelength_nm": 532.0}},
+                 id="pump-wavelength-removed"),
 ]
 
 
@@ -119,6 +124,14 @@ class TestValidateConfig:
         scenario = validate_config(default_config())
         assert scenario.grid.n_points == 1025
         assert len(scenario.experiments) == 8
+
+    def test_default_pump_has_no_wavelength(self):
+        assert default_config()["pump"] == {"linewidth_mhz": 5.0}
+
+    def test_shipped_default_yaml_is_valid(self):
+        root = Path(__file__).resolve().parents[1]
+        scenario = validate_config(load_config(root / "configs" / "default.yaml"))
+        assert len(scenario.experiments) == 11
 
     def test_unknown_top_level_key(self):
         tree = default_config()
@@ -666,6 +679,24 @@ class TestEmitOutputs:
             b'"95518d1b1648f1b926f348d67f42230b808c3646533fb8488e7d7979e521359c"\n    }\n'
             b'  ]\n}\n')
         assert manifest == json.loads((tmp_path / "manifest.json").read_text())
+
+    def test_csv_cells_match_per_cell_str(self, tmp_path):
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+        x = np.array([0.1, -0.0, 0.0, 0.1, 1e-05, -0.0, np.inf, -np.inf, np.nan,
+                      nan_payload, 2.0**-1074, 0.1 + 2.0**-56, 123456789.0, -2.5])
+        tables = {
+            "floats": {"x": x, "strided": np.repeat(x, 2)[::2], "rev": x[::-1].tolist()},
+            "mixed": {"n": np.arange(-3, 4), "flag": np.array([True, False] * 3 + [True]),
+                      "label": ["a", "b", "a", "-0.0", "", "nan", "z"],
+                      "f32": np.array([0.1, -0.0, 0.0, 0.1, 1.5, 1.5, 3.0], dtype=np.float32),
+                      "same": np.full(7, 0.30000000000000004)},
+            "empty": {"e": np.array([], dtype=float)},
+        }
+        result = ExperimentResult("syn", "flux_check", "syn: ok", True, {}, tables)
+        emit_outputs([result], tmp_path)
+        for index, (name, table) in enumerate(tables.items()):
+            written = (tmp_path / f"syn_{name}_{index:03d}.csv").read_bytes()
+            assert written == per_cell_csv(table)
 
     def test_render_error_writes_nothing(self, tmp_path):
         first = ExperimentResult("first", "flux_check", "first: ok", True, {"x": 1.0},

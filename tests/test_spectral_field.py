@@ -435,6 +435,25 @@ class TestApplyPsf:
             assert workers == {len(cpus)}
         assert blurred[1] == blurred[2]
 
+    @pytest.mark.parametrize("cpu_count, want_workers", [(3, 3), (None, 1)])
+    def test_same_bytes_without_sched_getaffinity(self, gamma_small, monkeypatch,
+                                                  cpu_count, want_workers):
+        # macOS and Windows have no os.sched_getaffinity; the blur then uses
+        # os.cpu_count() workers, or one when that is unknown
+        want = apply_psf(gamma_small, PSF_WIDTH).values.tobytes()
+        real_fft = scipy.fft.fft
+        workers = set()
+
+        def recording_fft(*args, **kwargs):
+            workers.add(kwargs["workers"])
+            return real_fft(*args, **kwargs)
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(scipy.fft, "fft", recording_fft)
+        assert apply_psf(gamma_small, PSF_WIDTH).values.tobytes() == want
+        assert workers == {want_workers}
+
     # kernel rows that are not all zero at the paper's width
     @pytest.mark.parametrize("n, live", [(257, 163), (1025, 651)])
     def test_transforms_only_nonzero_kernel_rows(self, n, live, monkeypatch):
