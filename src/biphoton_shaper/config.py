@@ -222,7 +222,7 @@ def _sellmeier_index(index, path) -> SellmeierIndex:
             _float_list(validity, f"{path}.validity_um", 2)))
 
 
-def _parse_experiment(entry, index, seen_names):
+def _parse_experiment(entry, index, seen_names, grid):
     path = _join("experiments", index)
     exp_id = _get(_expect_mapping(entry, path), "id", path, str, _REQUIRED)
     if exp_id not in _EXPERIMENT_PARAMS:
@@ -242,6 +242,13 @@ def _parse_experiment(entry, index, seen_names):
     if any(b <= a for a, b in zip(t1_values, t1_values[1:])):
         raise ConfigError(f"{path}.t1_values_fs",
                           f"values must be strictly increasing, got {t1_values}")
+    # e^(i*omega*t1) sampled at spacing d_omega is the same for t1 - 2*pi/d_omega
+    aliased = math.pi / grid.spacing
+    for j, t1 in enumerate(t1_values):
+        if abs(t1) >= aliased:
+            raise ConfigError(f"{path}.t1_values_fs[{j}]",
+                              f"|t1| must be < pi / grid spacing = {aliased:.6g} fs, "
+                              f"beyond which the grid aliases the delay; got {t1}")
     if exp_id == "procrustean" and len(params["bin_widths"]) != params["d"]:
         raise ConfigError(f"{path}.bin_widths",
                           f"need exactly d = {params['d']} widths, "
@@ -321,7 +328,7 @@ def validate_config(tree: dict) -> Scenario:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("experiments", "expected a non-empty list")
     seen = set()
-    experiments = [_parse_experiment(entry, i, seen) for i, entry in enumerate(entries)]
+    experiments = [_parse_experiment(entry, i, seen, grid) for i, entry in enumerate(entries)]
 
     s, c = cfg["slm"], cfg["counting"]
     largest_mean = (c["peak_rate_hz"] + c["background_rate_hz"]) * c["duration_s"]

@@ -5,9 +5,11 @@ which for transfer functions built from an orthonormal basis equals the
 projection probability of the discretized two-photon state.  Both are the
 product-projection signal |u_i . C . u_s|^2, with C the grid amplitude
 (trapezoid-weighted rows) or the d x d state, and both are evaluated by one
-kernel, :func:`_product_signals`.  This module also runs phase-ladder fringe
-scans, synthesizes Poissonian count records, and computes equalizing filter
-amplitudes.  Every full-field scan goes through :func:`coincidence_scan`.
+kernel, :func:`_product_signals`.  Every full-field scan is a pair of
+transfer stacks, one row per setting, fed to :func:`coincidence_scan`;
+:func:`fringe_scan` scans a phase ladder in state space.  This module also
+synthesizes Poissonian count records and computes equalizing filter
+amplitudes.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 
 from .bases import BasisSet
 from .errors import BasisError, GridError
-from .shaper import SlmModel, TransferFunction, pixelate, transfer_from_coefficients
+from .shaper import TransferFunction
 from .spectral_field import JointAmplitude
 
 # Largest mean numpy's Poisson sampler accepts (the bound its Generator uses);
@@ -187,45 +189,25 @@ def coincidence_scan(amp: JointAmplitude, m_i: TransferFunction,
     return _unit_mean(coincidence_signal(amp, m_i, m_s))
 
 
-def fringe_scan(source, phi, amplitudes=None, slm: SlmModel | None = None) -> FringeScan:
-    """Phase-ladder interference scan, both photons at the same phase.
+def fringe_scan(state: QuditState, phi, amplitudes=None) -> FringeScan:
+    """Phase-ladder interference scan of a state, both photons at the same phase.
 
-    ``source`` is either a QuditState (state-space route: both photons
-    projected onto the phase ladder exp(i*j*phi)) or a tuple (JointAmplitude,
-    BasisSet, BasisSet) (full-field route: one stack of transfer functions
-    per photon, one row per phase, quantized onto the modulator pixels when
-    ``slm`` is given and fed to :func:`coincidence_scan`).  ``amplitudes``
-    weights the basis functions on both routes (default: all ones); the
-    state-space route normalizes them, and on the full-field route
-    :func:`~biphoton_shaper.shaper.transfer_from_coefficients` scales every
-    row of a stack by its one phase-independent factor, so the setting at
-    phase zero is the scan's first row and a fringe is never distorted by a
-    per-point rescale.  Values are normalized to unit mean.  Any phase grid
-    is scanned; whether it covers a fringe period is the fit's check
-    (:mod:`metrics`).
+    Both photons are projected onto the ladder a_j exp(i*j*phi) / |a|, with
+    ``amplitudes`` a weighting the basis states (default: all ones); values
+    are normalized to unit mean.  Any phase grid is scanned; whether it
+    covers a fringe period is the fit's check (:mod:`metrics`).  The
+    full-field scan of the same ladder builds one transfer stack per photon
+    (:func:`~biphoton_shaper.shaper.transfer_from_coefficients` at phases
+    ``phi[:, None] * arange(d)``) and passes both to :func:`coincidence_scan`.
     """
     phi = np.asarray(phi, dtype=float)
-    if isinstance(source, QuditState):
-        d = source.d
-    else:
-        amp, basis_i, basis_s = source
-        d = basis_i.d
-        if basis_s.d != d:
-            raise BasisError("idler and signal bases must share the dimension")
+    d = state.d
     a = np.ones(d) if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    if isinstance(source, QuditState):
-        norm = np.linalg.norm(a)
-        if norm == 0:
-            raise ValueError("projection amplitudes must not all vanish")
-        ladders = a * np.exp(1j * phi[:, np.newaxis] * np.arange(d)) / norm
-        values = _unit_mean(projection_probability(source, ladders, ladders))
-    else:
-        phases = phi[:, np.newaxis] * np.arange(d)
-        m_i, m_s = (transfer_from_coefficients(basis, a, phases) for basis in (basis_i, basis_s))
-        if slm is not None:
-            m_i, m_s = pixelate(m_i, slm), pixelate(m_s, slm)
-        values = coincidence_scan(amp, m_i, m_s)
-    return FringeScan(phi=phi, values=values)
+    norm = np.linalg.norm(a)
+    if norm == 0:
+        raise ValueError("projection amplitudes must not all vanish")
+    ladders = a * np.exp(1j * phi[:, np.newaxis] * np.arange(d)) / norm
+    return FringeScan(phi=phi, values=_unit_mean(projection_probability(state, ladders, ladders)))
 
 
 def synthesize_counts(scan: FringeScan, peak_rate: float, background_rate: float,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .bases import amplitude_svd
-from .errors import FitError, NumericalError
+from .errors import FitError
 from .measurement import (
     CountRecord,
     FringeScan,
@@ -78,10 +78,7 @@ def schmidt_decompose(amp: JointAmplitude) -> EntanglementReport:
     weight within 1e-14 of the whole problem's.  Any other amplitude is
     solved as one block of order n.  :func:`bases.schmidt_modes` gives the
     modes.
-    Raises :class:`NumericalError` for a non-finite amplitude.
     """
-    if not np.all(np.isfinite(amp.values)):
-        raise NumericalError("amplitude contains non-finite values")
     beta, _ = amplitude_svd(amp, compute_modes=False)
     return _spectrum_metrics(beta)
 

@@ -150,11 +150,6 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     })
 
 
-def _transfer_table(m: shaper.TransferFunction):
-    return {"omega": m.grid.axis(), "re_m": m.values.real, "im_m": m.values.imag,
-            "abs_m": np.abs(m.values)}
-
-
 def _filtered_state_scan(amp, basis_i, phi_points: int):
     """The state-space steps every qudit experiment shares.
 
@@ -176,20 +171,23 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     """Shared body of the qudit fringe experiments.
 
     Runs :func:`_filtered_state_scan` and scans the same filtered phase
-    ladder on the full-field route (quantized onto ``slm`` when given).
-    Fits lambda to the full-field scan and judges it against the CGLMP
-    critical visibility.  Returns the result, carrying the report keys and
-    tables both experiments share, and the full-field scan.  The idler
-    transfer table is the phase-zero setting, scaled by
-    :func:`~biphoton_shaper.shaper.transfer_from_coefficients` as every
-    scan row is and quantized onto ``slm`` as the scan's is, so it is the
-    scan's first idler row bit for bit.
+    ladder on the full-field route: one transfer stack per photon, a row
+    per phase (quantized onto ``slm`` when given), fed to
+    :func:`measurement.coincidence_scan`.  Fits lambda to the full-field
+    scan and judges it against the CGLMP critical visibility.  Returns the
+    result, carrying the report keys and tables both experiments share, and
+    the full-field scan.  The idler transfer table is row 0 of the idler
+    stack, the setting the scan applied at phase zero.
     """
     d = basis_i.d
     basis_s, state, _, filt, scan_ss = _filtered_state_scan(amp, basis_i,
                                                             req.params["phi_points"])
-    scan_ff = measurement.fringe_scan((amp, basis_i, basis_s), scan_ss.phi,
-                                      amplitudes=filt, slm=slm)
+    phases = scan_ss.phi[:, np.newaxis] * np.arange(d)
+    m_i, m_s = (shaper.transfer_from_coefficients(basis, filt, phases)
+                for basis in (basis_i, basis_s))
+    if slm is not None:
+        m_i, m_s = shaper.pixelate(m_i, slm), shaper.pixelate(m_s, slm)
+    scan_ff = FringeScan(scan_ss.phi, measurement.coincidence_scan(amp, m_i, m_s))
 
     fit = metrics.fit_fringe(scan_ff, d)
     lam = fit.parameters["lambda"]
@@ -209,12 +207,12 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
     }
     summary = (f"{req.name}: lambda={lam:.3f} V={vis:.3f} vs "
                f"Vc={v_c:.3f} -> {'PASS' if passed else 'FAIL'}")
-    transfer = shaper.transfer_from_coefficients(basis_i, filt, np.zeros(d))
+    row = m_i.values[0].copy()  # the table must not keep the whole stack alive
     tables = {
         "fringe_full_field": _fringe_table(scan_ff),
         "fringe_state_space": _fringe_table(scan_ss),
-        "transfer_idler": _transfer_table(
-            transfer if slm is None else shaper.pixelate(transfer, slm)),
+        "transfer_idler": {"omega": m_i.grid.axis(), "re_m": row.real, "im_m": row.imag,
+                           "abs_m": np.abs(row)},
     }
     return ExperimentResult(req.name, req.id, summary, passed, report, tables), scan_ff
 

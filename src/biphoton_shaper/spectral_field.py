@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import DomainError, GridError, ResolutionError
+from .errors import DomainError, GridError, NumericalError, ResolutionError
 from .units import (
     C_NM_PER_S,
     angular_frequency,
@@ -32,6 +32,9 @@ _SINC_SQ_HALF_MAX = 1.3915573776896476
 
 # Narrowest pump envelope the grid represents, in grid cells.
 PUMP_CLAMP_CELLS = 3
+
+# Fewest grid samples the phase-matching main lobe may cover on the ridge cut.
+SINC_LOBE_SAMPLES = 8
 
 
 def sinc(x):
@@ -222,8 +225,9 @@ class CrystalSpec:
 class JointAmplitude:
     """Complex two-photon amplitude sampled on a square grid.
 
-    Normalized so that sum(|values|^2) * spacing^2 = 1.  ``values`` is
-    read-only after normalization, so the Schmidt data that
+    Normalized so that sum(|values|^2) * spacing^2 = 1; non-finite values
+    raise :class:`NumericalError`.  ``values`` is read-only after
+    normalization, so the Schmidt data that
     :func:`biphoton_shaper.bases.amplitude_svd` stores on the instance can
     never go stale.
     """
@@ -237,7 +241,7 @@ class JointAmplitude:
         if self.values.shape != (self.grid.n_points, self.grid.n_points):
             raise GridError("amplitude shape does not match its grid")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("amplitude contains non-finite values")
+            raise NumericalError("amplitude contains non-finite values")
         norm = np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2)
         if norm == 0.0:
             raise ValueError("amplitude is identically zero")
@@ -279,8 +283,8 @@ def phase_matching(omega_i, omega_s, crystal: CrystalSpec, include_phase=False,
     return out
 
 
-def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec, min_samples=8):
-    """Require >= min_samples of the phase-matching main lobe on the ridge cut.
+def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec):
+    """Require >= SINC_LOBE_SAMPLES of the phase-matching main lobe on the ridge cut.
 
     The cut runs along the energy-conservation anti-diagonal, where the pump
     envelope leaves the sinc as the only structure to resolve.
@@ -288,10 +292,10 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec, min_samples
     ax = grid.axis()
     x = _matching_argument(ax, -ax, crystal, grid.pump_center_frequency)
     lobe = int(np.count_nonzero(np.abs(x) < np.pi))
-    if lobe < min_samples:
+    if lobe < SINC_LOBE_SAMPLES:
         raise ResolutionError(
             f"phase-matching main lobe of the {crystal.role} crystal covers "
-            f"{lobe} grid samples (< {min_samples}); refine the grid"
+            f"{lobe} grid samples (< {SINC_LOBE_SAMPLES}); refine the grid"
         )
 
 

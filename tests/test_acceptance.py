@@ -14,6 +14,7 @@ from biphoton_shaper import (
     apply_psf,
     bell_i2,
     build_joint_amplitude,
+    coincidence_scan,
     coincidence_signal,
     critical_visibility,
     fit_cos4,
@@ -159,10 +160,13 @@ def test_criterion_5_dual_route_equivalence(paper_1025):
         basis_i = frequency_bins(centers, np.full(d, 0.024), grid)
         basis_s = mirrored(basis_i)
         phi = np.linspace(0, np.pi, 24, endpoint=False)
-        full = fringe_scan((gamma_psf, basis_i, basis_s), phi)
+        phases = phi[:, np.newaxis] * np.arange(d)
+        m_i, m_s = (transfer_from_coefficients(basis, np.ones(d), phases)
+                    for basis in (basis_i, basis_s))
+        full = coincidence_scan(gamma_psf, m_i, m_s)
         qudits = project_state(gamma_psf, basis_i, basis_s)
         state = fringe_scan(qudits, phi)
-        gap = float(np.max(np.abs(full.values - state.values)))
+        gap = float(np.max(np.abs(full - state.values)))
         leakage = qudits.truncation_weight
         ok = ok and gap < 0.01
         details.append(f"d={d}: gap {gap:.2e}, leakage {leakage:.3f}")

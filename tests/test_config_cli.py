@@ -86,6 +86,13 @@ MALFORMED_VALUES = [
     pytest.param("experiments[0].t1_values_fs",
                  {"experiments": [{"id": "time_bin_sweep", "t1_values_fs": [50, 0, 25]}]},
                  id="t1-unsorted"),
+    # one alias period 2*pi/d_omega past 50 fs on the 257^2 grid, whose
+    # limit pi/d_omega is 1149 fs: the sweep would report the 50 fs point
+    pytest.param("experiments[0].t1_values_fs[4]",
+                 {"grid": {"n_points": 257, "omega_max": 0.35},
+                  "experiments": [{"id": "time_bin_sweep",
+                                   "t1_values_fs": [0, 10, 25, 35, 2347.85]}]},
+                 id="t1-aliased"),
     pytest.param("counting.duration_s",
                  {"counting": {"duration_s": 1.0e+20},
                   "experiments": [{"id": "freq_bin_fringes", "d": 2, "phi_points": 12,

@@ -2,11 +2,13 @@
 module-level function and class is used by the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import biphoton_shaper
 
 PACKAGE = Path(biphoton_shaper.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (module, name) of the public definitions that no code of the package reads:
 # time_bins is exported for the time-bin Bell test that ROADMAP item 4 puts
@@ -47,3 +49,11 @@ def test_every_public_definition_is_referenced():
                    and not node.name.startswith("_")]
     unused = {(module, name) for module, name in definitions if name not in referenced}
     assert definitions and unused == UNUSED_ALLOWED
+
+
+def test_readme_library_use_runs_as_written(capsys):
+    # the block shows the public API; its last line prints the route gap
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out.split()[-1]) < 1e-12

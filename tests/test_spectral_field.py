@@ -15,6 +15,7 @@ from biphoton_shaper import (
     DomainError,
     GridError,
     JointAmplitude,
+    NumericalError,
     PumpSpec,
     ResolutionError,
     SellmeierIndex,
@@ -246,6 +247,13 @@ class TestBuildJointAmplitude:
     def test_shape_mismatch_rejected(self, small_grid):
         with pytest.raises(GridError):
             JointAmplitude(grid=small_grid, values=np.ones((5, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitude_raises_numerical_error(self, small_grid, bad):
+        values = np.ones((small_grid.n_points, small_grid.n_points))
+        values[3, 5] = bad
+        with pytest.raises(NumericalError):
+            JointAmplitude(grid=small_grid, values=values)
 
 
 def _sellmeier_crystals(grid):
