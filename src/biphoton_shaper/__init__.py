@@ -62,7 +62,6 @@ from .spectral_field import (
     apply_psf,
     build_joint_amplitude,
     phase_matching,
-    phase_mismatch,
     photon_flux_limit,
     pump_envelope,
     taylor_curvature_for_bandwidth,

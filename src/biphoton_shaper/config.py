@@ -277,9 +277,7 @@ def validate_config(tree: dict) -> Scenario:
                    extra=("version", "experiments"))
 
     g = cfg["grid"]
-    if g["n_points"] % 2 == 0:
-        raise ConfigError("grid.n_points", f"must be odd, got {g['n_points']}")
-    with _built_from("grid"):
+    with _built_from("grid.n_points"):
         grid = SpectralGrid(n_points=g["n_points"], omega_max=g["omega_max"],
                             center_wavelength=g["center_wavelength_nm"])
     psf_width = cfg["psf"]["delta_omega"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bases import BasisSet
 from .errors import BasisError, GridError
-from .shaper import TransferFunction
+from .shaper import PHYSICALITY_TOL, TransferFunction
 from .spectral_field import JointAmplitude
 
 # Largest mean numpy's Poisson sampler accepts (the bound its Generator uses);
@@ -169,7 +169,8 @@ def projection_probability(state: QuditState, u_i, u_s):
     u_s = np.asarray(u_s)
     if u_i.ndim not in (1, 2) or u_i.shape[-1] != state.d:
         raise ValueError("projection vectors must have the state's dimension")
-    if np.any(np.abs(u_i) > 1 + 1e-12) or np.any(np.abs(u_s) > 1 + 1e-12):
+    limit = 1.0 + PHYSICALITY_TOL
+    if np.any(np.abs(u_i) > limit) or np.any(np.abs(u_s) > limit):
         raise ValueError("projection coefficients must have modulus <= 1")
     return _product_signals(state.coefficients, u_i, u_s)
 

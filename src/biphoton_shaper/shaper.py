@@ -102,7 +102,9 @@ def franson_transfer(transmission: float, reflection: float, delta_t10: float,
 
     T and R are the short/long-path amplitude coefficients, T + R <= 1;
     delta_t10 is the long-short delay in fs.  A scalar ``phi`` gives one
-    setting, an array of P phases a stack of P.
+    setting, an array of P phases a stack of P.  The response is not
+    rescaled: |M| <= T + R up to rounding, which :class:`TransferFunction`'s
+    PHYSICALITY_TOL admits.
     """
     if transmission < 0 or reflection < 0:
         raise ValueError("transmission and reflection must be non-negative")
@@ -111,10 +113,6 @@ def franson_transfer(transmission: float, reflection: float, delta_t10: float,
     ax = grid.axis()
     phi = np.asarray(phi, dtype=float)[..., np.newaxis]
     values = transmission + reflection * np.exp(1j * (ax * delta_t10 + phi))
-    # rounding may lift the peak of T + R = 1 above 1: rescale that row (a
-    # rescale, never a clip, keeps the setting's ratios)
-    peak = np.max(np.abs(values), axis=-1, keepdims=True)
-    values = np.where(peak > 1.0, values * (1.0 / np.maximum(peak, 1.0)), values)
     return TransferFunction(grid=grid, values=values)
 
 

@@ -18,6 +18,7 @@ from scipy import fft as sp_fft
 
 from .errors import DomainError, GridError, NumericalError, ResolutionError
 from .units import (
+    C_NM_PER_FS,
     C_NM_PER_S,
     angular_frequency,
     bandwidth_nm_to_rad_fs,
@@ -107,8 +108,11 @@ class TaylorMismatch:
     """Low-order expansion of the collinear phase mismatch [rad/mm].
 
     mismatch = dk0 + a1*(w_i + w_s) + a2*(w_i - w_s)^2 + a3*(w_i + w_s)^2,
-    in the down-conversion sign convention k_i + k_s - k_p.  With all a_i = 0
-    and dk0 = -2*pi/G the crystal is perfectly quasi-phase matched everywhere.
+    in the down-conversion sign convention k_i + k_s - k_p, for both crystal
+    roles (:func:`_matching_argument` flips the sign for upconversion).  With
+    all a_i = 0 and dk0 = -2*pi/G the crystal is perfectly quasi-phase matched
+    everywhere.  ``pump_center`` is not read; it is there so that both models
+    share one call signature.
     """
 
     dk0: float
@@ -116,7 +120,7 @@ class TaylorMismatch:
     a2: float = 0.0
     a3: float = 0.0
 
-    def mismatch(self, omega_i, omega_s, pump_center=None):
+    def mismatch(self, omega_i, omega_s, pump_center):
         s = omega_i + omega_s
         d = omega_i - omega_s
         return self.dk0 + self.a1 * s + self.a2 * d * d + self.a3 * s * s
@@ -151,7 +155,7 @@ class SellmeierIndex:
         lam2 = lam ** 2
         if self.validity_um is not None:
             lo, hi = self.validity_um
-            if np.any(wavelength_um < lo) or np.any(wavelength_um > hi):
+            if np.any(lam < lo) or np.any(lam > hi):
                 raise DomainError(
                     f"wavelength outside Sellmeier validity window [{lo}, {hi}] um"
                 )
@@ -170,25 +174,24 @@ class SellmeierIndex:
 
     def wavevector(self, omega_abs):
         """k = n(Omega)*Omega/c [rad/mm] at absolute angular frequency [rad/fs]."""
-        lam_um = 2.0 * np.pi * 299.792458 / np.asarray(omega_abs) * 1e-3
-        return self.refractive_index(lam_um) * np.asarray(omega_abs) / 299.792458 * 1e6
+        lam_um = 2.0 * np.pi * C_NM_PER_FS / np.asarray(omega_abs) * 1e-3
+        return self.refractive_index(lam_um) * np.asarray(omega_abs) / C_NM_PER_FS * 1e6
 
 
 @dataclass(frozen=True)
 class SellmeierMismatch:
-    """Phase mismatch k_i + k_s - k_p from refractive-index models.
+    """Phase mismatch k_i + k_s - k_p [rad/mm] from refractive-index models,
+    in the down-conversion sign convention for both crystal roles.
 
     Relative frequencies are converted to absolute ones with the pump center
-    frequency supplied at evaluation time.
+    frequency [rad/fs] supplied at evaluation time.
     """
 
     index_i: SellmeierIndex
     index_s: SellmeierIndex
     index_p: SellmeierIndex
 
-    def mismatch(self, omega_i, omega_s, pump_center=None):
-        if pump_center is None:
-            raise GridError("Sellmeier mismatch needs the pump center frequency")
+    def mismatch(self, omega_i, omega_s, pump_center):
         half = 0.5 * pump_center
         ki = self.index_i.wavevector(omega_i + half)
         ks = self.index_s.wavevector(omega_s + half)
@@ -255,27 +258,26 @@ def pump_envelope(omega_sum, pump: PumpSpec):
     return np.exp(-(x * x) * 2.0 * _LN2 / pump.bandwidth**2)
 
 
-def phase_mismatch(omega_i, omega_s, crystal: CrystalSpec, pump_center=None):
-    """Collinear phase mismatch [rad/mm] under the crystal's sign convention.
-
-    Down-conversion: k_i + k_s - k_p.  Upconversion: the negation.
-    """
-    dk = crystal.dispersion.mismatch(omega_i, omega_s, pump_center=pump_center)
-    return dk if crystal.role == "SPDC" else -dk
-
-
 def _matching_argument(omega_i, omega_s, crystal: CrystalSpec, pump_center):
-    """x = (mismatch + 2*pi/G) * L / 2 for a down-conversion crystal and
-    (mismatch - 2*pi/G) * L / 2 for an upconversion crystal."""
-    dk = phase_mismatch(omega_i, omega_s, crystal, pump_center=pump_center)
-    g = crystal.grating_wavevector if crystal.role == "SPDC" else -crystal.grating_wavevector
-    return (dk + g) * crystal.length / 2.0
+    """The phase-matching argument, the one place that reads the crystal role.
+
+    x = (mismatch + 2*pi/G) * L / 2, with the down-conversion mismatch
+    k_i + k_s - k_p of ``crystal.dispersion``, for a down-conversion crystal;
+    the upconversion crystal is its time-reversed twin and gets -x.  Negation
+    is exact in floating point, so -x equals the sum of the negated mismatch
+    and grating terms bit for bit (an exact zero may change sign, which
+    neither sinc(x) nor exp(i*x) sees).
+    """
+    dk = crystal.dispersion.mismatch(omega_i, omega_s, pump_center)
+    x = (dk + crystal.grating_wavevector) * crystal.length / 2.0
+    return x if crystal.role == "SPDC" else -x
 
 
-def phase_matching(omega_i, omega_s, crystal: CrystalSpec, include_phase=False,
-                   pump_center=None):
+def phase_matching(omega_i, omega_s, crystal: CrystalSpec, pump_center,
+                   include_phase=False):
     """Quasi-phase-matching function sinc(x), optionally times exp(i*x), with
-    the role-signed argument x of :func:`_matching_argument`."""
+    the role-signed argument x of :func:`_matching_argument`; ``pump_center``
+    is the pump's central angular frequency [rad/fs]."""
     x = _matching_argument(omega_i, omega_s, crystal, pump_center)
     out = sinc(x)
     if include_phase:
@@ -329,17 +331,13 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     envelope = pump_envelope(ax[:, None] + ax, effective_pump(pump, grid))
     band = np.nonzero(envelope)
     wi, ws = ax[band[0]], ax[band[1]]
-    in_band = envelope[band] * phase_matching(
-        wi, ws, spdc, include_phase=include_phase, pump_center=pc
-    )
+    in_band = envelope[band] * phase_matching(wi, ws, spdc, pc, include_phase=include_phase)
     if sfg is not None:
         # A complex product's imaginary part can differ in the last bit when
         # the operands are swapped.  The acceptance factor is the left one:
         # numpy ran the full-grid ``values * acceptance`` in place on the
         # acceptance temporary, as ``acceptance * values``.
-        in_band = phase_matching(
-            wi, ws, sfg, include_phase=include_phase, pump_center=pc
-        ) * in_band
+        in_band = phase_matching(wi, ws, sfg, pc, include_phase=include_phase) * in_band
     values = np.zeros(envelope.shape, in_band.dtype)
     values[band] = in_band
     return JointAmplitude(grid=grid, values=values)

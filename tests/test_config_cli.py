@@ -1,5 +1,6 @@
 """Config validation and the scenario-runner CLI contract."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -139,6 +140,25 @@ class TestValidateConfig:
         root = Path(__file__).resolve().parents[1]
         scenario = validate_config(load_config(root / "configs" / "default.yaml"))
         assert len(scenario.experiments) == 11
+
+    def test_benchmark_workloads_are_valid(self):
+        # the benchmark runs these trees, so a schema change that rejects
+        # one fails here rather than in a benchmark run
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      root / "perfbench" / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        files = set((root / "configs").glob("*.yaml"))
+        trees = []
+        for source in bench.WORKLOADS.values():
+            if isinstance(source, str):
+                files.add(root / source)
+            else:
+                trees.append(source)
+        assert len(files) >= 2 and trees
+        for tree in trees + [load_config(path) for path in sorted(files)]:
+            validate_config(tree)
 
     def test_unknown_top_level_key(self):
         tree = default_config()

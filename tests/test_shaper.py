@@ -89,6 +89,17 @@ class TestFransonTransfer:
         m = franson_transfer(0.5, 0.5, 0.0, 0.0, small_grid)
         assert np.allclose(np.abs(m.values), 1.0)
 
+    @pytest.mark.parametrize("n_points", [257, 1025, 2049])
+    @pytest.mark.parametrize("phi_points", [48, 96])
+    def test_shipped_stacks_need_no_rescale(self, n_points, phi_points):
+        # the balanced response peaks at T + R = 1; at every delay the
+        # shipped configs use, rounding never lifts a row above it
+        grid = SpectralGrid(n_points=n_points, omega_max=0.35)
+        phi = np.linspace(0.0, 2.0 * np.pi, phi_points, endpoint=False)
+        for t1 in (0.0, 10.0, 25.0, 35.0, 50.0, 70.0, 100.0):
+            m = franson_transfer(0.5, 0.5, t1, phi, grid)
+            assert np.max(np.abs(m.values)) <= 1.0, (t1, phi_points)
+
     def test_amplitude_budget_enforced(self, small_grid):
         with pytest.raises(ValueError):
             franson_transfer(0.7, 0.5, 10.0, 0.0, small_grid)

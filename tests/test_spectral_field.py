@@ -25,13 +25,16 @@ from biphoton_shaper import (
     apply_psf,
     build_joint_amplitude,
     phase_matching,
-    phase_mismatch,
     photon_flux_limit,
     pump_envelope,
 )
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.config import load_config, validate_config
-from biphoton_shaper.spectral_field import effective_pump, taylor_curvature_for_bandwidth
+from biphoton_shaper.spectral_field import (
+    _matching_argument,
+    effective_pump,
+    taylor_curvature_for_bandwidth,
+)
 
 from conftest import PSF_WIDTH, make_crystals
 from oracles import (
@@ -95,30 +98,40 @@ class TestPumpEnvelope:
         assert np.isclose(pump.bandwidth, 2 * np.pi * 5e6 * 1e-15)
 
 
+# any pump centre: the Taylor model does not read it
+PUMP_CENTER = SpectralGrid(n_points=11, omega_max=0.1).pump_center_frequency
+
+
 class TestPhaseMatching:
     def test_mismatch_perfect_qpm(self):
-        crystal = CrystalSpec(11.5, 9.0, TaylorMismatch.quasi_phase_matched(9.0),
-                              role="SPDC")
         g = 2 * np.pi / 9e-3
-        assert np.isclose(phase_mismatch(0.1, -0.2, crystal), -g, rtol=1e-14)
+        dk = TaylorMismatch.quasi_phase_matched(9.0).mismatch(0.1, -0.2, PUMP_CENTER)
+        assert np.isclose(dk, -g, rtol=1e-14)
 
-    def test_mismatch_sfg_sign_flip(self):
-        crystal = CrystalSpec(11.5, 9.0, TaylorMismatch.quasi_phase_matched(9.0),
-                              role="SFG")
-        g = 2 * np.pi / 9e-3
-        assert np.isclose(phase_mismatch(0.1, -0.2, crystal), +g, rtol=1e-14)
+    @pytest.mark.parametrize("dispersion", [
+        TaylorMismatch.quasi_phase_matched(9.0, a1=0.3, a2=7.9, a3=-1.2),
+        SellmeierMismatch(*3 * (SellmeierIndex(a=3.2, terms=((0.9, 0.06),), d=0.008),)),
+    ], ids=["taylor", "sellmeier"])
+    def test_mismatch_sfg_sign_flip(self, small_grid, dispersion):
+        # the upconversion crystal is the source crystal time-reversed: its
+        # argument is the exact negation, on every sample
+        ax = small_grid.axis()
+        wi, ws = np.meshgrid(ax, ax, indexing="ij")
+        pc = small_grid.pump_center_frequency
+        spdc, sfg = (CrystalSpec(11.5, 9.0, dispersion, role=role) for role in ("SPDC", "SFG"))
+        x_spdc = _matching_argument(wi, ws, spdc, pc)
+        assert np.array_equal(_matching_argument(wi, ws, sfg, pc), -x_spdc)
 
     def test_mismatch_quadratic_term(self):
-        disp = TaylorMismatch(dk0=-1.0, a2=3.0)
-        crystal = CrystalSpec(1.0, 9.0, disp, role="SPDC")
         x = 0.07
-        assert np.isclose(phase_mismatch(x, -x, crystal), -1.0 + 3.0 * (2 * x) ** 2)
+        dk = TaylorMismatch(dk0=-1.0, a2=3.0).mismatch(x, -x, PUMP_CENTER)
+        assert np.isclose(dk, -1.0 + 3.0 * (2 * x) ** 2)
 
     def test_sinc_peak_at_perfect_matching(self):
         for role in ("SPDC", "SFG"):
             crystal = CrystalSpec(11.5, 9.0, TaylorMismatch.quasi_phase_matched(9.0),
                                   role=role)
-            assert np.isclose(abs(phase_matching(0.0, 0.0, crystal)), 1.0)
+            assert np.isclose(abs(phase_matching(0.0, 0.0, crystal, PUMP_CENTER)), 1.0)
 
     def test_sinc_zero_and_midpoint(self):
         length = 2.0
@@ -126,14 +139,15 @@ class TestPhaseMatching:
         for x_target, expected in ((np.pi, 0.0), (np.pi / 2, 2 / np.pi)):
             dk0 = -2 * np.pi / 9e-3 + 2 * x_target / length
             crystal = CrystalSpec(length, 9.0, TaylorMismatch(dk0=dk0), role="SPDC")
-            assert np.isclose(phase_matching(0.0, 0.0, crystal), expected, atol=1e-12)
+            assert np.isclose(phase_matching(0.0, 0.0, crystal, PUMP_CENTER), expected,
+                              atol=1e-12)
 
     def test_include_phase_factor(self):
         length = 2.0
         x = 1.1
         dk0 = -2 * np.pi / 9e-3 + 2 * x / length
         crystal = CrystalSpec(length, 9.0, TaylorMismatch(dk0=dk0), role="SPDC")
-        value = phase_matching(0.0, 0.0, crystal, include_phase=True)
+        value = phase_matching(0.0, 0.0, crystal, PUMP_CENTER, include_phase=True)
         assert np.isclose(value, np.sinc(x / np.pi) * np.exp(1j * x))
 
 
@@ -155,6 +169,12 @@ class TestSellmeier:
         index = SellmeierIndex(a=2.25, validity_um=(0.4, 2.0))
         with pytest.raises(DomainError):
             index.refractive_index(3.5)
+
+    def test_validity_window_takes_a_list(self):
+        index = SellmeierIndex(a=2.0, validity_um=(0.4, 1.6))
+        assert np.array_equal(index.refractive_index([0.5, 0.6]), [np.sqrt(2.0)] * 2)
+        with pytest.raises(DomainError):
+            index.refractive_index([0.5, 1.7])
 
     @pytest.mark.parametrize("index, wavelength", [
         (SellmeierIndex(a=2.0, d=5.0), 0.65),                 # n^2 < 0
