@@ -300,25 +300,23 @@ def validate_config(tree: dict) -> Scenario:
             index_s=_sellmeier_index(disp["signal"], "dispersion.signal"),
             index_p=_sellmeier_index(disp["pump"], "dispersion.pump"),
         )
-
-        def dispersion_for(length_mm, poling_um):
-            return shared
     else:
-        def dispersion_for(length_mm, poling_um):
-            a2 = disp["a2"]
-            if disp["target_bandwidth_nm"] is not None:
-                with _built_from("dispersion.target_bandwidth_nm"):
-                    a2 = taylor_curvature_for_bandwidth(disp["target_bandwidth_nm"],
-                                                        grid.center_wavelength, length_mm)
-            return TaylorMismatch.quasi_phase_matched(poling_um, a1=disp["a1"], a2=a2,
-                                                      a3=disp["a3"])
+        # one material: both crystals share a2, calibrated on the source's length
+        a2 = disp["a2"]
+        if disp["target_bandwidth_nm"] is not None:
+            with _built_from("dispersion.target_bandwidth_nm"):
+                a2 = taylor_curvature_for_bandwidth(disp["target_bandwidth_nm"],
+                                                    grid.center_wavelength,
+                                                    cfg["crystals"]["spdc"]["length_mm"])
 
     def crystal(role_key, role):
         geometry = cfg["crystals"][role_key]
-        length, poling = geometry["length_mm"], geometry["poling_period_um"]
+        poling = geometry["poling_period_um"]
         with _built_from(f"crystals.{role_key}"):
-            return CrystalSpec(length=length, poling_period=poling,
-                               dispersion=dispersion_for(length, poling), role=role)
+            dispersion = shared if model == "sellmeier" else TaylorMismatch.quasi_phase_matched(
+                poling, a1=disp["a1"], a2=a2, a3=disp["a3"])
+            return CrystalSpec(length=geometry["length_mm"], poling_period=poling,
+                               dispersion=dispersion, role=role)
 
     if "experiments" not in tree:
         raise ConfigError("experiments", "missing required key")

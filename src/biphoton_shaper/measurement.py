@@ -142,14 +142,14 @@ def coincidence_signal(amp: JointAmplitude, m_i: TransferFunction,
     the two equally shaped transfers (:func:`_product_signals`): a float for
     single settings, an array of P signals for stacks of P; deterministic.
     """
-    if not (amp.grid.same_axis(m_i.grid) and amp.grid.same_axis(m_s.grid)):
+    if not amp.grid == m_i.grid == m_s.grid:
         raise GridError("amplitude and transfer functions must share one grid")
     return _product_signals(amp.values, m_i.values, m_s.values, amp.grid.weights())
 
 
 def project_state(amp: JointAmplitude, basis_i: BasisSet, basis_s: BasisSet) -> QuditState:
     """Coefficients c_jk = integral conj(f_j) conj(f_k) Gamma over the grid."""
-    if not (amp.grid.same_axis(basis_i.grid) and amp.grid.same_axis(basis_s.grid)):
+    if not amp.grid == basis_i.grid == basis_s.grid:
         raise GridError("amplitude and bases must share one grid")
     w = amp.grid.weights()
     fi = basis_i.functions.conj() * w

@@ -158,6 +158,7 @@ def _fit(source, model, start, bounds, names, period, gradient=None):
     points per parameter.  CountRecord input is background-subtracted and
     Poisson-weighted.  ``gradient(phi, *rest)`` gives the model's derivatives
     in ``rest``; without it the Jacobian is a two-point finite difference.
+    Data that are zero everywhere (a record with no counts) raise FitError.
     """
     if isinstance(source, CountRecord):
         phi, y = source.phi, source.net()
@@ -168,6 +169,8 @@ def _fit(source, model, start, bounds, names, period, gradient=None):
         raise TypeError("expected a FringeScan or CountRecord")
     if len(phi) < 2 * len(names):
         raise FitError(f"need at least {2 * len(names)} points, got {len(phi)}")
+    if not np.any(y):
+        raise FitError("every value of the record is zero: there is no fringe to fit")
     span = phi[-1] - phi[0]
     if span + span / (len(phi) - 1) < period * (1 - 1e-9):
         raise FitError(f"phase span {span:.3f} rad does not cover one period ({period:.3f})")
@@ -299,12 +302,9 @@ def bell_i2(gamma1: float, gamma2: float) -> float:
     The state is :func:`measurement.gamma_model_state`, whose joint signal is
     |1 + g1*(e^{i phi_i} + e^{i phi_s}) + g2*e^{i(phi_i + phi_s)}|^2 up to
     normalization: g2 drives the two-photon (entangled) term, so g1 = 0,
-    g2 = 1 is the maximally entangled qubit and reaches 2*sqrt(2).  A value
-    above that quantum ceiling raises ``ValueError``.
+    g2 = 1 is the maximally entangled qubit and reaches 2*sqrt(2), the
+    quantum ceiling that the ``bell_i2_sweep`` experiment checks.
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("gamma coefficients must be non-negative")
-    value = cglmp_parameter(gamma_model_state(gamma1, gamma2))
-    if value > QUANTUM_BELL_CEILING + 1e-9:
-        raise ValueError(f"Bell parameter {value} exceeds the quantum ceiling")
-    return value
+    return cglmp_parameter(gamma_model_state(gamma1, gamma2))

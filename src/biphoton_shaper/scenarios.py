@@ -8,6 +8,7 @@ JSON.  Everything is deterministic for a fixed config and seed.
 
 import hashlib
 import json
+import math
 import os
 import secrets
 import shutil
@@ -19,7 +20,13 @@ import numpy as np
 
 from . import bases, measurement, metrics, shaper, spectral_field
 from .config import Scenario
+from .errors import ResolutionError
 from .measurement import FringeScan
+
+# The window must hold the spectrum: at most WINDOW_EDGE_BOUND of |Gamma|^2 may
+# lie in the outer WINDOW_EDGE_FRACTION of the samples at either end of an axis.
+WINDOW_EDGE_FRACTION = 0.02
+WINDOW_EDGE_BOUND = 1e-4
 
 
 @dataclass
@@ -51,15 +58,33 @@ class ScenarioContext:
 
     @cached_property
     def gamma(self):
-        return spectral_field.build_joint_amplitude(
+        """The amplitude; its ``window_edge_weight`` is stored on the context,
+        and a window that cuts it raises ResolutionError."""
+        amp = spectral_field.build_joint_amplitude(
             self.scenario.grid, self.scenario.pump, self.scenario.spdc,
             self.scenario.sfg, include_phase=self.scenario.include_phase)
+        self.window_edge_weight = _window_edge_weight(amp)
+        if self.window_edge_weight > WINDOW_EDGE_BOUND:
+            raise ResolutionError(
+                f"the grid window cuts the spectrum: {self.window_edge_weight:.3g} of "
+                f"|Gamma|^2 lies in the outer {WINDOW_EDGE_FRACTION:.0%} of the axes "
+                f"(> {WINDOW_EDGE_BOUND:g}); widen grid.omega_max = {self.grid.omega_max}")
+        return amp
 
     @cached_property
     def gamma_psf(self):
         """The amplitude blurred by the detection PSF; the qudit experiments
         measure this one, as the paper's measurements do."""
         return spectral_field.apply_psf(self.gamma, self.scenario.psf_delta_omega)
+
+
+def _window_edge_weight(amp) -> float:
+    """Sum of |Gamma|^2 h^2 over the outer k = max(1, ceil(WINDOW_EDGE_FRACTION * n))
+    samples at each end of each axis, as four strips with no n^2 temporary."""
+    k = max(1, math.ceil(WINDOW_EDGE_FRACTION * amp.grid.n_points))
+    v = amp.values
+    strips = (v[:k], v[-k:], v[k:-k, :k], v[k:-k, -k:])
+    return float(sum(np.sum(np.abs(s) ** 2) for s in strips) * amp.grid.spacing**2)
 
 
 def _symmetric_centers(d: int, spacing: float):
@@ -112,6 +137,7 @@ def run_fig2_amplitude(ctx: ScenarioContext, req) -> ExperimentResult:
     report = {
         "pump_bandwidth_clamped": effective > pump.bandwidth,
         "pump_bandwidth_effective": effective,
+        "window_edge_weight": ctx.window_edge_weight,
         "gamma": {"entropy_ebits": report_g.entropy,
                   "schmidt_number": report_g.schmidt_number,
                   "effective_dimension": report_g.effective_dimension},
@@ -320,7 +346,7 @@ def run_schmidt_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
     amp = ctx.gamma_psf
     basis_i = bases.schmidt_modes(amp, req.params["d"])
     result, _ = _qudit_fringes(req, amp, basis_i)
-    result.report["mode_weights"] = bases.amplitude_svd(amp)[0][:basis_i.d]
+    result.report["mode_weights"] = metrics.schmidt_decompose(amp).eigenvalues[:basis_i.d]
     return result
 
 

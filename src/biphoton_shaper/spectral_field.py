@@ -80,12 +80,6 @@ class SpectralGrid:
         w[-1] *= 0.5
         return w
 
-    def same_axis(self, other: "SpectralGrid") -> bool:
-        return (
-            self.n_points == other.n_points
-            and np.isclose(self.omega_max, other.omega_max, rtol=0, atol=1e-12)
-        )
-
 
 @dataclass(frozen=True)
 class PumpSpec:
@@ -255,7 +249,7 @@ class JointAmplitude:
 def pump_envelope(omega_sum, pump: PumpSpec):
     """Gaussian pump amplitude at the given sum frequency (peak value 1)."""
     x = np.asarray(omega_sum)
-    return np.exp(-(x * x) * 2.0 * _LN2 / pump.bandwidth**2)
+    return _gaussian(x * x, pump.bandwidth)
 
 
 def _matching_argument(omega_i, omega_s, crystal: CrystalSpec, pump_center):
@@ -343,10 +337,10 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     return JointAmplitude(grid=grid, values=values)
 
 
-def _gaussian(sq_sum, delta_omega_psf: float):
-    """The isotropic Gaussian blur kernel exp(-(w_i^2 + w_s^2) * 2 ln 2 / delta^2)
-    at squared offsets sq_sum = w_i^2 + w_s^2 of the grid's offset lattice."""
-    return np.exp(-sq_sum * 2.0 * _LN2 / delta_omega_psf**2)
+def _gaussian(sq_sum, width: float):
+    """exp(-sq_sum * 2 ln 2 / width^2), whose square has FWHM ``width``: the pump
+    envelope at (w_i + w_s)^2, the blur kernel at w_i^2 + w_s^2 of the offset lattice."""
+    return np.exp(-sq_sum * 2.0 * _LN2 / width**2)
 
 
 # Rows per block of the blur's row transforms and columns per block of its

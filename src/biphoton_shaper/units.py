@@ -8,7 +8,7 @@ boundary.
 import numpy as np
 
 C_NM_PER_FS = 299.792458        # speed of light
-C_NM_PER_S = 2.99792458e17
+C_NM_PER_S = C_NM_PER_FS * 1e15  # exact in float64
 PLANCK_J_S = 6.62607015e-34
 
 

@@ -13,6 +13,7 @@ import yaml
 
 import biphoton_shaper
 from biphoton_shaper import ConfigError, frequency_bins, pixelate, transfer_from_coefficients
+from biphoton_shaper import metrics
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import default_config, load_config, validate_config
 from biphoton_shaper.bases import amplitude_svd, max_offdiag, schmidt_modes
@@ -22,8 +23,11 @@ from biphoton_shaper.scenarios import (
     ScenarioContext,
     emit_outputs,
 )
+from biphoton_shaper.spectral_field import taylor_curvature_for_bandwidth
 
 from oracles import per_cell_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 QUICK_CONFIG = {
     "version": 1,
@@ -121,6 +125,23 @@ def paper_context():
     return ScenarioContext(validate_config(default_config()))
 
 
+def benchmark_trees():
+    """Every ``configs/*.yaml`` tree and every tree ``perfbench/run.py`` runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    files = set((ROOT / "configs").glob("*.yaml"))
+    trees = []
+    for source in bench.WORKLOADS.values():
+        if isinstance(source, str):
+            files.add(ROOT / source)
+        else:
+            trees.append(source)
+    assert len(files) >= 2 and trees
+    return trees + [load_config(path) for path in sorted(files)]
+
+
 def write_config(tmp_path, tree, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(tree), encoding="utf-8")
@@ -137,28 +158,22 @@ class TestValidateConfig:
         assert default_config()["pump"] == {"linewidth_mhz": 5.0}
 
     def test_shipped_default_yaml_is_valid(self):
-        root = Path(__file__).resolve().parents[1]
-        scenario = validate_config(load_config(root / "configs" / "default.yaml"))
+        scenario = validate_config(load_config(ROOT / "configs" / "default.yaml"))
         assert len(scenario.experiments) == 11
 
     def test_benchmark_workloads_are_valid(self):
         # the benchmark runs these trees, so a schema change that rejects
         # one fails here rather than in a benchmark run
-        root = Path(__file__).resolve().parents[1]
-        spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                      root / "perfbench" / "run.py")
-        bench = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-        files = set((root / "configs").glob("*.yaml"))
-        trees = []
-        for source in bench.WORKLOADS.values():
-            if isinstance(source, str):
-                files.add(root / source)
-            else:
-                trees.append(source)
-        assert len(files) >= 2 and trees
-        for tree in trees + [load_config(path) for path in sorted(files)]:
+        for tree in benchmark_trees():
             validate_config(tree)
+
+    def test_benchmark_windows_hold_the_spectrum(self):
+        # each reads about 1e-8, two decades below this and four below the
+        # run's bound, so a bound that trips a workload fails here first
+        for tree in benchmark_trees():
+            ctx = ScenarioContext(validate_config(tree))
+            ctx.gamma  # builds the amplitude and measures its window edge
+            assert ctx.window_edge_weight < 1e-6, tree.get("grid")
 
     def test_unknown_top_level_key(self):
         tree = default_config()
@@ -213,6 +228,15 @@ class TestValidateConfig:
         tree["dispersion"] = {"model": "taylor", "target_bandwidth_nm": 105.0}
         scenario = validate_config(tree)
         assert scenario.spdc.dispersion.a2 == pytest.approx(7.929, rel=1e-3)
+
+    def test_crystals_share_one_curvature(self):
+        # one material: the bandwidth is calibrated on the source crystal alone
+        tree = default_config()
+        tree["crystals"] = {"spdc": {"length_mm": 11.5}, "sfg": {"length_mm": 5.75}}
+        tree["dispersion"] = {"model": "taylor", "target_bandwidth_nm": 105.0}
+        scenario = validate_config(tree)
+        a2 = taylor_curvature_for_bandwidth(105.0, 1064.0, 11.5)
+        assert scenario.spdc.dispersion.a2 == scenario.sfg.dispersion.a2 == a2
 
     def test_sellmeier_model(self):
         tree = default_config()
@@ -293,6 +317,45 @@ class TestCli:
         path = write_config(tmp_path, tree)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
         assert "ResolutionError" in capsys.readouterr().err
+
+    def test_window_that_cuts_the_spectrum_exits_3(self, tmp_path, capsys):
+        # a2 = 0.5 puts 1.6e-2 of |Gamma|^2 in the outer 2% of quick's window
+        tree = load_config(ROOT / "configs" / "quick.yaml")
+        tree["dispersion"] = {"a2": 0.5}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("simulation error [ResolutionError]: ")
+        assert "grid.omega_max" in err
+        assert not out.exists()
+
+    def test_count_record_with_no_counts_exits_3(self, tmp_path, capsys):
+        tree = {**QUICK_CONFIG, "grid": {"n_points": 257, "omega_max": 0.35},
+                "counting": {"duration_s": 0.0},
+                "experiments": [{"id": "freq_bin_fringes", "counts": True}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("simulation error [FitError]: ")
+        assert not out.exists()
+
+    def test_bell_value_above_the_ceiling_is_a_fail_verdict(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(metrics, "cglmp_parameter", lambda state: 3.0)
+        tree = {**QUICK_CONFIG, "experiments": [{"id": "bell_i2_sweep", "grid_points": 3}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "-> FAIL" in captured.out
+        report = json.loads((out / "bell_i2_sweep_report.json").read_text())
+        assert report["passed"] is False
+        assert report["report"]["max_i2"] == 3.0
 
     def test_non_physical_sellmeier_index_exits_3_naming_it(self, tmp_path, capsys):
         # n^2 = -5 used to surface as a sqrt RuntimeWarning and a ResolutionError

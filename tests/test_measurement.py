@@ -74,6 +74,18 @@ class TestCoincidenceSignal:
             coincidence_signal(gamma_small, ones_transfer(other),
                                ones_transfer(gamma_small.grid))
 
+    def test_other_center_wavelength_rejected(self, gamma_small):
+        # the same relative axis, but other absolute frequencies than the
+        # 1064 nm amplitude's
+        other = SpectralGrid(n_points=gamma_small.grid.n_points, omega_max=0.35,
+                             center_wavelength=1550.0)
+        with pytest.raises(GridError):
+            coincidence_signal(gamma_small, ones_transfer(other),
+                               ones_transfer(gamma_small.grid))
+        bins = frequency_bins([-0.05, 0.05], [0.03, 0.03], other)
+        with pytest.raises(GridError):
+            project_state(gamma_small, bins, mirrored(bins))
+
 
 def _pair_integrals(amp, stack_i, stack_s):
     """|(w * m_i) @ Gamma @ (w * m_s)|^2 for each pair of rows, one at a time."""
