@@ -5,11 +5,11 @@ which for transfer functions built from an orthonormal basis equals the
 projection probability of the discretized two-photon state.  Both are the
 product-projection signal |u_i . C . u_s|^2, with C the grid amplitude
 (trapezoid-weighted rows) or the d x d state, and both are evaluated by one
-kernel, :func:`_product_signals`.  Every full-field scan is a pair of
-transfer stacks, one row per setting, fed to :func:`coincidence_scan`;
-:func:`fringe_scan` scans a phase ladder in state space.  This module also
-synthesizes Poissonian count records and computes equalizing filter
-amplitudes.
+kernel, :func:`_product_signals`.  A scan is a stack of shaper settings,
+basis amplitudes and (P, d) phases: :func:`coincidence_scan` integrates the
+transfer stacks built from them over the grid, :func:`fringe_scan` projects
+the state onto them.  This module also synthesizes Poissonian count records
+and computes equalizing filter amplitudes.
 """
 
 from dataclasses import dataclass
@@ -190,25 +190,17 @@ def coincidence_scan(amp: JointAmplitude, m_i: TransferFunction,
     return _unit_mean(coincidence_signal(amp, m_i, m_s))
 
 
-def fringe_scan(state: QuditState, phi, amplitudes=None) -> FringeScan:
-    """Phase-ladder interference scan of a state, both photons at the same phase.
+def fringe_scan(state: QuditState, amplitudes, phases) -> np.ndarray:
+    """Unit-mean projection probabilities of a stack of settings on both photons.
 
-    Both photons are projected onto the ladder a_j exp(i*j*phi) / |a|, with
-    ``amplitudes`` a weighting the basis states (default: all ones); values
-    are normalized to unit mean.  Any phase grid is scanned; whether it
-    covers a fringe period is the fit's check (:mod:`metrics`).  The
-    full-field scan of the same ladder builds one transfer stack per photon
-    (:func:`~biphoton_shaper.shaper.transfer_from_coefficients` at phases
-    ``phi[:, None] * arange(d)``) and passes both to :func:`coincidence_scan`.
+    The state-space twin of :func:`coincidence_scan`: the (d,) ``amplitudes``
+    in [0, 1] and (P, d) ``phases`` that
+    :func:`~biphoton_shaper.shaper.transfer_from_coefficients` takes give
+    u = amplitudes * exp(i * phases), one row per point.  Neither route is
+    derived from the other; they share only these arrays.
     """
-    phi = np.asarray(phi, dtype=float)
-    d = state.d
-    a = np.ones(d) if amplitudes is None else np.asarray(amplitudes, dtype=float)
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        raise ValueError("projection amplitudes must not all vanish")
-    ladders = a * np.exp(1j * phi[:, np.newaxis] * np.arange(d)) / norm
-    return FringeScan(phi=phi, values=_unit_mean(projection_probability(state, ladders, ladders)))
+    u = np.asarray(amplitudes, dtype=float) * np.exp(1j * np.asarray(phases, dtype=float))
+    return _unit_mean(projection_probability(state, u, u))
 
 
 def synthesize_counts(scan: FringeScan, peak_rate: float, background_rate: float,

@@ -32,55 +32,46 @@ QUANTUM_BELL_CEILING = 2.0 * np.sqrt(2.0)
 
 @dataclass
 class EntanglementReport:
-    """Schmidt spectrum and the derived entanglement measures.
+    """Schmidt weights and the entanglement measures they define.
 
-    eigenvalues: mode weights (descending, sum 1); entropy in ebits;
-    schmidt_number K = 1/sum(beta^2); effective_dimension 2**entropy.
+    eigenvalues: the mode weights above ``ENTROPY_EIGENVALUE_FLOOR``, descending
+    (the floor is applied on construction); entropy in ebits; schmidt_number
+    K = 1/sum(beta^2); effective_dimension 2**entropy.
     """
 
     eigenvalues: np.ndarray
-    entropy: float
-    schmidt_number: float
-    effective_dimension: float
-    truncation_rank: int
 
     def __post_init__(self):
+        self.eigenvalues = self.eigenvalues[self.eigenvalues > ENTROPY_EIGENVALUE_FLOOR]
         if self.entropy < -1e-12 or self.schmidt_number < 1.0 - 1e-9:
             raise ValueError("entropy must be >= 0 and Schmidt number >= 1")
         if self.schmidt_number > self.effective_dimension * (1 + 1e-9):
             raise ValueError("Schmidt number cannot exceed the effective dimension")
-        if self.effective_dimension > self.truncation_rank * (1 + 1e-9):
+        if self.effective_dimension > len(self.eigenvalues) * (1 + 1e-9):
             raise ValueError("effective dimension cannot exceed the spectrum rank")
 
+    @property
+    def entropy(self) -> float:
+        return float(-np.sum(self.eigenvalues * np.log2(self.eigenvalues)))
 
-def _spectrum_metrics(beta: np.ndarray) -> EntanglementReport:
-    kept = beta[beta > ENTROPY_EIGENVALUE_FLOOR]
-    entropy = float(-np.sum(kept * np.log2(kept)))
-    schmidt_number = float(1.0 / np.sum(kept**2))
-    return EntanglementReport(
-        eigenvalues=kept,
-        entropy=entropy,
-        schmidt_number=schmidt_number,
-        effective_dimension=float(2.0**entropy),
-        truncation_rank=int(len(kept)),
-    )
+    @property
+    def schmidt_number(self) -> float:
+        return float(1.0 / np.sum(self.eigenvalues**2))
+
+    @property
+    def effective_dimension(self) -> float:
+        return float(2.0**self.entropy)
 
 
 def schmidt_decompose(amp: JointAmplitude) -> EntanglementReport:
     """Entanglement report of an amplitude, from its Schmidt weights alone.
 
-    The weights are the eigenvalues of :func:`bases.amplitude_svd`'s
-    Hermitian eigenproblems, computed without eigenvectors (or reused, when
-    the amplitude already carries a full decomposition).  A mirror-symmetric
-    amplitude, whose mirror coupling c is at most
-    ``bases.PARITY_COUPLING_MAX``, is solved as its even and odd parity
-    blocks, of orders (n+1)/2 and (n-1)/2; Weyl's bound 2c + c^2 keeps every
-    weight within 1e-14 of the whole problem's.  Any other amplitude is
-    solved as one block of order n.  :func:`bases.schmidt_modes` gives the
-    modes.
+    The weights are the eigenvalues of :func:`bases.amplitude_svd`, computed
+    without eigenvectors (or reused, when the amplitude already carries a
+    full decomposition); that function says how the problem is split by
+    mirror parity.  :func:`bases.schmidt_modes` gives the modes.
     """
-    beta, _ = amplitude_svd(amp, compute_modes=False)
-    return _spectrum_metrics(beta)
+    return EntanglementReport(amplitude_svd(amp, compute_modes=False)[0])
 
 
 def visibility_from_lambda(lam: float, d: int) -> float:

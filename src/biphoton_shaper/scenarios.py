@@ -130,23 +130,20 @@ def _amplitude_table(amp, stride: int):
 
 def run_fig2_amplitude(ctx: ScenarioContext, req) -> ExperimentResult:
     stride = req.params["export_stride"]
-    report_g = metrics.schmidt_decompose(ctx.gamma)
-    report_p = metrics.schmidt_decompose(ctx.gamma_psf)
+    report = {}
+    for label, amp in (("gamma", ctx.gamma), ("gamma_psf", ctx.gamma_psf)):
+        spectrum = metrics.schmidt_decompose(amp)
+        report[label] = {"entropy_ebits": spectrum.entropy,
+                         "schmidt_number": spectrum.schmidt_number,
+                         "effective_dimension": spectrum.effective_dimension}
     pump = ctx.scenario.pump
     effective = spectral_field.effective_pump(pump, ctx.grid).bandwidth
-    report = {
-        "pump_bandwidth_clamped": effective > pump.bandwidth,
-        "pump_bandwidth_effective": effective,
-        "window_edge_weight": ctx.window_edge_weight,
-        "gamma": {"entropy_ebits": report_g.entropy,
-                  "schmidt_number": report_g.schmidt_number,
-                  "effective_dimension": report_g.effective_dimension},
-        "gamma_psf": {"entropy_ebits": report_p.entropy,
-                      "schmidt_number": report_p.schmidt_number,
-                      "effective_dimension": report_p.effective_dimension},
-    }
-    summary = (f"{req.name}: blurred amplitude E={report_p.entropy:.2f} ebits, "
-               f"K={report_p.schmidt_number:.2f}, d_eff={report_p.effective_dimension:.1f}")
+    report.update(pump_bandwidth_clamped=effective > pump.bandwidth,
+                  pump_bandwidth_effective=effective,
+                  window_edge_weight=ctx.window_edge_weight)
+    # the loop ends on the blurred amplitude's spectrum
+    summary = (f"{req.name}: blurred amplitude E={spectrum.entropy:.2f} ebits, "
+               f"K={spectrum.schmidt_number:.2f}, d_eff={spectrum.effective_dimension:.1f}")
     return ExperimentResult(req.name, req.id, summary, None, report, {
         "gamma": _amplitude_table(ctx.gamma, stride),
         "gamma_psf": _amplitude_table(ctx.gamma_psf, stride),
@@ -181,34 +178,35 @@ def _filtered_state_scan(amp, basis_i, phi_points: int):
 
     Projects ``amp`` onto ``basis_i`` and its mirror, takes the
     single-projection signals onto each diagonal pair (k, k), equalizes them
-    with the Procrustean filter and scans the filtered phase ladder over
-    ``phi_points`` phases in [0, pi) from the projected state.  Returns
-    (mirror basis, state, diagonal signals, filter amplitudes, scan).
+    with the Procrustean filter and scans the filtered ladder, phases phi * k
+    at ``phi_points`` phi in [0, pi), from the projected state.  Returns
+    (mirror basis, state, diagonal signals, filter amplitudes, phases, scan).
     """
     basis_s = bases.mirrored(basis_i)
     state = measurement.project_state(amp, basis_i, basis_s)
     signals = np.abs(np.diag(state.coefficients)) ** 2
     filt = measurement.procrustean_amplitudes(signals)
     phi = np.linspace(0.0, np.pi, phi_points, endpoint=False)
-    return basis_s, state, signals, filt, measurement.fringe_scan(state, phi, amplitudes=filt)
+    phases = phi[:, np.newaxis] * np.arange(basis_i.d)
+    scan = FringeScan(phi, measurement.fringe_scan(state, filt, phases))
+    return basis_s, state, signals, filt, phases, scan
 
 
 def _qudit_fringes(req, amp, basis_i, slm=None):
     """Shared body of the qudit fringe experiments.
 
-    Runs :func:`_filtered_state_scan` and scans the same filtered phase
-    ladder on the full-field route: one transfer stack per photon, a row
-    per phase (quantized onto ``slm`` when given), fed to
-    :func:`measurement.coincidence_scan`.  Fits lambda to the full-field
-    scan and judges it against the CGLMP critical visibility.  Returns the
-    result, carrying the report keys and tables both experiments share, and
-    the full-field scan.  The idler transfer table is row 0 of the idler
-    stack, the setting the scan applied at phase zero.
+    Runs :func:`_filtered_state_scan` and scans the same setting, its filter
+    amplitudes and ladder phases, on the full-field route: one transfer
+    stack per photon, a row per phase (quantized onto ``slm`` when given),
+    fed to :func:`measurement.coincidence_scan`.  Fits lambda to the
+    full-field scan and judges it against the CGLMP critical visibility.
+    Returns the result, carrying the report keys and tables both experiments
+    share, and the full-field scan.  The idler transfer table is row 0 of
+    the idler stack, the setting the scan applied at phase zero.
     """
     d = basis_i.d
-    basis_s, state, _, filt, scan_ss = _filtered_state_scan(amp, basis_i,
-                                                            req.params["phi_points"])
-    phases = scan_ss.phi[:, np.newaxis] * np.arange(d)
+    basis_s, state, _, filt, phases, scan_ss = _filtered_state_scan(
+        amp, basis_i, req.params["phi_points"])
     m_i, m_s = (shaper.transfer_from_coefficients(basis, filt, phases)
                 for basis in (basis_i, basis_s))
     if slm is not None:
@@ -381,8 +379,8 @@ def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
     widths = np.asarray(p["bin_widths"], dtype=float)  # length d, config-checked
     centers = _symmetric_centers(d, p["bin_spacing"])
     basis_i = bases.frequency_bins(centers, widths, ctx.grid)
-    _, _, before, filt, scan = _filtered_state_scan(ctx.gamma_psf, basis_i,
-                                                    p["phi_points"])
+    _, _, before, filt, _, scan = _filtered_state_scan(ctx.gamma_psf, basis_i,
+                                                       p["phi_points"])
     after = filt**4 * before
     spread = float(after.max() / after.min() - 1.0)
     fit = metrics.fit_fringe(scan, d)

@@ -453,9 +453,21 @@ class FluxLimit:
 
 
 def photon_flux_limit(spdc_bandwidth_nm: float, center_wavelength: float) -> FluxLimit:
-    """Maximum photon flux below the single-photon limit, flux = c*dlambda/lambda^2."""
+    """Maximum photon flux below the single-photon limit, flux = c*dlambda/lambda^2.
+
+    Raises :class:`NumericalError` naming ``grid.center_wavelength_nm`` when
+    the flux or the power is not a positive finite float.
+    """
     if spdc_bandwidth_nm <= 0 or center_wavelength <= 0:
         raise ValueError("bandwidth and wavelength must be positive")
-    flux = C_NM_PER_S * spdc_bandwidth_nm / center_wavelength**2
-    power = flux * photon_energy_j(center_wavelength)
+    try:
+        flux = C_NM_PER_S * spdc_bandwidth_nm / center_wavelength**2
+        power = flux * photon_energy_j(center_wavelength)
+    except ArithmeticError:  # a Python float's lambda**2 overflows, or is 0
+        flux = power = np.nan
+    if not (0.0 < flux < np.inf and 0.0 < power < np.inf):
+        raise NumericalError(
+            f"no representable flux limit at grid.center_wavelength_nm = "
+            f"{center_wavelength:g} with a {spdc_bandwidth_nm:g} nm bandwidth: "
+            f"flux {flux:.3g}/s, power {power:.3g} W")
     return FluxLimit(flux=flux, power=power)

@@ -18,6 +18,11 @@ def max_entangled_state(d: int, phi0: float = 0.0) -> QuditState:
     return QuditState(coefficients=c)
 
 
+def ladder(phi, d: int) -> np.ndarray:
+    """(P, d) phases phi * k of the d-level phase ladder, one row per phase."""
+    return np.asarray(phi, dtype=float)[:, np.newaxis] * np.arange(d)
+
+
 def double_gaussian_amplitude(grid: SpectralGrid, a: float, b: float) -> JointAmplitude:
     """Analytic test amplitude exp(-(wi+ws)^2/4a^2 - (wi-ws)^2/4b^2)."""
     ax = grid.axis()

@@ -41,7 +41,12 @@ from biphoton_shaper.measurement import FringeScan
 from biphoton_shaper.metrics import QUANTUM_BELL_CEILING
 
 from conftest import PSF_WIDTH, make_crystals
-from oracles import double_gaussian_amplitude, double_gaussian_oracle, max_entangled_state
+from oracles import (
+    double_gaussian_amplitude,
+    double_gaussian_oracle,
+    ladder,
+    max_entangled_state,
+)
 
 RESULTS = []
 
@@ -133,7 +138,7 @@ def test_criterion_4_ideal_fringes():
     harmonics_ok = False
     for d in (2, 3, 4):
         phi = np.linspace(0, np.pi, 64, endpoint=False)
-        scan = fringe_scan(max_entangled_state(d), phi)
+        scan = FringeScan(phi, fringe_scan(max_entangled_state(d), np.ones(d), ladder(phi, d)))
         fit = fit_fringe(scan, d)
         lambdas[d] = fit.parameters["lambda"]
         if d == 4:
@@ -159,14 +164,13 @@ def test_criterion_5_dual_route_equivalence(paper_1025):
         centers = (np.arange(d) - (d - 1) / 2.0) * 0.036
         basis_i = frequency_bins(centers, np.full(d, 0.024), grid)
         basis_s = mirrored(basis_i)
-        phi = np.linspace(0, np.pi, 24, endpoint=False)
-        phases = phi[:, np.newaxis] * np.arange(d)
+        phases = ladder(np.linspace(0, np.pi, 24, endpoint=False), d)
         m_i, m_s = (transfer_from_coefficients(basis, np.ones(d), phases)
                     for basis in (basis_i, basis_s))
         full = coincidence_scan(gamma_psf, m_i, m_s)
         qudits = project_state(gamma_psf, basis_i, basis_s)
-        state = fringe_scan(qudits, phi)
-        gap = float(np.max(np.abs(full - state.values)))
+        state = fringe_scan(qudits, np.ones(d), phases)
+        gap = float(np.max(np.abs(full - state)))
         leakage = qudits.truncation_weight
         ok = ok and gap < 0.01
         details.append(f"d={d}: gap {gap:.2e}, leakage {leakage:.3f}")
@@ -274,7 +278,7 @@ def test_criterion_9_procrustean_filtering(paper_1025):
     spread = float(after.max() / after.min() - 1.0)
 
     phi = np.linspace(0, np.pi, 36, endpoint=False)
-    scan = fringe_scan(state, phi, amplitudes=filt)
+    scan = FringeScan(phi, fringe_scan(state, filt, ladder(phi, d)))
     lam = fit_fringe(scan, d).parameters["lambda"]
 
     ok = asymmetric and spread < 5e-3 and lam >= 0.99
@@ -314,10 +318,9 @@ def test_criterion_11_property_suites(paper_1025):
     periodic = True
     for d in (2, 3, 4):
         phi = np.linspace(0, 2 * np.pi, 40, endpoint=False)
-        scan = fringe_scan(max_entangled_state(d, 0.4), phi)
+        values = fringe_scan(max_entangled_state(d, 0.4), np.ones(d), ladder(phi, d))
         half = len(phi) // 2
-        periodic &= bool(np.allclose(scan.values[:half], scan.values[half:],
-                                     atol=1e-9))
+        periodic &= bool(np.allclose(values[:half], values[half:], atol=1e-9))
     checks["fringe_pi_periodicity"] = periodic
 
     rng = np.random.default_rng(17)

@@ -331,6 +331,21 @@ class TestCli:
         assert "grid.omega_max" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("wavelength", [1.0e-200, 1.0e+160, 1.0e+150])
+    def test_unrepresentable_flux_limit_exits_3(self, tmp_path, capsys, wavelength):
+        # lambda^2 underflows to 0, overflows, or the limit's power underflows
+        # to 0: each once ended the run in a traceback
+        tree = {**QUICK_CONFIG, "experiments": [{"id": "flux_check"}],
+                "grid": {"n_points": 129, "center_wavelength_nm": wavelength}}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("simulation error [NumericalError]: ")
+        assert "grid.center_wavelength_nm" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_count_record_with_no_counts_exits_3(self, tmp_path, capsys):
         tree = {**QUICK_CONFIG, "grid": {"n_points": 257, "omega_max": 0.35},
                 "counting": {"duration_s": 0.0},

@@ -27,9 +27,9 @@ from biphoton_shaper import (
     transfer_from_coefficients,
 )
 from biphoton_shaper.bases import amplitude_svd
-from biphoton_shaper.measurement import QuditState
+from biphoton_shaper.measurement import FringeScan, QuditState
 from conftest import make_crystals
-from oracles import double_gaussian_amplitude, max_entangled_state
+from oracles import double_gaussian_amplitude, ladder, max_entangled_state
 
 
 def ones_transfer(grid):
@@ -247,8 +247,7 @@ def _ladder_scan(amp, basis_i, basis_s, phi, amplitudes=None, slm=None):
     phase, quantized onto ``slm`` when given, through coincidence_scan."""
     d = basis_i.d
     amplitudes = np.ones(d) if amplitudes is None else amplitudes
-    phases = phi[:, np.newaxis] * np.arange(d)
-    m_i, m_s = (transfer_from_coefficients(basis, amplitudes, phases)
+    m_i, m_s = (transfer_from_coefficients(basis, amplitudes, ladder(phi, d))
                 for basis in (basis_i, basis_s))
     if slm is not None:
         m_i, m_s = pixelate(m_i, slm), pixelate(m_s, slm)
@@ -259,20 +258,19 @@ class TestFringeScan:
     def test_ideal_qubit_visibility_and_period(self):
         state = max_entangled_state(2)
         phi = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        scan = fringe_scan(state, phi)
-        vis = (scan.values.max() - scan.values.min()) / \
-              (scan.values.max() + scan.values.min())
+        values = fringe_scan(state, np.ones(2), ladder(phi, 2))
+        vis = (values.max() - values.min()) / (values.max() + values.min())
         assert np.isclose(vis, 1.0, atol=1e-12)
         half = len(phi) // 2
-        assert np.allclose(scan.values[:half], scan.values[half:], atol=1e-9)
+        assert np.allclose(values[:half], values[half:], atol=1e-9)
 
     def test_pi_periodicity_all_dims(self):
         for d in (2, 3, 4):
             state = max_entangled_state(d, phi0=0.3)
             phi = np.linspace(0, 2 * np.pi, 40, endpoint=False)
-            scan = fringe_scan(state, phi)
+            values = fringe_scan(state, np.ones(d), ladder(phi, d))
             half = len(phi) // 2
-            assert np.allclose(scan.values[:half], scan.values[half:], atol=1e-9)
+            assert np.allclose(values[:half], values[half:], atol=1e-9)
 
     def test_overlapping_bins_cos4(self):
         # both time bins at t = 0: separable state, single-photon fringes squared
@@ -280,8 +278,7 @@ class TestFringeScan:
 
         state = gamma_model_state(1.0, 1.0)
         phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-        scan = fringe_scan(state, phi)
-        fit = fit_cos4(scan)
+        fit = fit_cos4(FringeScan(phi, fringe_scan(state, np.ones(2), ladder(phi, 2))))
         assert fit.residual_norm < 1e-6
 
     def test_unit_mean(self, gamma_psf_small):
@@ -296,8 +293,8 @@ class TestFringeScan:
         phi = np.linspace(0, np.pi, 30, endpoint=False)
         ff = _ladder_scan(gamma_psf_small, basis_i, basis_s, phi)
         state = project_state(gamma_psf_small, basis_i, basis_s)
-        ss = fringe_scan(state, phi)
-        gap = np.max(np.abs(ff - ss.values))
+        ss = fringe_scan(state, np.ones(3), ladder(phi, 3))
+        gap = np.max(np.abs(ff - ss))
         assert gap < 0.01  # contract tolerance
         assert gap < 1e-10  # realized: identical up to rounding
         assert 0.0 < state.truncation_weight < 1.0
@@ -307,8 +304,29 @@ class TestFringeScan:
         basis_s = mirrored(basis_i)
         phi = np.linspace(0, np.pi, 30, endpoint=False)
         ff = _ladder_scan(gamma_psf_small, basis_i, basis_s, phi)
-        ss = fringe_scan(project_state(gamma_psf_small, basis_i, basis_s), phi)
-        assert np.max(np.abs(ff - ss.values)) < 1e-10
+        ss = fringe_scan(project_state(gamma_psf_small, basis_i, basis_s), np.ones(3),
+                         ladder(phi, 3))
+        assert np.max(np.abs(ff - ss)) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["frequency_bins", "schmidt_modes"])
+    def test_routes_agree_on_settings_that_are_not_ladders(self, gamma_psf_small, kind, d):
+        # random amplitudes in (0, 1] and an independent random phase per point
+        # and basis function: the two routes share these arrays and nothing else
+        grid = gamma_psf_small.grid
+        if kind == "frequency_bins":
+            basis_i = frequency_bins((np.arange(d) - (d - 1) / 2.0) * 0.05, [0.04] * d, grid)
+        else:
+            basis_i = schmidt_modes(gamma_psf_small, d)
+        basis_s = mirrored(basis_i)
+        rng = np.random.default_rng(d)
+        amplitudes = 1.0 - rng.uniform(0.0, 1.0, d)
+        phases = rng.uniform(0.0, 2.0 * np.pi, (20, d))
+        m_i, m_s = (transfer_from_coefficients(basis, amplitudes, phases)
+                    for basis in (basis_i, basis_s))
+        full = coincidence_scan(gamma_psf_small, m_i, m_s)
+        state = project_state(gamma_psf_small, basis_i, basis_s)
+        assert np.max(np.abs(fringe_scan(state, amplitudes, phases) - full)) < 1e-12
 
     def test_pixelated_scan_matches_per_point_reference(self, gamma_psf_small):
         # disjoint bins: the common amplitude scale equals every per-point
@@ -336,15 +354,13 @@ class TestFringeScan:
 
         state = max_entangled_state(2)
         for phi in (np.linspace(0, 1.0, 20), np.zeros(1)):  # < one period
-            scan = fringe_scan(state, phi)
+            scan = FringeScan(phi, fringe_scan(state, np.ones(2), ladder(phi, 2)))
             with pytest.raises(FitError):
                 fit_fringe(scan, 2)
 
 
 class TestSynthesizeCounts:
     def _flat_scan(self, n=100):
-        from biphoton_shaper.measurement import FringeScan
-
         phi = np.linspace(0, np.pi, n, endpoint=False)
         return FringeScan(phi=phi, values=np.zeros(n))
 
@@ -364,7 +380,7 @@ class TestSynthesizeCounts:
     def test_seed_determinism(self):
         state = max_entangled_state(3)
         phi = np.linspace(0, np.pi, 30, endpoint=False)
-        scan = fringe_scan(state, phi)
+        scan = FringeScan(phi, fringe_scan(state, np.ones(3), ladder(phi, 3)))
         a = synthesize_counts(scan, 50.0, 11.0, 300.0, seed=99)
         b = synthesize_counts(scan, 50.0, 11.0, 300.0, seed=99)
         assert np.array_equal(a.gross, b.gross)
