@@ -15,6 +15,8 @@ from .errors import BasisError, GridError, NumericalError, RankError, Resolution
 from .spectral_field import JointAmplitude, SpectralGrid, sinc
 
 SCHMIDT_RANK_FLOOR = 1e-12
+# fewest grid samples, or modulator pixels, that may resolve a frequency bin
+MIN_SAMPLES_PER_BIN = 3
 # relative magnitude within which two samples tie as a mode's peak
 MODE_PEAK_RTOL = 1e-9
 # largest mirror coupling c at which the Schmidt problem splits by parity;
@@ -86,7 +88,7 @@ def frequency_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
     """Disjoint rectangular bins of height 1/sqrt(width) at the given centers.
 
     Bins must not overlap, must lie inside the grid window, and each must be
-    covered by at least three grid samples.
+    covered by at least MIN_SAMPLES_PER_BIN grid samples.
     """
     centers, widths = _check_separation(centers, widths, "bin")
     if np.any(widths <= 0):
@@ -98,10 +100,9 @@ def frequency_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
             raise BasisError(f"bin {j} extends outside the grid window")
         support = np.abs(ax - c) < w / 2
         n_cover = int(np.count_nonzero(support))
-        if n_cover < 3:
-            raise ResolutionError(
-                f"bin {j} covered by {n_cover} grid samples (< 3); widen it or refine the grid"
-            )
+        if n_cover < MIN_SAMPLES_PER_BIN:
+            raise ResolutionError(f"bin {j} covered by {n_cover} grid samples "
+                                  f"(< {MIN_SAMPLES_PER_BIN}); widen it or refine the grid")
         funcs[j, support] = 1.0 / np.sqrt(w)
     return BasisSet(grid=grid, functions=_renormalize(funcs, grid))
 

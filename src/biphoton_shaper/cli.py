@@ -4,7 +4,8 @@
     biphoton-shaper validate <config.yaml>
 
 Exit codes: 0 success, 1 I/O problems, 2 invalid configuration (the message
-names the offending key path), 3 numerical/simulation failure.
+names the offending key path), 3 numerical/simulation failure (running out of
+memory included).
 """
 
 import argparse
@@ -68,6 +69,10 @@ def main(argv=None) -> int:
         results = run_scenario_experiments(scenario)
     except ShaperSimError as exc:
         print(f"simulation error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print(f"simulation error [MemoryError]: out of memory; reduce grid.n_points = "
+              f"{scenario.grid.n_points}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .bases import MIN_SAMPLES_PER_BIN
 from .errors import ConfigError, GridError
 from .measurement import POISSON_LAM_MAX
 from .shaper import SlmModel
@@ -136,7 +137,8 @@ def default_config() -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes, so that PyYAML's reader reports an undecodable file as a YAMLError
+    with open(path, "rb") as fh:
         try:
             tree = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
@@ -327,6 +329,14 @@ def validate_config(tree: dict) -> Scenario:
     experiments = [_parse_experiment(entry, i, seen, grid) for i, entry in enumerate(entries)]
 
     s, c = cfg["slm"], cfg["counting"]
+    slm = SlmModel(n_pixels=s["n_pixels"], pixel_width=s["pixel_width_um"], gap=s["gap_um"])
+    for req in (req for req in experiments if req.params.get("pixelate")):
+        # the pixel array spans the window 2 * omega_max (SlmModel.positions)
+        per_bin = req.params["bin_width"] / (2.0 * grid.omega_max) * slm.extent / slm.pitch
+        if per_bin < MIN_SAMPLES_PER_BIN:
+            raise ConfigError("slm.n_pixels", f"{per_bin:.3g} pixels per bin of {req.name} "
+                                              f"(< {MIN_SAMPLES_PER_BIN}); the pixelated "
+                                              f"setting cannot resolve its basis")
     largest_mean = (c["peak_rate_hz"] + c["background_rate_hz"]) * c["duration_s"]
     if not largest_mean <= POISSON_LAM_MAX:
         raise ConfigError("counting.duration_s",
@@ -341,8 +351,7 @@ def validate_config(tree: dict) -> Scenario:
         spdc=crystal("spdc", "SPDC"),
         sfg=crystal("sfg", "SFG"),
         psf_delta_omega=psf_width,
-        slm=SlmModel(n_pixels=s["n_pixels"], pixel_width=s["pixel_width_um"],
-                     gap=s["gap_um"]),
+        slm=slm,
         counting=CountingParams(peak_rate=c["peak_rate_hz"],
                                 background_rate=c["background_rate_hz"],
                                 duration=c["duration_s"]),

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,13 @@ MALFORMED_VALUES = [
     # the pump sits at half grid.center_wavelength_nm
     pytest.param("pump.wavelength_nm", {"pump": {"wavelength_nm": 532.0}},
                  id="pump-wavelength-removed"),
+    # 0.2 pixels per bin: the quantized setting once passed the Bell test
+    # with a route gap of 3.33
+    pytest.param("slm.n_pixels",
+                 {"slm": {"n_pixels": 6},
+                  "experiments": [{"id": "freq_bin_fringes", "d": 4, "phi_points": 12,
+                                   "pixelate": True}]},
+                 id="slm-cannot-resolve-bins"),
 ]
 
 
@@ -125,15 +133,30 @@ def paper_context():
     return ScenarioContext(validate_config(default_config()))
 
 
-def benchmark_trees():
-    """Every ``configs/*.yaml`` tree and every tree ``perfbench/run.py`` runs."""
+@pytest.fixture(scope="module")
+def quick_reports(tmp_path_factory):
+    """Report of every experiment of one ``configs/quick.yaml`` run, by name."""
+    out = tmp_path_factory.mktemp("quick") / "out"
+    assert main(["run", str(ROOT / "configs" / "quick.yaml"), "--out", str(out)]) == 0
+    return {path.name.removesuffix("_report.json"):
+            json.loads(path.read_text(encoding="utf-8"))["report"]
+            for path in out.glob("*_report.json")}
+
+
+def perfbench_module():
+    """``perfbench/run.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_run",
                                                   ROOT / "perfbench" / "run.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def benchmark_trees():
+    """Every ``configs/*.yaml`` tree and every tree ``perfbench/run.py`` runs."""
     files = set((ROOT / "configs").glob("*.yaml"))
     trees = []
-    for source in bench.WORKLOADS.values():
+    for source in perfbench_module().WORKLOADS.values():
         if isinstance(source, str):
             files.add(ROOT / source)
         else:
@@ -346,6 +369,52 @@ class TestCli:
         assert "grid.center_wavelength_nm" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_grid_too_large_for_memory_exits_3(self, tmp_path):
+        # the 20001^2 amplitude needs 6.4 GB; the 3 GB address-space limit is
+        # set in the child only, so the allocation fails there at once
+        limit = 3 << 30
+        tree = {**QUICK_CONFIG, "grid": {"n_points": 20001, "omega_max": 0.35},
+                "experiments": [{"id": "fig2_amplitude"}]}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        src = str(Path(biphoton_shaper.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from biphoton_shaper.cli import "
+                "main; sys.exit(main(sys.argv[2:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, src, "run", path, "--out", str(out)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("simulation error [MemoryError]: ")
+        assert "grid.n_points = 20001" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(b"version: 1\nseed: \xff\n")
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: <document>: not valid YAML: ")
+        assert not out.exists()
+
+    def test_quick_qudit_routes_agree_and_reports_hold_the_reference_keys(self,
+                                                                          quick_reports):
+        for name in ("freq_bin_fringes_d2", "schmidt_fringes_d2", "procrustean_d3"):
+            assert quick_reports[name]["route_max_gap"] <= 1e-12, name
+        # key sets only: the reference values depend on the BLAS thread count
+        bench = perfbench_module()
+        reference = json.loads((ROOT / "perfbench" / "reference.json")
+                               .read_text(encoding="utf-8"))["quick"]
+        assert ({name: set(bench.reference_numbers(report))
+                 for name, report in quick_reports.items()}
+                == {name: set(numbers) for name, numbers in reference.items()})
+
     def test_count_record_with_no_counts_exits_3(self, tmp_path, capsys):
         tree = {**QUICK_CONFIG, "grid": {"n_points": 257, "omega_max": 0.35},
                 "counting": {"duration_s": 0.0},
@@ -545,6 +614,7 @@ class TestCli:
         *({"id": "schmidt_fringes", "d": d, "phi_points": 16} for d in (2, 3, 4, 5)),
         *({"id": "freq_bin_fringes", "d": d, "phi_points": 12, "pixelate": True}
           for d in (2, 3)),
+        {"id": "procrustean", "d": 3, "phi_points": 16},
     ], ids=lambda e: f"{e['id']}-d{e['d']}")
     def test_transfer_table_is_the_first_scan_row(self, paper_context, monkeypatch,
                                                   experiment):

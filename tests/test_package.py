@@ -11,9 +11,9 @@ PACKAGE = Path(biphoton_shaper.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (module, name) of the public definitions that no code of the package reads:
-# time_bins is exported for the time-bin Bell test that ROADMAP item 4 puts
-# into a run, and config.default_config builds the default config tree for
-# library use (README).
+# time_bins is exported for the time-bin runs of ROADMAP items 4 and 15, and
+# config.default_config builds the default config tree for library use
+# (README).
 UNUSED_ALLOWED = {("bases", "time_bins"), ("config", "default_config")}
 
 
