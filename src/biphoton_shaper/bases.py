@@ -15,6 +15,8 @@ from .errors import BasisError, GridError, NumericalError, RankError, Resolution
 from .spectral_field import JointAmplitude, SpectralGrid, sinc
 
 SCHMIDT_RANK_FLOOR = 1e-12
+# mode weights at or below this floor are rounding noise of the eigensolver
+ENTROPY_EIGENVALUE_FLOOR = 1e-15
 # fewest grid samples, or modulator pixels, that may resolve a frequency bin
 MIN_SAMPLES_PER_BIN = 3
 # relative magnitude within which two samples tie as a mode's peak
@@ -24,6 +26,11 @@ MODE_PEAK_RTOL = 1e-9
 PARITY_COUPLING_MAX = 5e-15
 # rows per block of the mode lift
 _ROW_BLOCK = 64
+# Low-rank Schmidt solve: first sketch width, the smallest Ritz value that
+# shows the sketch holds every weight above the entropy floor, and the seed
+_SKETCH_COLUMNS = 80
+_SKETCH_TAIL = 1e-3 * ENTROPY_EIGENVALUE_FLOOR
+_SKETCH_SEED = 0
 
 
 @dataclass
@@ -146,21 +153,27 @@ def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(x: np.ndarray, parity: int) -> np.ndarray:
-    """Even (parity 0) or odd (parity 1) mirror coordinates of the rows of x.
+def _fold(x: np.ndarray, parity: int, axis: int = 0) -> np.ndarray:
+    """Even (parity 0) or odd (parity 1) mirror coordinates of x along ``axis``
+    (0: of its rows, 1: of its columns).
 
     Sample i pairs with its mirror n-1-i (omega with -omega).  The even
     coordinates are (x_i + x_{n-1-i})/sqrt(2) for i < n//2, followed by the
-    centre row when n is odd; the odd ones are (x_i - x_{n-1-i})/sqrt(2).
+    centre sample when n is odd; the odd ones are (x_i - x_{n-1-i})/sqrt(2).
     """
-    n = len(x)
+    n = x.shape[axis]
     m = n // 2
-    upper, lower = x[:m], x[:n - m - 1:-1]
+
+    def along(index):
+        return (slice(None),) * axis + (index,)
+
+    upper, lower = x[along(slice(None, m))], x[along(slice(None, n - m - 1, -1))]
     if parity:
         return (upper - lower) / np.sqrt(2.0)
-    out = np.empty_like(x[:n - m])  # filled in place: no concatenation copy
-    np.divide(np.add(upper, lower, out=out[:m]), np.sqrt(2.0), out=out[:m])
-    out[m:] = x[m:n - m]
+    out = np.empty_like(x[along(slice(None, n - m))])  # filled in place: no concatenation
+    head = out[along(slice(None, m))]
+    np.divide(np.add(upper, lower, out=head), np.sqrt(2.0), out=head)
+    out[along(slice(m, None))] = x[along(slice(m, n - m))]
     return out
 
 
@@ -186,26 +199,68 @@ def _parity_blocks(amp: JointAmplitude):
     (J the sample reversal; c = 0 for an amplitude symmetric under
     (omega_i, omega_s) -> (-omega_i, -omega_s)).
 
-    The rows are folded one parity at a time; both blocks of that row parity
-    of S' = Q S Q^T come from the fold, and the off-diagonal one is dropped
-    once its norm is summed.  The blocks are the diagonal ones, [S_ee, S_oo],
-    in mirror coordinates when c is at most ``PARITY_COUPLING_MAX``, else
-    [S] in sample coordinates.
+    The rows are folded one parity at a time, then the columns of that
+    contiguous fold; both blocks of that row parity of S' = Q S Q^T come
+    from it, and the off-diagonal one is dropped once its norm is summed.
+    The blocks are the diagonal ones, [S_ee, S_oo], in mirror coordinates
+    when c is at most ``PARITY_COUPLING_MAX``, else [S] in sample
+    coordinates.
     """
     h = amp.grid.spacing
     blocks, coupling2 = [], 0.0
     for p in (0, 1):
-        rows = _fold(amp.values, p).T
-        coupling2 += np.linalg.norm(_fold(rows, 1 - p)) ** 2
-        folded = _fold(rows, p)
+        rows = _fold(amp.values, p)
+        coupling2 += np.linalg.norm(_fold(rows, 1 - p, axis=1)) ** 2
+        block = _fold(rows, p, axis=1)
         del rows  # each fold is freed before the next array is made
-        blocks.append(folded.T * h)
-        del folded
+        block *= h
+        blocks.append(block)
+        del block
     coupling = h * float(np.sqrt(coupling2))
     if coupling > PARITY_COUPLING_MAX:
         blocks.clear()  # the folded blocks are freed before S is made
         blocks.append(amp.values * h)
     return blocks, coupling
+
+
+def _solve_block(blocks: list, compute_modes: bool):
+    """Pop the first block B off ``blocks`` and solve B B^dagger.
+
+    Returns its eigenvalues in descending order and, when ``compute_modes``
+    is true, the eigenvectors of those at or above ``SCHMIDT_RANK_FLOOR`` as
+    columns (else None).  A values-only request is one dense ``eigvalsh``.
+    A mode request first tries a randomized range finder with one step of
+    subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 53, 217
+    (2011)): Q = qr(B Omega) for k fixed-seed Gaussian columns Omega, then
+    Q = qr(B B^dagger Q), and the Ritz pairs (w, Q V) of C C^dagger with
+    C = Q^dagger B.  When the smallest Ritz value is below ``_SKETCH_TAIL``,
+    the sketch holds every weight above the entropy floor, and the block's
+    other weights are stored as 0.0; otherwise k doubles.  Once 2k reaches
+    the block order the last step is the dense ``eigh`` of B B^dagger, with
+    B freed before it is solved.
+    """
+    b = blocks.pop(0)
+    order = len(b)
+    rng = np.random.default_rng(_SKETCH_SEED)
+    k = _SKETCH_COLUMNS
+    while compute_modes and 2 * k < order:
+        q = np.linalg.qr(b @ rng.standard_normal((b.shape[1], k)))[0]
+        q = np.linalg.qr(b @ (b.conj().T @ q))[0]
+        c = q.conj().T @ b
+        w, v = np.linalg.eigh(c @ c.conj().T)
+        if w[0] < _SKETCH_TAIL:
+            kept = np.count_nonzero(w >= SCHMIDT_RANK_FLOOR)
+            return np.concatenate([w[::-1], np.zeros(order - k)]), q @ v[:, ::-1][:, :kept]
+        k *= 2
+    gram = b @ b.conj().T
+    del b
+    if not compute_modes:
+        return np.linalg.eigvalsh(gram)[::-1], None
+    w, v = np.linalg.eigh(gram)
+    del gram
+    # a block's readable modes are its leading eigenvectors
+    kept = np.count_nonzero(w >= SCHMIDT_RANK_FLOOR)
+    return w[::-1], v[:, ::-1][:, :kept].copy()
 
 
 def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
@@ -225,9 +280,12 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     has c = 0 and Schmidt modes of definite parity (Law, Walmsley & Eberly,
     PRL 84, 5304 (2000)).
 
-    For each block B, beta holds the eigenvalues of B B^dagger, merged over
-    the blocks in descending order (a stable sort) with rounding-level
-    negatives clipped to 0; beta_j sums to one.  The idler modes are the
+    For each block B, beta holds the eigenvalues of B B^dagger
+    (:func:`_solve_block`), merged over the blocks in descending order (a
+    stable sort) with rounding-level negatives clipped to 0; beta_j sums to
+    one.  A mode request of the blurred 1025^2 or 2049^2 amplitude of the
+    paper's source takes the low-rank solve; the other requests, the dense
+    one.  The idler modes are the
     eigenvectors of the r weights at or above ``SCHMIDT_RANK_FLOOR``, as
     continuum-normalized rows of an (r, n) array (a parity block's lifted by
     Q^T, 64 at a time, straight into their rows), or None when
@@ -251,19 +309,13 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     cached = amp._schmidt
     if cached is None or (compute_modes and cached[1] is None):
         n = amp.grid.n_points
-        grams = [b @ b.conj().T for b in _parity_blocks(amp)[0]]
+        blocks = _parity_blocks(amp)[0]
         values, vectors = [], []
         try:
-            while grams:  # popped, so each gram is freed once it is solved
-                if compute_modes:
-                    w, v = np.linalg.eigh(grams.pop(0))
-                    # a block's readable modes are its leading eigenvectors
-                    kept = np.count_nonzero(w >= SCHMIDT_RANK_FLOOR)
-                    vectors.append(v[:, ::-1][:, :kept].copy())
-                    del v  # freed before the next block is solved
-                else:
-                    w = np.linalg.eigvalsh(grams.pop(0))
-                values.append(w[::-1])
+            while blocks:  # popped, so each block is freed once it is solved
+                w, v = _solve_block(blocks, compute_modes)
+                values.append(w)
+                vectors.append(v)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"Schmidt eigensolver failed on the {n}^2 amplitude: {exc}"

@@ -142,7 +142,9 @@ def load_config(path) -> dict:
         try:
             tree = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
-            raise ConfigError("<document>", f"not valid YAML: {exc}") from exc
+            # PyYAML's message spans lines; a CLI error is one line
+            reason = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+            raise ConfigError("<document>", f"not valid YAML: {reason}") from exc
     if not isinstance(tree, dict):
         raise ConfigError("<document>", "top level must be a mapping")
     return tree

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 from scipy.optimize import least_squares
 
-from .bases import amplitude_svd
+from .bases import ENTROPY_EIGENVALUE_FLOOR, amplitude_svd
 from .errors import FitError
 from .measurement import (
     CountRecord,
@@ -24,8 +24,6 @@ from .measurement import (
     projection_probability,
 )
 from .spectral_field import JointAmplitude
-
-ENTROPY_EIGENVALUE_FLOOR = 1e-15
 
 QUANTUM_BELL_CEILING = 2.0 * np.sqrt(2.0)
 

@@ -301,6 +301,21 @@ def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
     return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing))
 
 
+# Rows per block of the build's pump envelope.
+_BUILD_BLOCK = 64
+
+# exp(-x) is +0.0 in float64 for every x above 745.14 (ln of the smallest
+# subnormal, with its rounding half-cell)
+_EXP_UNDERFLOW = 746.0
+
+
+def _band_reach(width: float, spacing: float) -> int:
+    """Grid cells from the anti-diagonal beyond which :func:`_gaussian` of
+    (omega_i + omega_s)^2 with this width is +0.0, plus two cells for the
+    rounding of the axis."""
+    return int(np.ceil(width * np.sqrt(_EXP_UNDERFLOW / (2.0 * _LN2)) / spacing)) + 2
+
+
 def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
                           sfg: CrystalSpec | None = None,
                           include_phase=False) -> JointAmplitude:
@@ -312,28 +327,39 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
 
     The phase matching is evaluated only in the pump's band, the samples
     where the envelope is nonzero (about 13% of a 1025^2 grid and 7% of a
-    2049^2 grid with the clamped continuous-wave pump).  In the band each
-    sample is the product the full grid would give, bit for bit; outside it
-    the amplitude is +0.0.
+    2049^2 grid with the clamped continuous-wave pump).  The envelope itself
+    is evaluated one block of ``_BUILD_BLOCK`` rows at a time, on only the
+    columns where |omega_i + omega_s| can keep it above float64 underflow
+    (:func:`_band_reach`), so no full-grid temporary exists.  In the band
+    each sample is the product the full grid would give, bit for bit;
+    outside it the amplitude is +0.0.
     """
     _check_sinc_resolution(grid, spdc)
     if sfg is not None:
         _check_sinc_resolution(grid, sfg)
 
+    n = grid.n_points
     ax = grid.axis()
     pc = grid.pump_center_frequency
-    envelope = pump_envelope(ax[:, None] + ax, effective_pump(pump, grid))
-    band = np.nonzero(envelope)
-    wi, ws = ax[band[0]], ax[band[1]]
-    in_band = envelope[band] * phase_matching(wi, ws, spdc, pc, include_phase=include_phase)
-    if sfg is not None:
-        # A complex product's imaginary part can differ in the last bit when
-        # the operands are swapped.  The acceptance factor is the left one:
-        # numpy ran the full-grid ``values * acceptance`` in place on the
-        # acceptance temporary, as ``acceptance * values``.
-        in_band = phase_matching(wi, ws, sfg, pc, include_phase=include_phase) * in_band
-    values = np.zeros(envelope.shape, in_band.dtype)
-    values[band] = in_band
+    pump = effective_pump(pump, grid)
+    reach = _band_reach(pump.bandwidth, grid.spacing)
+    values = np.zeros((n, n), complex if include_phase else float)
+    for r in range(0, n, _BUILD_BLOCK):
+        rows = slice(r, min(r + _BUILD_BLOCK, n))
+        # omega_i + omega_s ~ 0 on the anti-diagonal, column n - 1 - row
+        lo, hi = max(n - rows.stop - reach, 0), min(n - rows.start + reach, n)
+        envelope = pump_envelope(ax[rows, None] + ax[lo:hi], pump)
+        i, j = np.nonzero(envelope)
+        wi, ws = ax[r + i], ax[lo + j]
+        in_band = envelope[i, j] * phase_matching(wi, ws, spdc, pc,
+                                                  include_phase=include_phase)
+        if sfg is not None:
+            # A complex product's imaginary part can differ in the last bit
+            # when the operands are swapped.  The acceptance factor is the
+            # left one: numpy ran the full-grid ``values * acceptance`` in
+            # place on the acceptance temporary, as ``acceptance * values``.
+            in_band = phase_matching(wi, ws, sfg, pc, include_phase=include_phase) * in_band
+        values[r + i, lo + j] = in_band
     return JointAmplitude(grid=grid, values=values)
 
 
@@ -348,13 +374,14 @@ def _gaussian(sq_sum, width: float):
 _PSF_BLOCK = 64
 
 
-def _row_spectra(rows_of, count: int, m: int, workers: int) -> np.ndarray:
+def _row_spectra(rows_of, count: int, m: int, workers: int, out=None) -> np.ndarray:
     """Length-m real-to-complex transform of ``count`` rows, zero padded.
 
     ``rows_of(block)`` gives the rows selected by the slice ``block``, so a
-    block of rows need exist only while it is transformed.
+    block of rows need exist only while it is transformed.  The spectra go
+    into ``out`` when it is given.
     """
-    spectra = np.empty((count, m // 2 + 1), dtype=complex)
+    spectra = np.empty((count, m // 2 + 1), dtype=complex) if out is None else out
     for r in range(0, count, _PSF_BLOCK):
         block = slice(r, r + _PSF_BLOCK)
         spectra[block] = sp_fft.rfft(rows_of(block), m, axis=1, workers=workers)
@@ -371,16 +398,24 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     reach the crop:
 
     - a real-to-complex transform along axis 1 of the n data rows of each
-      (real or imaginary) plane, and of the kernel rows that are not all
-      zero; the m - n padded rows are zero and are not stored.  A kernel
-      row is all zero when its peak, at the column of smallest |omega|,
-      underflows (:func:`_gaussian` evaluated there); the other rows (1303
-      of 2049 at the paper's width) are evaluated one block at a time, so
-      no n x n kernel exists;
+      (real or imaginary) plane, and of each distinct kernel row that is not
+      all zero; the m - n padded rows are zero and are not stored.  Kernel
+      row i depends on omega_i^2 only, so rows whose omega_i^2 have the same
+      bits are one row; ``np.linspace`` is not bitwise mirror symmetric, so
+      a row and its mirror need not coincide.  A kernel row is all zero when
+      its peak, at the column of smallest |omega|, underflows
+      (:func:`_gaussian` evaluated there), and by the same test so is every
+      kernel column but these ``live`` ones.  At the paper's width 1303 of
+      2049 rows are live and 858 distinct (651 and 429 of 1025, 163 and 107
+      of 257); each distinct row is evaluated on the live columns only, one
+      block at a time, so no n x n kernel exists;
     - per block of columns, the complex transform along axis 0 (the kernel's
       zero rows fed in as zeros), the product with the kernel's block of
       spectrum and the unscaled inverse, of which only the n cropped rows
-      are kept;
+      are kept.  These run in place in two preallocated m x ``_PSF_BLOCK``
+      buffers, which are allocated together with the distinct kernel
+      spectra as one array (so freeing it returns the memory to the system;
+      separate arrays under glibc's 32 MB mmap threshold stay resident);
     - the complex-to-real inverse along axis 1 of those rows, scaled once by
       1/m^2 and cropped; the row spectra are freed before the output is
       renormalized.
@@ -402,6 +437,7 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
 
     n = amp.grid.n_points
     m = sp_fft.next_fast_len(2 * n - 1, True)
+    half = m // 2 + 1
     crop = slice((n - 1) // 2, (n - 1) // 2 + n)
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)  # macOS and Windows have no affinity call
@@ -409,22 +445,35 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     planes = (amp.values.real, amp.values.imag) if complex_values else (amp.values,)
     sq = amp.grid.axis() ** 2
     live = np.flatnonzero(_gaussian(sq + sq[np.argmin(sq)], delta_omega_psf))
-    kernel_rows = _row_spectra(
-        lambda block: _gaussian(sq[live[block], None] + sq, delta_omega_psf),
-        len(live), m, workers)
+    cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
+    distinct, row_of = np.unique(sq[live], return_inverse=True)
+    u = len(distinct)
+    work = np.empty(u * half + 2 * m * _PSF_BLOCK, dtype=complex)
+    kernel_buf, data_buf = work[u * half:].reshape(2, m, _PSF_BLOCK)
+
+    def kernel_rows(block):
+        rows = np.zeros((len(distinct[block]), n))
+        rows[:, cols] = _gaussian(distinct[block, None] + sq[cols], delta_omega_psf)
+        return rows
+
+    kernel_spectra = _row_spectra(kernel_rows, u, m, workers,
+                                  out=work[:u * half].reshape(u, half))
     spectra = [_row_spectra(plane.__getitem__, n, m, workers) for plane in planes]
-    for c in range(0, m // 2 + 1, _PSF_BLOCK):
-        cols = slice(c, c + _PSF_BLOCK)
-        live_block = kernel_rows[:, cols]
-        kernel_block = np.zeros((n, live_block.shape[1]), dtype=complex)
-        kernel_block[live] = live_block
-        kernel_block = sp_fft.fft(kernel_block, m, axis=0, workers=workers)
+    for c in range(0, half, _PSF_BLOCK):
+        block = slice(c, c + _PSF_BLOCK)
+        width = min(_PSF_BLOCK, half - c)
+        kernel, data = kernel_buf[:, :width], data_buf[:, :width]
+        kernel[:] = 0.0
+        kernel[live] = kernel_spectra[row_of, block]
+        sp_fft.fft(kernel, axis=0, overwrite_x=True, workers=workers)
         for spec in spectra:
-            block = sp_fft.fft(spec[:, cols], m, axis=0, workers=workers)
-            block *= kernel_block
-            spec[:, cols] = sp_fft.ifft(block, axis=0, norm="forward", overwrite_x=True,
-                                        workers=workers)[crop]
-    del kernel_rows, live_block, kernel_block, block
+            data[:n] = spec[:, block]
+            data[n:] = 0.0
+            sp_fft.fft(data, axis=0, overwrite_x=True, workers=workers)
+            data *= kernel
+            sp_fft.ifft(data, axis=0, norm="forward", overwrite_x=True, workers=workers)
+            spec[:, block] = data[crop]
+    del work, kernel_spectra, kernel_buf, data_buf, kernel, data
     # irfftn's factor, which pocketfft computes in long double
     scale = float(1 / np.longdouble(m * m))
     out = []

@@ -9,6 +9,7 @@ from biphoton_shaper import (
     phase_matching,
     pump_envelope,
 )
+from biphoton_shaper.bases import _parity_blocks
 from biphoton_shaper.spectral_field import effective_pump
 
 
@@ -89,6 +90,39 @@ def mirror_coupling(amp: JointAmplitude) -> float:
     """
     diff = amp.values - amp.values[::-1, ::-1]
     return amp.grid.spacing * np.sqrt(np.vdot(diff, diff).real) / 2.0
+
+
+def gram_eigh_schmidt(amp: JointAmplitude):
+    """Schmidt weights and idler modes from a dense ``eigh`` of each parity
+    block's Gram matrix B B^dagger, the route ``amplitude_svd`` took for
+    every block before its low-rank solve.
+
+    Returns (beta, modes): the weights in descending order, rounding-level
+    negatives clipped to 0, and every eigenvector as a unit row in sample
+    coordinates, in the order of beta.  For odd grids only.
+    """
+    n = amp.grid.n_points
+    blocks, _ = _parity_blocks(amp)
+    if len(blocks) == 2:
+        # Q^T: even coordinates (pairs, then the centre), then odd ones
+        m = n // 2
+        i = np.arange(m)
+        lift = np.zeros((n, n))
+        lift[i, i] = lift[n - 1 - i, i] = 2**-0.5
+        lift[m, m] = 1.0
+        lift[i, m + 1 + i] = 2**-0.5
+        lift[n - 1 - i, m + 1 + i] = -(2**-0.5)
+        lifts = [lift[:, :m + 1], lift[:, m + 1:]]
+    else:
+        lifts = [np.eye(n)]
+    weights, vectors = [], []
+    for block, block_lift in zip(blocks, lifts):
+        w, v = np.linalg.eigh(block @ block.conj().T)
+        weights.append(w)
+        vectors.append(block_lift @ v)
+    w = np.concatenate(weights)
+    order = np.argsort(-w, kind="stable")
+    return np.maximum(w[order], 0.0), np.concatenate(vectors, axis=1)[:, order].T
 
 
 def lambda_fringe_branches(d: int, phi, lam: float, phi0: float = 0.0):

@@ -28,7 +28,7 @@ from biphoton_shaper.metrics import ENTROPY_EIGENVALUE_FLOOR
 from biphoton_shaper.scenarios import ScenarioContext
 
 from conftest import PSF_WIDTH, make_crystals
-from oracles import double_gaussian_amplitude, mirror_coupling
+from oracles import double_gaussian_amplitude, gram_eigh_schmidt, mirror_coupling
 
 
 def max_offdiag(g):
@@ -413,6 +413,60 @@ class TestEigenproblemMatchesSvd:
         assert np.all(1.0 - top_mode_overlaps(modes, u[:, :6], grid) <= 1e-12)
         for j, f in enumerate(modes[:6]):
             assert np.array_equal(f[::-1], (-1) ** j * f)
+
+
+# (grid points, Taylor a1, include_phase, PSF width, orders of the eigh
+# calls): the blurred 257-point blocks take the dense step at once (2k would
+# reach their order) and the blurred 1025-point ones the 80-column sketch; a
+# nonzero a1 is solved whole, in one block of order n, with k doubled once;
+# the unblurred amplitude (612 modes) outgrows the sketch, and each block
+# ends in the dense step
+LOW_RANK_CASES = [(257, 0.0, False, PSF_WIDTH, [129, 128]),
+                  (1025, 0.0, False, PSF_WIDTH, [80, 80]),
+                  (1025, 0.0, True, PSF_WIDTH, [80, 80]),
+                  (1025, 2.0, False, PSF_WIDTH, [80, 160]),
+                  (1025, 0.0, False, 0.0, [80, 160, 513, 80, 160, 512])]
+
+
+@pytest.fixture(scope="module", params=LOW_RANK_CASES,
+                ids=lambda case: "-".join(map(str, case[:4])))
+def low_rank_case(request):
+    """(amplitude, oracle weights, oracle modes, orders of the eigh calls)"""
+    n, a1, include_phase, width, orders = request.param
+    grid = SpectralGrid(n_points=n, omega_max=0.35)
+    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals(a1=a1),
+                                  include_phase=include_phase)
+    amp = apply_psf(gamma, width)
+    return (amp, *gram_eigh_schmidt(amp), orders)
+
+
+class TestLowRankSolve:
+    """The Schmidt solve of a mode request against the dense Gram-matrix oracle."""
+
+    def test_weights(self, low_rank_case):
+        amp, beta_oracle, _, _ = low_rank_case
+        beta, _ = amplitude_svd(JointAmplitude(grid=amp.grid, values=amp.values))
+        assert np.max(np.abs(beta - beta_oracle)) <= 1e-15
+
+    def test_leading_modes_and_rank(self, low_rank_case):
+        amp, beta_oracle, modes_oracle, _ = low_rank_case
+        _, modes = amplitude_svd(JointAmplitude(grid=amp.grid, values=amp.values))
+        assert len(modes) == np.count_nonzero(beta_oracle >= bases.SCHMIDT_RANK_FLOOR)
+        unit = modes[:6] * np.sqrt(amp.grid.spacing)
+        overlaps = np.abs(np.sum(modes_oracle[:6].conj() * unit, axis=1))
+        assert np.all(overlaps >= 1.0 - 1e-12)
+
+    def test_same_bytes_on_every_call(self, low_rank_case):
+        amp, _, _, _ = low_rank_case
+        first, second = (amplitude_svd(JointAmplitude(grid=amp.grid, values=amp.values))
+                         for _ in range(2))
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+
+    def test_route(self, low_rank_case, eigensolver_calls):
+        amp, _, _, orders = low_rank_case
+        amplitude_svd(JointAmplitude(grid=amp.grid, values=amp.values))
+        assert eigensolver_calls == [("eigh", order) for order in orders]
 
 
 class TestMirrored:

@@ -403,6 +403,20 @@ class TestCli:
         assert err.startswith("config error: <document>: not valid YAML: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("text", [b"version: 1\nseed: \xff\n", b"version: 1\ngrid: [1, 2"],
+                             ids=["undecodable", "unclosed"])
+    def test_yaml_error_is_one_line(self, tmp_path, capsys, command, text):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = (captured.out + captured.err).splitlines()
+        assert line.startswith("config error: <document>: not valid YAML: ")
+        assert str(path) in line
+
     def test_quick_qudit_routes_agree_and_reports_hold_the_reference_keys(self,
                                                                           quick_reports):
         for name in ("freq_bin_fringes_d2", "schmidt_fringes_d2", "procrustean_d3"):

@@ -308,6 +308,15 @@ class TestBandLimitedBuild:
     @pytest.mark.parametrize("include_phase", [False, True], ids=["real", "phase"])
     def test_equals_full_grid_oracle(self, n, pump_bandwidth, band_share, dispersion,
                                      with_sfg, include_phase):
+        self._check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg, include_phase)
+
+    def test_equals_full_grid_oracle_at_2049(self):
+        # the size of the schmidt_2049 benchmark, where the envelope's
+        # column window is the narrowest share of a row
+        self._check_oracle(2049, CW_BANDWIDTH, 0.07, "taylor", True, False)
+
+    @staticmethod
+    def _check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg, include_phase):
         grid = SpectralGrid(n_points=n, omega_max=0.35)
         spdc, sfg = make_crystals() if dispersion == "taylor" else _sellmeier_crystals(grid)
         sfg = sfg if with_sfg else None
@@ -405,22 +414,37 @@ class TestApplyPsf:
     @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("width", [PSF_WIDTH, 0.05, 2.0e-4])
     def test_bit_identical_to_fftconvolve(self, n, complex_values, width):
-        from scipy.signal import fftconvolve
-
         grid = SpectralGrid(n_points=n, omega_max=0.35)
         rng = np.random.default_rng(n)
         values = rng.standard_normal((n, n))
         if complex_values:
             values = values + 1j * rng.standard_normal((n, n))
         amp = JointAmplitude(grid=grid, values=values)
-        kernel = psf_kernel(grid, width)
-        if complex_values:
+        assert np.array_equal(apply_psf(amp, width).values, self._fftconvolve(amp, width))
+
+    def test_default_config_blur_bit_identical_to_fftconvolve(self):
+        # the 1025^2 continuous-wave amplitude whose blur feeds default's
+        # time-bin gamma fits
+        root = Path(__file__).resolve().parents[1]
+        scenario = validate_config(load_config(root / "configs" / "default.yaml"))
+        amp = build_joint_amplitude(scenario.grid, scenario.pump, scenario.spdc, scenario.sfg,
+                                    include_phase=scenario.include_phase)
+        width = scenario.psf_delta_omega
+        assert (apply_psf(amp, width).values.tobytes()
+                == self._fftconvolve(amp, width).tobytes())
+
+    @staticmethod
+    def _fftconvolve(amp, width):
+        """The renormalized ``fftconvolve(..., mode="same")`` of each plane."""
+        from scipy.signal import fftconvolve
+
+        kernel = psf_kernel(amp.grid, width)
+        if np.iscomplexobj(amp.values):
             want = (fftconvolve(amp.values.real, kernel, mode="same")
                     + 1j * fftconvolve(amp.values.imag, kernel, mode="same"))
         else:
             want = fftconvolve(amp.values, kernel, mode="same")
-        want = want / np.sqrt(np.sum(np.abs(want) ** 2) * grid.spacing**2)
-        assert np.array_equal(apply_psf(amp, width).values, want)
+        return want / np.sqrt(np.sum(np.abs(want) ** 2) * amp.grid.spacing**2)
 
     def test_traced_peak_memory(self, gamma_small):
         # Unit: one padded half-spectrum of a 257^2 grid.  The in-place
@@ -482,11 +506,15 @@ class TestApplyPsf:
         assert apply_psf(gamma_small, PSF_WIDTH).values.tobytes() == want
         assert workers == {want_workers}
 
-    # kernel rows that are not all zero at the paper's width
-    @pytest.mark.parametrize("n, live", [(257, 163), (1025, 651)])
-    def test_transforms_only_nonzero_kernel_rows(self, n, live, monkeypatch):
+    # kernel rows that are not all zero at the paper's width, and those of
+    # them whose omega_i^2 differ in some bit: only these are transformed
+    @pytest.mark.parametrize("n, live, distinct", [(257, 163, 107), (1025, 651, 429)])
+    def test_transforms_only_nonzero_kernel_rows(self, n, live, distinct, monkeypatch):
         grid = SpectralGrid(n_points=n, omega_max=0.35)
-        assert np.count_nonzero(psf_kernel(grid, PSF_WIDTH).any(axis=1)) == live
+        kernel = psf_kernel(grid, PSF_WIDTH)
+        nonzero = kernel.any(axis=1)
+        assert np.count_nonzero(nonzero) == live
+        assert len(np.unique(grid.axis()[nonzero] ** 2)) == distinct
         impulse = np.zeros((n, n))
         impulse[n // 2, n // 2] = 1.0
         real_rfft = scipy.fft.rfft
@@ -498,7 +526,7 @@ class TestApplyPsf:
 
         monkeypatch.setattr(scipy.fft, "rfft", counting_rfft)
         apply_psf(JointAmplitude(grid=grid, values=impulse), PSF_WIDTH)
-        assert sum(rows) == n + live
+        assert sum(rows) == n + distinct
 
     def test_schmidt_number_nonincreasing_in_psf_width(self, gamma_small):
         widths = [0.0, 0.005, 0.01, 0.02, 0.04]
@@ -530,9 +558,10 @@ class TestPeakMemory:
 
     tracemalloc sees numpy's arrays but not pocketfft's internal buffers, so
     these bound the Python-visible working set only.  Measured: the build
-    peaks at 3.7 planes and the blur at 4.24 (5.0 with every kernel row
-    transformed); a full-grid build needs 8.0 and a blur through padded 2-D
-    spectra 13.3.
+    peaks at 2.0 planes (4.0 with the pump envelope on the whole grid, 8.0
+    with the phase matching there too) and the blur at 3.78 (4.24 with one
+    spectrum per live kernel row and per-block column buffers, 5.0 with
+    every kernel row transformed, 13.3 through padded 2-D spectra).
     """
 
     @pytest.fixture(scope="class")
@@ -553,14 +582,14 @@ class TestPeakMemory:
         spdc, sfg = make_crystals()
         planes = self._traced_peak_planes(grid.n_points, build_joint_amplitude,
                                           grid, pump_cw, spdc, sfg)
-        assert planes <= 4.5
+        assert planes <= 2.5
 
     def test_apply_psf(self, grid, pump_cw):
         spdc, sfg = make_crystals()
         amp = build_joint_amplitude(grid, pump_cw, spdc, sfg)
         apply_psf(amp, PSF_WIDTH)  # warm the transform plan cache
         planes = self._traced_peak_planes(grid.n_points, apply_psf, amp, PSF_WIDTH)
-        assert planes <= 4.5
+        assert planes <= 4.0
 
     def test_apply_psf_complex(self, grid, pump_cw):
         """Blur of a complex amplitude, whose two planes are combined at the end.

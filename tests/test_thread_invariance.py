@@ -1,8 +1,12 @@
 """The same numbers on any BLAS thread count (ROADMAP item 2(c)).
 
-``configs/quick.yaml`` runs in two concurrent processes, one with one BLAS
-thread and one with two, and every report number and CSV cell of the two
-output trees must agree within these tolerances:
+Each config runs in two concurrent processes, one with one BLAS thread and
+one with two, and every report number and CSV cell of the two output trees
+must agree within these tolerances.  The configs are ``configs/quick.yaml``
+and a 1025-point Schmidt tree (``fig2_amplitude``, ``fig3_schmidt`` and a
+12-phase d = 2 ``schmidt_fringes``), whose blurred amplitude takes the
+low-rank Schmidt solve that quick's 129-order blocks never reach.
+
 
 - scans, spectra, modes and number lists: 1e-12 of the largest magnitude in
   the column or list (a lone number is a list of one);
@@ -30,6 +34,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 import biphoton_shaper
 
@@ -47,15 +52,20 @@ RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from biphoton_shaper.cli im
        "sys.exit(main(sys.argv[2:]))")
 
 
-def _run_both(tmp_path):
-    """Output trees of quick.yaml under 1 and 2 BLAS threads, run concurrently."""
+SCHMIDT_1025 = {"version": 1, "seed": 7, "grid": {"n_points": 1025, "omega_max": 0.35},
+                "experiments": [{"id": "fig2_amplitude"}, {"id": "fig3_schmidt"},
+                                {"id": "schmidt_fringes", "d": 2, "phi_points": 12}]}
+
+
+def _run_both(tmp_path, config):
+    """Output trees of a config under 1 and 2 BLAS threads, run concurrently."""
     procs = {}
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         out = tmp_path / f"threads_{threads}"
         procs[out] = subprocess.Popen(
-            [sys.executable, "-c", RUN, str(SRC), "run", str(ROOT / "configs" / "quick.yaml"),
-             "--out", str(out)], env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+            [sys.executable, "-c", RUN, str(SRC), "run", str(config), "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     for out, proc in procs.items():
         log, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0, log.decode()
@@ -134,8 +144,7 @@ def _compare_csv(a_path, b_path):
                 (a_path.name, name, np.max(np.abs(x - y)) / scale)
 
 
-def test_quick_numbers_agree_on_one_and_two_blas_threads(tmp_path):
-    one, two = _run_both(tmp_path)
+def _compare_trees(one, two):
     names = sorted(p.name for p in one.iterdir())
     assert names == sorted(p.name for p in two.iterdir())
     for name in names:
@@ -146,3 +155,15 @@ def test_quick_numbers_agree_on_one_and_two_blas_threads(tmp_path):
             _compare_report(a, b, name)
         else:
             _compare_csv(one / name, two / name)
+
+
+def test_quick_numbers_agree_on_one_and_two_blas_threads(tmp_path):
+    _compare_trees(*_run_both(tmp_path, ROOT / "configs" / "quick.yaml"))
+
+
+def test_low_rank_schmidt_numbers_agree_on_one_and_two_blas_threads(tmp_path):
+    config = tmp_path / "schmidt_1025.yaml"
+    config.write_text(yaml.safe_dump(SCHMIDT_1025), encoding="utf-8")
+    one, two = _run_both(tmp_path, config)
+    assert (one / "fig3_schmidt_report.json").exists()
+    _compare_trees(one, two)
