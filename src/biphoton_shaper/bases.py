@@ -26,7 +26,7 @@ MODE_PEAK_RTOL = 1e-9
 PARITY_COUPLING_MAX = 5e-15
 # rows per block of the mode lift
 _ROW_BLOCK = 64
-# Low-rank Schmidt solve: first sketch width, the smallest Ritz value that
+# Low-rank Schmidt solve: sketch width, the smallest Ritz value that
 # shows the sketch holds every weight above the entropy floor, and the seed
 _SKETCH_COLUMNS = 80
 _SKETCH_TAIL = 1e-3 * ENTROPY_EIGENVALUE_FLOOR
@@ -229,29 +229,29 @@ def _solve_block(blocks: list, compute_modes: bool):
     Returns its eigenvalues in descending order and, when ``compute_modes``
     is true, the eigenvectors of those at or above ``SCHMIDT_RANK_FLOOR`` as
     columns (else None).  A values-only request is one dense ``eigvalsh``.
-    A mode request first tries a randomized range finder with one step of
-    subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 53, 217
-    (2011)): Q = qr(B Omega) for k fixed-seed Gaussian columns Omega, then
+    A mode request on a block of order above 2k, k = ``_SKETCH_COLUMNS``,
+    first tries a randomized range finder with one step of subspace
+    iteration (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)):
+    Q = qr(B Omega) for k fixed-seed Gaussian columns Omega, then
     Q = qr(B B^dagger Q), and the Ritz pairs (w, Q V) of C C^dagger with
     C = Q^dagger B.  When the smallest Ritz value is below ``_SKETCH_TAIL``,
     the sketch holds every weight above the entropy floor, and the block's
-    other weights are stored as 0.0; otherwise k doubles.  Once 2k reaches
-    the block order the last step is the dense ``eigh`` of B B^dagger, with
-    B freed before it is solved.
+    other weights are stored as 0.0.  Otherwise, and for smaller blocks, the
+    block is solved by the dense ``eigh`` of B B^dagger, with B freed before
+    it is solved.
     """
     b = blocks.pop(0)
     order = len(b)
-    rng = np.random.default_rng(_SKETCH_SEED)
     k = _SKETCH_COLUMNS
-    while compute_modes and 2 * k < order:
-        q = np.linalg.qr(b @ rng.standard_normal((b.shape[1], k)))[0]
+    if compute_modes and 2 * k < order:
+        omega = np.random.default_rng(_SKETCH_SEED).standard_normal((b.shape[1], k))
+        q = np.linalg.qr(b @ omega)[0]
         q = np.linalg.qr(b @ (b.conj().T @ q))[0]
         c = q.conj().T @ b
         w, v = np.linalg.eigh(c @ c.conj().T)
         if w[0] < _SKETCH_TAIL:
             kept = np.count_nonzero(w >= SCHMIDT_RANK_FLOOR)
             return np.concatenate([w[::-1], np.zeros(order - k)]), q @ v[:, ::-1][:, :kept]
-        k *= 2
     gram = b @ b.conj().T
     del b
     if not compute_modes:
@@ -284,8 +284,10 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     (:func:`_solve_block`), merged over the blocks in descending order (a
     stable sort) with rounding-level negatives clipped to 0; beta_j sums to
     one.  A mode request of the blurred 1025^2 or 2049^2 amplitude of the
-    paper's source takes the low-rank solve; the other requests, the dense
-    one.  The idler modes are the
+    paper's source is served by the low-rank sketch; a mode request whose
+    blocks the sketch cannot hold (the unblurred amplitude, an a1 != 0 one
+    solved whole) tries one sketch and then takes the dense ``eigh``, and a
+    values-only request takes ``eigvalsh`` alone.  The idler modes are the
     eigenvectors of the r weights at or above ``SCHMIDT_RANK_FLOOR``, as
     continuum-normalized rows of an (r, n) array (a parity block's lifted by
     Q^T, 64 at a time, straight into their rows), or None when

@@ -301,8 +301,10 @@ def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
     return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing))
 
 
-# Rows per block of the build's pump envelope.
-_BUILD_BLOCK = 64
+# Rows per block of the build's pump envelope and of the blur's row
+# transforms, and columns per block of the blur's column transforms: each
+# block's buffers are a few MB at 2049^2.
+_BLOCK = 64
 
 # exp(-x) is +0.0 in float64 for every x above 745.14 (ln of the smallest
 # subnormal, with its rounding half-cell)
@@ -328,7 +330,7 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     The phase matching is evaluated only in the pump's band, the samples
     where the envelope is nonzero (about 13% of a 1025^2 grid and 7% of a
     2049^2 grid with the clamped continuous-wave pump).  The envelope itself
-    is evaluated one block of ``_BUILD_BLOCK`` rows at a time, on only the
+    is evaluated one block of ``_BLOCK`` rows at a time, on only the
     columns where |omega_i + omega_s| can keep it above float64 underflow
     (:func:`_band_reach`), so no full-grid temporary exists.  In the band
     each sample is the product the full grid would give, bit for bit;
@@ -344,8 +346,8 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     pump = effective_pump(pump, grid)
     reach = _band_reach(pump.bandwidth, grid.spacing)
     values = np.zeros((n, n), complex if include_phase else float)
-    for r in range(0, n, _BUILD_BLOCK):
-        rows = slice(r, min(r + _BUILD_BLOCK, n))
+    for r in range(0, n, _BLOCK):
+        rows = slice(r, min(r + _BLOCK, n))
         # omega_i + omega_s ~ 0 on the anti-diagonal, column n - 1 - row
         lo, hi = max(n - rows.stop - reach, 0), min(n - rows.start + reach, n)
         envelope = pump_envelope(ax[rows, None] + ax[lo:hi], pump)
@@ -369,11 +371,6 @@ def _gaussian(sq_sum, width: float):
     return np.exp(-sq_sum * 2.0 * _LN2 / width**2)
 
 
-# Rows per block of the blur's row transforms and columns per block of its
-# column transforms: each block's buffers are a few MB at 2049^2.
-_PSF_BLOCK = 64
-
-
 def _row_spectra(rows_of, count: int, m: int, workers: int, out=None) -> np.ndarray:
     """Length-m real-to-complex transform of ``count`` rows, zero padded.
 
@@ -382,8 +379,8 @@ def _row_spectra(rows_of, count: int, m: int, workers: int, out=None) -> np.ndar
     into ``out`` when it is given.
     """
     spectra = np.empty((count, m // 2 + 1), dtype=complex) if out is None else out
-    for r in range(0, count, _PSF_BLOCK):
-        block = slice(r, r + _PSF_BLOCK)
+    for r in range(0, count, _BLOCK):
+        block = slice(r, r + _BLOCK)
         spectra[block] = sp_fft.rfft(rows_of(block), m, axis=1, workers=workers)
     return spectra
 
@@ -412,10 +409,13 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     - per block of columns, the complex transform along axis 0 (the kernel's
       zero rows fed in as zeros), the product with the kernel's block of
       spectrum and the unscaled inverse, of which only the n cropped rows
-      are kept.  These run in place in two preallocated m x ``_PSF_BLOCK``
-      buffers, which are allocated together with the distinct kernel
-      spectra as one array (so freeing it returns the memory to the system;
-      separate arrays under glibc's 32 MB mmap threshold stay resident);
+      are kept.  These are filled into two preallocated m x ``_BLOCK``
+      buffers and transformed with ``overwrite_x`` (pocketfft then writes
+      the returned transform into the buffer itself; the returned array is
+      what is read, so another backend stays correct).  The buffers are
+      allocated together with the distinct kernel spectra as one array (so
+      freeing it returns the memory to the system; separate arrays under
+      glibc's 32 MB mmap threshold stay resident);
     - the complex-to-real inverse along axis 1 of those rows, scaled once by
       1/m^2 and cropped; the row spectra are freed before the output is
       renormalized.
@@ -448,8 +448,8 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
     distinct, row_of = np.unique(sq[live], return_inverse=True)
     u = len(distinct)
-    work = np.empty(u * half + 2 * m * _PSF_BLOCK, dtype=complex)
-    kernel_buf, data_buf = work[u * half:].reshape(2, m, _PSF_BLOCK)
+    work = np.empty(u * half + 2 * m * _BLOCK, dtype=complex)
+    kernel_buf, data_buf = work[u * half:].reshape(2, m, _BLOCK)
 
     def kernel_rows(block):
         rows = np.zeros((len(distinct[block]), n))
@@ -459,19 +459,21 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     kernel_spectra = _row_spectra(kernel_rows, u, m, workers,
                                   out=work[:u * half].reshape(u, half))
     spectra = [_row_spectra(plane.__getitem__, n, m, workers) for plane in planes]
-    for c in range(0, half, _PSF_BLOCK):
-        block = slice(c, c + _PSF_BLOCK)
-        width = min(_PSF_BLOCK, half - c)
-        kernel, data = kernel_buf[:, :width], data_buf[:, :width]
+    for c in range(0, half, _BLOCK):
+        block = slice(c, c + _BLOCK)
+        width = min(_BLOCK, half - c)
+        kernel = kernel_buf[:, :width]
         kernel[:] = 0.0
         kernel[live] = kernel_spectra[row_of, block]
-        sp_fft.fft(kernel, axis=0, overwrite_x=True, workers=workers)
+        kernel = sp_fft.fft(kernel, axis=0, overwrite_x=True, workers=workers)
         for spec in spectra:
+            data = data_buf[:, :width]
             data[:n] = spec[:, block]
             data[n:] = 0.0
-            sp_fft.fft(data, axis=0, overwrite_x=True, workers=workers)
+            data = sp_fft.fft(data, axis=0, overwrite_x=True, workers=workers)
             data *= kernel
-            sp_fft.ifft(data, axis=0, norm="forward", overwrite_x=True, workers=workers)
+            data = sp_fft.ifft(data, axis=0, norm="forward", overwrite_x=True,
+                               workers=workers)
             spec[:, block] = data[crop]
     del work, kernel_spectra, kernel_buf, data_buf, kernel, data
     # irfftn's factor, which pocketfft computes in long double
@@ -479,10 +481,10 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     out = []
     for spec in spectra:
         plane = np.empty((n, n))
-        for r in range(0, n, _PSF_BLOCK):
-            rows = sp_fft.irfft(spec[r:r + _PSF_BLOCK], m, axis=1, norm="forward",
+        for r in range(0, n, _BLOCK):
+            rows = sp_fft.irfft(spec[r:r + _BLOCK], m, axis=1, norm="forward",
                                 workers=workers)
-            np.multiply(rows[:, crop], scale, out=plane[r:r + _PSF_BLOCK])
+            np.multiply(rows[:, crop], scale, out=plane[r:r + _BLOCK])
         out.append(plane)
     del spectra, spec, rows
     blurred = out[0] + 1j * out[1] if complex_values else out[0]

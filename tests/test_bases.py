@@ -418,14 +418,14 @@ class TestEigenproblemMatchesSvd:
 # (grid points, Taylor a1, include_phase, PSF width, orders of the eigh
 # calls): the blurred 257-point blocks take the dense step at once (2k would
 # reach their order) and the blurred 1025-point ones the 80-column sketch; a
-# nonzero a1 is solved whole, in one block of order n, with k doubled once;
-# the unblurred amplitude (612 modes) outgrows the sketch, and each block
-# ends in the dense step
+# nonzero a1 is solved whole, in one block of order n, whose sketch fails
+# and is followed by the dense step; so is each block of the unblurred
+# amplitude (612 modes)
 LOW_RANK_CASES = [(257, 0.0, False, PSF_WIDTH, [129, 128]),
                   (1025, 0.0, False, PSF_WIDTH, [80, 80]),
                   (1025, 0.0, True, PSF_WIDTH, [80, 80]),
-                  (1025, 2.0, False, PSF_WIDTH, [80, 160]),
-                  (1025, 0.0, False, 0.0, [80, 160, 513, 80, 160, 512])]
+                  (1025, 2.0, False, PSF_WIDTH, [80, 1025]),
+                  (1025, 0.0, False, 0.0, [80, 513, 80, 512])]
 
 
 @pytest.fixture(scope="module", params=LOW_RANK_CASES,

@@ -433,6 +433,28 @@ class TestApplyPsf:
         assert (apply_psf(amp, width).values.tobytes()
                 == self._fftconvolve(amp, width).tobytes())
 
+    def test_reads_returned_transforms(self, monkeypatch):
+        # overwrite_x only allows a backend to destroy its input: a backend
+        # that returns a new array and leaves NaN in the input gives the
+        # same blur
+        n = 129
+        rng = np.random.default_rng(n)
+        amp = JointAmplitude(grid=SpectralGrid(n_points=n, omega_max=0.35),
+                             values=rng.standard_normal((n, n)))
+        want = self._fftconvolve(amp, PSF_WIDTH)
+
+        def out_of_place(transform):
+            def wrapper(x, *args, overwrite_x=False, **kwargs):
+                out = transform(x, *args, **kwargs)
+                if overwrite_x:
+                    x[...] = np.nan
+                return out
+            return wrapper
+
+        monkeypatch.setattr(scipy.fft, "fft", out_of_place(scipy.fft.fft))
+        monkeypatch.setattr(scipy.fft, "ifft", out_of_place(scipy.fft.ifft))
+        assert np.array_equal(apply_psf(amp, PSF_WIDTH).values, want)
+
     @staticmethod
     def _fftconvolve(amp, width):
         """The renormalized ``fftconvolve(..., mode="same")`` of each plane."""
