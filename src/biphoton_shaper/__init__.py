@@ -34,7 +34,6 @@ from .metrics import (
     bell_i2,
     cglmp_parameter,
     critical_visibility,
-    fit_cos4,
     fit_fringe,
     fit_gamma,
     gamma_fringe_model,

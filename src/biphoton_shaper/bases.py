@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, GridError, NumericalError, RankError, ResolutionError
-from .spectral_field import JointAmplitude, SpectralGrid, sinc
+from .spectral_field import ROW_BLOCK, JointAmplitude, SpectralGrid, sinc
 
 SCHMIDT_RANK_FLOOR = 1e-12
 # mode weights at or below this floor are rounding noise of the eigensolver
@@ -24,8 +24,6 @@ MODE_PEAK_RTOL = 1e-9
 # largest mirror coupling c at which the Schmidt problem splits by parity;
 # Weyl's bound 2c + c^2 then keeps every weight within 1e-14
 PARITY_COUPLING_MAX = 5e-15
-# rows per block of the mode lift
-_ROW_BLOCK = 64
 # Low-rank Schmidt solve: sketch width, the smallest Ritz value that
 # shows the sketch holds every weight above the entropy floor, and the seed
 _SKETCH_COLUMNS = 80
@@ -89,6 +87,11 @@ def _check_separation(centers, widths, what: str):
         raise BasisError(f"{what}s {j} and {k} overlap: |{centers[j]:g} - {centers[k]:g}| "
                          f"<= ({widths[j]:g} + {widths[k]:g})/2")
     return centers, widths
+
+
+def symmetric_centers(d: int, spacing: float) -> np.ndarray:
+    """d bin centers ``spacing`` apart, symmetric about zero."""
+    return (np.arange(d) - (d - 1) / 2.0) * spacing
 
 
 def frequency_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
@@ -334,8 +337,8 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
             parities = (0, 1) if len(vectors) == 2 else (None,)  # None: on samples
             offset = 0
             for parity, w, v in zip(parities, values, vectors):
-                for start in range(0, v.shape[1], _ROW_BLOCK):
-                    cols = v[:, start:start + _ROW_BLOCK] / np.sqrt(amp.grid.spacing)
+                for start in range(0, v.shape[1], ROW_BLOCK):
+                    cols = v[:, start:start + ROW_BLOCK] / np.sqrt(amp.grid.spacing)
                     rows = rank[offset + start:offset + start + cols.shape[1]]
                     if parity is None:
                         modes[rows] = cols.T

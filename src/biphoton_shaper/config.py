@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .bases import MIN_SAMPLES_PER_BIN
-from .errors import ConfigError, GridError
+from .bases import MIN_SAMPLES_PER_BIN, frequency_bins, symmetric_centers
+from .errors import BasisError, ConfigError, GridError, ResolutionError
 from .measurement import POISSON_LAM_MAX
 from .shaper import SlmModel
 from .spectral_field import (
@@ -257,6 +257,14 @@ def _parse_experiment(entry, index, seen_names, grid):
         raise ConfigError(f"{path}.bin_widths",
                           f"need exactly d = {params['d']} widths, "
                           f"got {len(params['bin_widths'])}")
+    if exp_id in ("freq_bin_fringes", "procrustean"):
+        # build the bins the run builds, so a layout it would reject exits here
+        key, widths = (("bin_widths", params["bin_widths"]) if exp_id == "procrustean"
+                       else ("bin_width", [params["bin_width"]] * params["d"]))
+        try:
+            frequency_bins(symmetric_centers(params["d"], params["bin_spacing"]), widths, grid)
+        except (BasisError, ResolutionError) as exc:
+            raise ConfigError(f"{path}.{key}", f"the bins do not fit the grid: {exc}") from exc
 
     name = exp_id if "d" not in params else f"{exp_id}_d{params['d']}"
     base, n = name, 2

@@ -213,16 +213,6 @@ def fit_fringe(source, d: int) -> FitResult:
                 np.pi, gradient)
 
 
-def fit_cos4(source) -> FitResult:
-    """Fit the separable-state fringe scale * cos^4((phi + phi0/2)/2), the
-    product of two single-photon interference rates: the gamma model at
-    gamma1 = gamma2 = 1, divided by 16."""
-    return _fit(source, lambda phi, phi0: gamma_fringe_model(phi, 1.0, 1.0, phi0) / 16.0,
-                lambda phi, y: [max(float(np.max(y)), 1e-12),
-                                float((-2.0 * phi[np.argmax(y)]) % (4.0 * np.pi))],
-                ([0.0, -np.inf], [np.inf, np.inf]), ("scale", "phi0"), 2.0 * np.pi)
-
-
 def fit_gamma(source) -> FitResult:
     """Fit the one-/two-photon interference model (scale, gamma1, gamma2, phi0).
 

@@ -301,10 +301,10 @@ def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
     return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing))
 
 
-# Rows per block of the build's pump envelope and of the blur's row
-# transforms, and columns per block of the blur's column transforms: each
-# block's buffers are a few MB at 2049^2.
-_BLOCK = 64
+# Rows per block of the build's pump envelope, of the blur's row transforms
+# and of the Schmidt mode lift (bases.amplitude_svd), and columns per block of
+# the blur's column transforms: each block's buffers are a few MB at 2049^2.
+ROW_BLOCK = 64
 
 # exp(-x) is +0.0 in float64 for every x above 745.14 (ln of the smallest
 # subnormal, with its rounding half-cell)
@@ -330,7 +330,7 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     The phase matching is evaluated only in the pump's band, the samples
     where the envelope is nonzero (about 13% of a 1025^2 grid and 7% of a
     2049^2 grid with the clamped continuous-wave pump).  The envelope itself
-    is evaluated one block of ``_BLOCK`` rows at a time, on only the
+    is evaluated one block of ``ROW_BLOCK`` rows at a time, on only the
     columns where |omega_i + omega_s| can keep it above float64 underflow
     (:func:`_band_reach`), so no full-grid temporary exists.  In the band
     each sample is the product the full grid would give, bit for bit;
@@ -346,8 +346,8 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     pump = effective_pump(pump, grid)
     reach = _band_reach(pump.bandwidth, grid.spacing)
     values = np.zeros((n, n), complex if include_phase else float)
-    for r in range(0, n, _BLOCK):
-        rows = slice(r, min(r + _BLOCK, n))
+    for r in range(0, n, ROW_BLOCK):
+        rows = slice(r, min(r + ROW_BLOCK, n))
         # omega_i + omega_s ~ 0 on the anti-diagonal, column n - 1 - row
         lo, hi = max(n - rows.stop - reach, 0), min(n - rows.start + reach, n)
         envelope = pump_envelope(ax[rows, None] + ax[lo:hi], pump)
@@ -379,8 +379,8 @@ def _row_spectra(rows_of, count: int, m: int, workers: int, out=None) -> np.ndar
     into ``out`` when it is given.
     """
     spectra = np.empty((count, m // 2 + 1), dtype=complex) if out is None else out
-    for r in range(0, count, _BLOCK):
-        block = slice(r, r + _BLOCK)
+    for r in range(0, count, ROW_BLOCK):
+        block = slice(r, r + ROW_BLOCK)
         spectra[block] = sp_fft.rfft(rows_of(block), m, axis=1, workers=workers)
     return spectra
 
@@ -409,7 +409,7 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     - per block of columns, the complex transform along axis 0 (the kernel's
       zero rows fed in as zeros), the product with the kernel's block of
       spectrum and the unscaled inverse, of which only the n cropped rows
-      are kept.  These are filled into two preallocated m x ``_BLOCK``
+      are kept.  These are filled into two preallocated m x ``ROW_BLOCK``
       buffers and transformed with ``overwrite_x`` (pocketfft then writes
       the returned transform into the buffer itself; the returned array is
       what is read, so another backend stays correct).  The buffers are
@@ -448,8 +448,8 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
     distinct, row_of = np.unique(sq[live], return_inverse=True)
     u = len(distinct)
-    work = np.empty(u * half + 2 * m * _BLOCK, dtype=complex)
-    kernel_buf, data_buf = work[u * half:].reshape(2, m, _BLOCK)
+    work = np.empty(u * half + 2 * m * ROW_BLOCK, dtype=complex)
+    kernel_buf, data_buf = work[u * half:].reshape(2, m, ROW_BLOCK)
 
     def kernel_rows(block):
         rows = np.zeros((len(distinct[block]), n))
@@ -459,9 +459,9 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     kernel_spectra = _row_spectra(kernel_rows, u, m, workers,
                                   out=work[:u * half].reshape(u, half))
     spectra = [_row_spectra(plane.__getitem__, n, m, workers) for plane in planes]
-    for c in range(0, half, _BLOCK):
-        block = slice(c, c + _BLOCK)
-        width = min(_BLOCK, half - c)
+    for c in range(0, half, ROW_BLOCK):
+        block = slice(c, c + ROW_BLOCK)
+        width = min(ROW_BLOCK, half - c)
         kernel = kernel_buf[:, :width]
         kernel[:] = 0.0
         kernel[live] = kernel_spectra[row_of, block]
@@ -481,10 +481,10 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     out = []
     for spec in spectra:
         plane = np.empty((n, n))
-        for r in range(0, n, _BLOCK):
-            rows = sp_fft.irfft(spec[r:r + _BLOCK], m, axis=1, norm="forward",
+        for r in range(0, n, ROW_BLOCK):
+            rows = sp_fft.irfft(spec[r:r + ROW_BLOCK], m, axis=1, norm="forward",
                                 workers=workers)
-            np.multiply(rows[:, crop], scale, out=plane[r:r + _BLOCK])
+            np.multiply(rows[:, crop], scale, out=plane[r:r + ROW_BLOCK])
         out.append(plane)
     del spectra, spec, rows
     blurred = out[0] + 1j * out[1] if complex_values else out[0]

@@ -141,6 +141,28 @@ def lambda_fringe_branches(d: int, phi, lam: float, phi0: float = 0.0):
     raise ValueError(f"no written-out fringe for d = {d}")
 
 
+def cos4_residual(scan) -> float:
+    """RMS gap between a unit-mean scan and cos^4(phi/2) at unit mean.
+
+    At zero delay the pair is separable, so the coincidence fringe is the
+    product of two single-photon fringes cos^2(phi/2), with no free scale or
+    phase.
+    """
+    separable = np.cos(scan.phi / 2.0) ** 4
+    return float(np.sqrt(np.mean((scan.values - separable / separable.mean()) ** 2)))
+
+
+def canonical_gamma(gamma1, gamma2):
+    """The gamma2 <= 1 image of a fitted (gamma1, gamma2) pair.
+
+    The gamma fringe model and I2 are exactly invariant under
+    (gamma1, gamma2) -> (gamma1/gamma2, 1/gamma2), and a noise-free fit lands
+    on either image by rounding (``metrics.fit_gamma``), so comparing the
+    images compares what the scan determines rather than the branch.
+    """
+    return (gamma1 / gamma2, 1.0 / gamma2) if gamma2 > 1.0 else (gamma1, gamma2)
+
+
 def per_cell_csv(table) -> bytes:
     """A table's CSV text with every cell formatted by its own ``str()`` call.
 

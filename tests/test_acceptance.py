@@ -17,7 +17,6 @@ from biphoton_shaper import (
     coincidence_scan,
     coincidence_signal,
     critical_visibility,
-    fit_cos4,
     fit_fringe,
     fit_gamma,
     franson_transfer,
@@ -42,6 +41,7 @@ from biphoton_shaper.metrics import QUANTUM_BELL_CEILING
 
 from conftest import PSF_WIDTH, make_crystals
 from oracles import (
+    cos4_residual,
     double_gaussian_amplitude,
     double_gaussian_oracle,
     ladder,
@@ -199,7 +199,7 @@ def test_criterion_7_time_bin_transition(paper_1025):
     gamma, gamma_psf = paper_1025
     phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
 
-    cos4_residual = fit_cos4(_franson_scan(gamma, 0.0, phi)).residual_norm
+    cos4_gap = cos4_residual(_franson_scan(gamma, 0.0, phi))
 
     sweep = [0.0, 10.0, 25.0, 35.0, 50.0]
     gamma1, i2_free = [], {}
@@ -229,10 +229,10 @@ def test_criterion_7_time_bin_transition(paper_1025):
     tail_decreasing = all(b < a for a, b in zip(i2_psf, i2_psf[1:]))
     below_free = all(p < f for p, f in zip(i2_psf, i2_nopsf_tail))
 
-    ok = (cos4_residual < 1e-6 and monotone and violation
+    ok = (cos4_gap < 1e-6 and monotone and violation
           and tail_decreasing and below_free)
     record(7, "time-bin transition", ok,
-           f"cos4 residual {cos4_residual:.1e}; gamma1 "
+           f"cos4 residual {cos4_gap:.1e}; gamma1 "
            + "->".join(f"{g:.2f}" for g in gamma1)
            + f"; I2(35fs)={i2_free[35.0]:.2f}, I2(50fs)={i2_free[50.0]:.2f}; "
            f"PSF tail {i2_psf[0]:.3f}>{i2_psf[1]:.3f}>{i2_psf[2]:.3f}")

@@ -12,7 +12,6 @@ from biphoton_shaper import (
     bell_i2,
     cglmp_parameter,
     critical_visibility,
-    fit_cos4,
     fit_fringe,
     fit_gamma,
     gamma_fringe_model,
@@ -272,14 +271,6 @@ class TestFitGamma:
             assert np.allclose(image, direct, rtol=1e-12, atol=1e-12 * direct.max())
             assert np.isclose(bell_i2(g1 / g2, 1.0 / g2),
                               bell_i2(g1, g2), rtol=0.0, atol=1e-12)
-
-    def test_cos4_fit(self):
-        phi = np.linspace(0, 2 * np.pi, 48, endpoint=False)
-        values = 7.0 * cos4(phi, 0.9)
-        scan = FringeScan(phi=phi, values=values)
-        fit = fit_cos4(scan)
-        assert fit.residual_norm < 1e-9
-        assert abs(fit.parameters["scale"] - 7.0) < 1e-6
 
 
 class TestBellParameter:

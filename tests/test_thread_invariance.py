@@ -38,6 +38,8 @@ import yaml
 
 import biphoton_shaper
 
+from oracles import canonical_gamma
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(biphoton_shaper.__file__).resolve().parents[1]
 
@@ -72,10 +74,6 @@ def _run_both(tmp_path, config):
     return list(procs)
 
 
-def _canonical_gamma(gamma1, gamma2):
-    return (gamma1 / gamma2, 1.0 / gamma2) if gamma2 > 1.0 else (gamma1, gamma2)
-
-
 def _close(a, b, key, scale=None):
     """Whether two report numbers or cells agree under the tolerance of ``key``
     (either tolerance, for a key in both sets)."""
@@ -91,7 +89,7 @@ def _compare_report(a, b, path, key=None):
         a, b = dict(a), dict(b)
         if "gamma1" in a:
             for side in (a, b):
-                side["gamma1"], side["gamma2"] = _canonical_gamma(side["gamma1"],
+                side["gamma1"], side["gamma2"] = canonical_gamma(side["gamma1"],
                                                                   side["gamma2"])
         for name in a:
             _compare_report(a[name], b[name], f"{path}.{name}", name)
@@ -129,7 +127,7 @@ def _compare_csv(a_path, b_path):
     for name in [n for n in a if n.startswith("gamma1_")]:
         other = "gamma2_" + name.removeprefix("gamma1_")
         for side in (a, b):
-            pairs = [_canonical_gamma(g1, g2) for g1, g2 in zip(side[name], side[other])]
+            pairs = [canonical_gamma(g1, g2) for g1, g2 in zip(side[name], side[other])]
             side[name], side[other] = (np.array(column) for column in zip(*pairs))
     for name, x in a.items():
         y = b[name]
