@@ -10,6 +10,7 @@ wavelength/MHz quantities are converted to internal rad/fs units here.
 """
 
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ import yaml
 from .bases import MIN_SAMPLES_PER_BIN, frequency_bins, symmetric_centers
 from .errors import BasisError, ConfigError, GridError, ResolutionError
 from .measurement import POISSON_LAM_MAX
+from .metrics import GAMMA_PARAMETERS, LAMBDA_PARAMETERS, POINTS_PER_PARAMETER
 from .shaper import SlmModel
 from .spectral_field import (
     CrystalSpec,
@@ -86,11 +88,14 @@ _EXPERIMENT_PARAMS = {
     "time_bin_sweep": {"t1_values_fs": [0.0, 10.0, 25.0, 35.0, 50.0, 70.0, 100.0],
                        "phi_points": 48},
     "schmidt_fringes": {"d": 2, "phi_points": 36},
-    "bell_i2_sweep": {"grid_points": 11},
     "procrustean": {"d": 3, "bin_widths": [0.04, 0.024, 0.015], "bin_spacing": 0.05,
                     "phi_points": 36},
 }
 _POSITIVE_LISTS = {"bin_widths"}
+
+# A YAML 1.2 core-schema decimal.  PyYAML follows YAML 1.1, which reads
+# exponent forms such as 1e-2 and 1E3 as strings; float keys accept them.
+_YAML12_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,8 @@ def _get(tree, key, path, kind, default=None, op=None, bound=None):
             raise ConfigError(full, "missing required key")
         return default
     value = tree[key]
+    if kind is float and isinstance(value, str) and _YAML12_FLOAT.fullmatch(value):
+        value = float(value)
     if kind is float and type(value) is int:
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if (kind is int and isinstance(value, bool)) or not isinstance(value, kind):
@@ -253,6 +260,13 @@ def _parse_experiment(entry, index, seen_names, grid):
             raise ConfigError(f"{path}.t1_values_fs[{j}]",
                               f"|t1| must be < pi / grid spacing = {aliased:.6g} fs, "
                               f"beyond which the grid aliases the delay; got {t1}")
+    # every scan is fitted except the time-bin sweep's at t1 = 0
+    sweep = exp_id == "time_bin_sweep"
+    fitted = GAMMA_PARAMETERS if sweep else LAMBDA_PARAMETERS
+    least = POINTS_PER_PARAMETER * len(fitted) if any(t1_values) or not sweep else 1
+    if params.get("phi_points", least) < least:
+        raise ConfigError(f"{path}.phi_points", f"need at least {least} phase points to fit "
+                                                f"{', '.join(fitted)}; got {params['phi_points']}")
     if exp_id == "procrustean" and len(params["bin_widths"]) != params["d"]:
         raise ConfigError(f"{path}.bin_widths",
                           f"need exactly d = {params['d']} widths, "

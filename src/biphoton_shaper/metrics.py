@@ -25,7 +25,11 @@ from .measurement import (
 )
 from .spectral_field import JointAmplitude
 
-QUANTUM_BELL_CEILING = 2.0 * np.sqrt(2.0)
+# The free parameters of each fringe fit, and the phase points a fit needs
+# per parameter; validation reads them too.
+POINTS_PER_PARAMETER = 2
+LAMBDA_PARAMETERS = ("scale", "lambda", "phi0")
+GAMMA_PARAMETERS = ("scale", "gamma1", "gamma2", "phi0")
 
 
 @dataclass
@@ -143,11 +147,12 @@ def _fit(source, model, start, bounds, names, period, gradient=None):
     """Fit scale * model(phi, *rest) to a FringeScan or CountRecord.
 
     The parameters (scale, *rest) are named by ``names`` and start at
-    ``start(phi, y)``; the phases must cover one fringe ``period`` with two
-    points per parameter.  CountRecord input is background-subtracted and
-    Poisson-weighted.  ``gradient(phi, *rest)`` gives the model's derivatives
-    in ``rest``; without it the Jacobian is a two-point finite difference.
-    Data that are zero everywhere (a record with no counts) raise FitError.
+    ``start(phi, y)``; the phases must cover one fringe ``period`` with
+    POINTS_PER_PARAMETER points per parameter.  CountRecord input is
+    background-subtracted and Poisson-weighted.  ``gradient(phi, *rest)`` gives
+    the model's derivatives in ``rest``; without it the Jacobian is a
+    two-point finite difference.  Data that are zero everywhere (a record with
+    no counts) raise FitError.
     """
     if isinstance(source, CountRecord):
         phi, y = source.phi, source.net()
@@ -156,8 +161,9 @@ def _fit(source, model, start, bounds, names, period, gradient=None):
         phi, y, sigma = source.phi, source.values, np.ones_like(source.values)
     else:
         raise TypeError("expected a FringeScan or CountRecord")
-    if len(phi) < 2 * len(names):
-        raise FitError(f"need at least {2 * len(names)} points, got {len(phi)}")
+    least = POINTS_PER_PARAMETER * len(names)
+    if len(phi) < least:
+        raise FitError(f"need at least {least} points, got {len(phi)}")
     if not np.any(y):
         raise FitError("every value of the record is zero: there is no fringe to fit")
     span = phi[-1] - phi[0]
@@ -209,7 +215,7 @@ def fit_fringe(source, d: int) -> FitResult:
                 -2.0 * lam * (k * (d - k) * np.sin(k * theta)).sum(axis=0))
 
     return _fit(source, partial(lambda_fringe_model, d), start,
-                ([0.0, 0.0, -np.inf], [np.inf, 1.0, np.inf]), ("scale", "lambda", "phi0"),
+                ([0.0, 0.0, -np.inf], [np.inf, 1.0, np.inf]), LAMBDA_PARAMETERS,
                 np.pi, gradient)
 
 
@@ -226,16 +232,15 @@ def fit_gamma(source) -> FitResult:
     1e-15), and gamma2 may still come back above 1.
     """
     bounds = ([0.0, 0.0, 0.0, -np.inf], [np.inf, np.inf, np.inf, np.inf])
-    names = ("scale", "gamma1", "gamma2", "phi0")
     # from gamma1 = gamma2 = 0.5, where the model's mean is 1 + 5 * 0.5^2 = 2.25
     fit = _fit(source, gamma_fringe_model,
                lambda phi, y: [max(float(np.mean(y)) / 2.25, 1e-12), 0.5, 0.5,
                                float((-2.0 * phi[np.argmax(y)]) % (4.0 * np.pi))],
-               bounds, names, 2.0 * np.pi)
+               bounds, GAMMA_PARAMETERS, 2.0 * np.pi)
     scale, g1, g2, phi0 = fit.parameters.values()
     if g2 > 1.0:
         alt = _fit(source, gamma_fringe_model, lambda *_: [scale * g2**2, g1, 1.0 / g2, phi0],
-                   bounds, names, 2.0 * np.pi)
+                   bounds, GAMMA_PARAMETERS, 2.0 * np.pi)
         if alt.residual_norm <= fit.residual_norm * (1.0 + 1e-9):
             fit = alt
     return fit
@@ -281,8 +286,8 @@ def bell_i2(gamma1: float, gamma2: float) -> float:
     The state is :func:`measurement.gamma_model_state`, whose joint signal is
     |1 + g1*(e^{i phi_i} + e^{i phi_s}) + g2*e^{i(phi_i + phi_s)}|^2 up to
     normalization: g2 drives the two-photon (entangled) term, so g1 = 0,
-    g2 = 1 is the maximally entangled qubit and reaches 2*sqrt(2), the
-    quantum ceiling that the ``bell_i2_sweep`` experiment checks.
+    g2 = 1 is the maximally entangled qubit and reaches the quantum ceiling
+    :func:`cglmp_maximum` (2) = 2*sqrt(2).
     """
     if gamma1 < 0 or gamma2 < 0:
         raise ValueError("gamma coefficients must be non-negative")

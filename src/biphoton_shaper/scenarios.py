@@ -334,31 +334,6 @@ def run_schmidt_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
     return result
 
 
-def run_bell_i2_sweep(ctx: ScenarioContext, req) -> ExperimentResult:
-    n = req.params["grid_points"]
-    g1, g2 = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 1.0, n),
-                                             np.linspace(0.0, 1.0, n), indexing="ij"))
-    i2 = np.array([metrics.bell_i2(a, b) for a, b in zip(g1, g2)])
-    peak = i2.max()
-    maximally = metrics.bell_i2(0.0, 1.0)
-    separable = metrics.bell_i2(1.0, 1.0)
-    ceiling = metrics.QUANTUM_BELL_CEILING
-    passed = (peak <= ceiling + 1e-9 and abs(maximally - ceiling) < 1e-6
-              and separable <= 2.0)
-    report = {
-        "grid_points": n,
-        "max_i2": peak,
-        "i2_maximally_entangled": maximally,
-        "i2_separable": separable,
-        "quantum_ceiling": ceiling,
-    }
-    summary = (f"{req.name}: max I2 {peak:.4f} (ceiling {ceiling:.4f}), "
-               f"I2(0,1)={maximally:.4f}, I2(1,1)={separable:.4f} -> "
-               f"{'PASS' if passed else 'FAIL'}")
-    return ExperimentResult(req.name, req.id, summary, passed, report,
-                            {"sweep": {"gamma1": g1, "gamma2": g2, "i2": i2}})
-
-
 def run_procrustean(ctx: ScenarioContext, req) -> ExperimentResult:
     p = req.params
     d = p["d"]
@@ -391,7 +366,6 @@ EXPERIMENT_RUNNERS = {
     "freq_bin_fringes": run_freq_bin_fringes,
     "time_bin_sweep": run_time_bin_sweep,
     "schmidt_fringes": run_schmidt_fringes,
-    "bell_i2_sweep": run_bell_i2_sweep,
     "procrustean": run_procrustean,
 }
 

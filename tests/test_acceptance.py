@@ -37,7 +37,7 @@ from biphoton_shaper import (
 )
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.measurement import FringeScan
-from biphoton_shaper.metrics import QUANTUM_BELL_CEILING
+from biphoton_shaper.metrics import cglmp_maximum
 
 from conftest import PSF_WIDTH, make_crystals
 from oracles import (
@@ -324,11 +324,11 @@ def test_criterion_11_property_suites(paper_1025):
     checks["fringe_pi_periodicity"] = periodic
 
     rng = np.random.default_rng(17)
+    tsirelson = cglmp_maximum(2)
     ceiling = all(
-        bell_i2(*rng.uniform(0, 1, 2)) <= QUANTUM_BELL_CEILING + 1e-9
+        bell_i2(*rng.uniform(0, 1, 2)) <= tsirelson + 1e-9
         for _ in range(100))
-    checks["bell_ceiling"] = ceiling and \
-        abs(bell_i2(0.0, 1.0) - QUANTUM_BELL_CEILING) < 1e-6
+    checks["bell_ceiling"] = ceiling and abs(bell_i2(0.0, 1.0) - tsirelson) < 1e-6
 
     covariance = True
     tb = time_bins([0.0, 45.0], [0.0, 0.0], grid)

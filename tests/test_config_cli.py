@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,9 +15,13 @@ import yaml
 
 import biphoton_shaper
 from biphoton_shaper import ConfigError, frequency_bins, pixelate, transfer_from_coefficients
-from biphoton_shaper import metrics
 from biphoton_shaper.cli import main
-from biphoton_shaper.config import default_config, load_config, validate_config
+from biphoton_shaper.config import (
+    _EXPERIMENT_PARAMS,
+    default_config,
+    load_config,
+    validate_config,
+)
 from biphoton_shaper.bases import amplitude_svd, max_offdiag, schmidt_modes
 from biphoton_shaper.scenarios import (
     EXPERIMENT_RUNNERS,
@@ -37,7 +42,6 @@ QUICK_CONFIG = {
     "experiments": [
         {"id": "flux_check"},
         {"id": "freq_bin_fringes", "d": 2, "phi_points": 12},
-        {"id": "bell_i2_sweep", "grid_points": 3},
     ],
 }
 
@@ -137,6 +141,30 @@ MALFORMED_VALUES = [
                   "experiments": [{"id": "freq_bin_fringes", "d": 4, "bin_width": 0.2,
                                    "bin_spacing": 0.25, "phi_points": 12}]},
                  id="bins-outside-the-window"),
+    # the fits need two phase points per free parameter: lambda's three
+    # (with counts too) and the time-bin gamma's four once some t1 != 0
+    pytest.param("experiments[0].phi_points",
+                 {"experiments": [{"id": "schmidt_fringes", "phi_points": 2}]},
+                 id="lambda-fit-phi-points"),
+    pytest.param("experiments[0].phi_points",
+                 {"experiments": [{"id": "freq_bin_fringes", "counts": True,
+                                   "phi_points": 5}]},
+                 id="counts-fit-phi-points"),
+    pytest.param("experiments[0].phi_points",
+                 {"experiments": [{"id": "time_bin_sweep", "t1_values_fs": [0, 25],
+                                   "phi_points": 7}]},
+                 id="gamma-fit-phi-points"),
+    # float keys read YAML 1.2 decimals only; int keys take no string at all
+    pytest.param("psf.delta_omega", {"psf": {"delta_omega": "inf"}}, id="psf-inf-string"),
+    pytest.param("psf.delta_omega", {"psf": {"delta_omega": "nan"}}, id="psf-nan-string"),
+    pytest.param("psf.delta_omega", {"psf": {"delta_omega": "1e999"}},
+                 id="psf-overflowing-exponent"),
+    pytest.param("seed", {"seed": "1e3"}, id="int-key-exponent"),
+    # a retired experiment is an unknown id like any other
+    pytest.param("experiments[1].id",
+                 {"experiments": [{"id": "flux_check"},
+                                  {"id": "bell_i2_sweep", "grid_points": 3}]},
+                 id="retired-bell-sweep"),
 ]
 
 
@@ -188,14 +216,14 @@ class TestValidateConfig:
     def test_default_config_is_valid(self):
         scenario = validate_config(default_config())
         assert scenario.grid.n_points == 1025
-        assert len(scenario.experiments) == 8
+        assert len(scenario.experiments) == 7
 
     def test_default_pump_has_no_wavelength(self):
         assert default_config()["pump"] == {"linewidth_mhz": 5.0}
 
     def test_shipped_default_yaml_is_valid(self):
         scenario = validate_config(load_config(ROOT / "configs" / "default.yaml"))
-        assert len(scenario.experiments) == 11
+        assert len(scenario.experiments) == 10
 
     def test_benchmark_workloads_are_valid(self):
         # the benchmark runs these trees, so a schema change that rejects
@@ -289,6 +317,30 @@ class TestValidateConfig:
             tree = default_config()
             tree["experiments"] = [{"id": exp_id}]
             validate_config(tree)
+
+    def test_experiment_ids_agree_across_schema_runners_and_readme(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Experiments\n", 1)[1]
+        table = section.strip().split("\n\n")[0]
+        assert table.startswith("| id")
+        listed = re.findall(r"^\| `(\w+)`", table, re.M)
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(_EXPERIMENT_PARAMS) == set(EXPERIMENT_RUNNERS)
+
+    def test_exponent_floats_are_floats(self, tmp_path):
+        # PyYAML reads YAML 1.1, where these three are strings
+        path = tmp_path / "scenario.yaml"
+        path.write_text("version: 1\noutput_dir: 1e5\npsf: {delta_omega: 1e-2}\n"
+                        "counting: {duration_s: 1E3}\n"
+                        "experiments: [{id: time_bin_sweep, t1_values_fs: [0, 1e1]}]\n",
+                        encoding="utf-8")
+        tree = load_config(path)
+        assert tree["psf"]["delta_omega"] == "1e-2"
+        scenario = validate_config(tree)
+        assert scenario.psf_delta_omega == 0.01
+        assert scenario.counting.duration == 1000.0
+        assert scenario.experiments[0].params["t1_values_fs"] == [0.0, 10.0]
+        assert scenario.output_dir == "1e5"
 
     def test_duplicate_experiment_names_disambiguated(self):
         tree = default_config()
@@ -437,7 +489,8 @@ class TestCli:
         bench = perfbench_module()
         reference = json.loads((ROOT / "perfbench" / "reference.json")
                                .read_text(encoding="utf-8"))["quick"]
-        assert quick_reports.keys() == reference.keys()
+        # the reference keeps the report of the retired bell_i2_sweep
+        assert quick_reports.keys() == reference.keys() - {"bell_i2_sweep"}
 
         # The BLAS thread count picks the branch of a noise-free gamma fit,
         # so both sides are compared on their gamma2 <= 1 images.  The
@@ -471,20 +524,6 @@ class TestCli:
         assert err.startswith("simulation error [FitError]: ")
         assert not out.exists()
 
-    def test_bell_value_above_the_ceiling_is_a_fail_verdict(self, tmp_path, capsys,
-                                                            monkeypatch):
-        monkeypatch.setattr(metrics, "cglmp_parameter", lambda state: 3.0)
-        tree = {**QUICK_CONFIG, "experiments": [{"id": "bell_i2_sweep", "grid_points": 3}]}
-        path = write_config(tmp_path, tree)
-        out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert "-> FAIL" in captured.out
-        report = json.loads((out / "bell_i2_sweep_report.json").read_text())
-        assert report["passed"] is False
-        assert report["report"]["max_i2"] == 3.0
-
     def test_non_physical_sellmeier_index_exits_3_naming_it(self, tmp_path, capsys):
         # n^2 = -5 used to surface as a sqrt RuntimeWarning and a ResolutionError
         tree = {**QUICK_CONFIG,
@@ -513,19 +552,26 @@ class TestCli:
         assert err.startswith("simulation error [NumericalError]: Schmidt eigensolver failed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("experiment", ["freq_bin_fringes", "procrustean",
-                                            "schmidt_fringes"])
-    def test_single_phase_point_exits_3_without_traceback(self, tmp_path, capsys,
-                                                          experiment):
-        # the fit's coverage rule is the only phase-grid check
+                                            "schmidt_fringes", "time_bin_sweep"])
+    def test_single_phase_point_exits_2_without_outputs(self, tmp_path, capsys, command,
+                                                        experiment):
         tree = {**QUICK_CONFIG, "experiments": [{"id": experiment, "phi_points": 1}]}
         path = write_config(tmp_path, tree)
         out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out)]) == 3
+        argv = [command, path] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.startswith("simulation error [FitError]: need at least")
+        assert err.startswith("config error: experiments[0].phi_points: need at least")
         assert not out.exists()
+
+    def test_zero_delay_sweep_needs_no_fit_points(self, tmp_path):
+        # at t1 = 0 the sweep compares with cos^4 in closed form and fits nothing
+        tree = {**QUICK_CONFIG, "experiments": [{"id": "time_bin_sweep", "t1_values_fs": [0],
+                                                 "phi_points": 1}]}
+        assert main(["validate", write_config(tmp_path, tree)]) == 0
 
     def test_dimension_five_runs(self, tmp_path, capsys):
         tree = {**SCHMIDT_CONFIG,
@@ -775,14 +821,14 @@ class TestCli:
         path = write_config(tmp_path, QUICK_CONFIG)
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0
-        raw = (out / "bell_i2_sweep_sweep_000.csv").read_bytes()
+        raw = (out / "freq_bin_fringes_d2_fringe_full_field_000.csv").read_bytes()
         assert b"\r" not in raw
         text = raw.decode()
         header = text.splitlines()[0]
-        assert header == "gamma1,gamma2,i2"
+        assert header == "phi_rad,signal"
         first = text.splitlines()[1].split(",")
-        assert len(first) == 3
-        float(first[2])  # parses as a number
+        assert len(first) == 2
+        float(first[1])  # parses as a number
 
 
 class TestEmitOutputs:

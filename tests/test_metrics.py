@@ -23,7 +23,7 @@ from biphoton_shaper import (
 )
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.measurement import FringeScan
-from biphoton_shaper.metrics import QUANTUM_BELL_CEILING, cglmp_maximum
+from biphoton_shaper.metrics import cglmp_maximum
 
 from oracles import (
     double_gaussian_amplitude,
@@ -276,7 +276,7 @@ class TestFitGamma:
 class TestBellParameter:
     def test_maximally_entangled_reaches_tsirelson(self):
         value = bell_i2(0.0, 1.0)
-        assert abs(value - QUANTUM_BELL_CEILING) < 1e-6
+        assert abs(value - cglmp_maximum(2)) < 1e-6
         assert value > 2.0
 
     def test_separable_stays_local(self):
@@ -286,7 +286,7 @@ class TestBellParameter:
         rng = np.random.default_rng(21)
         for _ in range(100):
             g1, g2 = rng.uniform(0, 1, 2)
-            assert bell_i2(g1, g2) <= QUANTUM_BELL_CEILING + 1e-9
+            assert bell_i2(g1, g2) <= cglmp_maximum(2) + 1e-9
 
     def test_cross_check_against_closed_form_probe(self):
         # independent route: the closed-form model signal and the explicit
