@@ -389,7 +389,8 @@ def _csv_cells(column) -> list:
         return ["true" if cell else "false" for cell in column.tolist()]
     if column.dtype == np.float64:  # str() once per bit pattern; -0.0 is not 0.0
         keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        column = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)[inverse]
+        cells = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
+        return cells[inverse].tolist()
     return list(map(str, column.tolist()))
 
 

@@ -10,11 +10,9 @@ in rad/fs.  The signal/idler grid is a symmetric square window so that
 omega = 0 (degeneracy) lies on a sample.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import DomainError, GridError, NumericalError, ResolutionError
 from .units import (
@@ -222,11 +220,11 @@ class CrystalSpec:
 class JointAmplitude:
     """Complex two-photon amplitude sampled on a square grid.
 
-    Normalized so that sum(|values|^2) * spacing^2 = 1; non-finite values
-    raise :class:`NumericalError`.  ``values`` is read-only after
-    normalization, so the Schmidt data that
-    :func:`biphoton_shaper.bases.amplitude_svd` stores on the instance can
-    never go stale.
+    Normalized so that sum(|values|^2) * spacing^2 = 1; values whose norm is
+    not finite (non-finite samples, or an overflowing sum) raise
+    :class:`NumericalError`.  ``values`` is read-only after normalization, so
+    the Schmidt data that :func:`biphoton_shaper.bases.amplitude_svd` stores
+    on the instance can never go stale.
     """
 
     grid: SpectralGrid
@@ -237,9 +235,10 @@ class JointAmplitude:
         self.values = np.asarray(self.values)
         if self.values.shape != (self.grid.n_points, self.grid.n_points):
             raise GridError("amplitude shape does not match its grid")
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("amplitude contains non-finite values")
-        norm = np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2)
+        if not np.isfinite(norm):
+            raise NumericalError("amplitude norm is not finite")
         if norm == 0.0:
             raise ValueError("amplitude is identically zero")
         self.values = self.values / norm
@@ -371,7 +370,15 @@ def _gaussian(sq_sum, width: float):
     return np.exp(-sq_sum * 2.0 * _LN2 / width**2)
 
 
-def _row_spectra(rows_of, count: int, m: int, workers: int, out=None) -> np.ndarray:
+def _next_fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= target: pocketfft's fast real-transform length."""
+    m = target
+    while pow(30, m.bit_length(), m):  # m is 5-smooth iff it divides 30^e, 2^e > m
+        m += 1
+    return m
+
+
+def _row_spectra(rows_of, count: int, m: int, out=None) -> np.ndarray:
     """Length-m real-to-complex transform of ``count`` rows, zero padded.
 
     ``rows_of(block)`` gives the rows selected by the slice ``block``, so a
@@ -381,7 +388,7 @@ def _row_spectra(rows_of, count: int, m: int, workers: int, out=None) -> np.ndar
     spectra = np.empty((count, m // 2 + 1), dtype=complex) if out is None else out
     for r in range(0, count, ROW_BLOCK):
         block = slice(r, r + ROW_BLOCK)
-        spectra[block] = sp_fft.rfft(rows_of(block), m, axis=1, workers=workers)
+        np.fft.rfft(rows_of(block), m, axis=1, out=spectra[block])
     return spectra
 
 
@@ -389,46 +396,39 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     """Convolve the amplitude with the spectral-resolution kernel.
 
     A linear (zero-padded, not circular) convolution with the centred
-    ``'same'`` crop, computed with ``scipy.fft``.  Both axes are padded to
-    m = ``next_fast_len(2n - 1, True)``, and the 2-D transforms are run axis
-    by axis in the order ``rfftn``/``irfftn`` use, on only the data that
-    reach the crop:
+    ``'same'`` crop.  Both axes are padded to m, the smallest 5-smooth length
+    >= 2n - 1, and the 2-D transforms are run axis by axis in the order
+    ``rfftn``/``irfftn`` use, on only the data that reach the crop:
 
     - a real-to-complex transform along axis 1 of the n data rows of each
       (real or imaginary) plane, and of each distinct kernel row that is not
       all zero; the m - n padded rows are zero and are not stored.  Kernel
       row i depends on omega_i^2 only, so rows whose omega_i^2 have the same
-      bits are one row; ``np.linspace`` is not bitwise mirror symmetric, so
-      a row and its mirror need not coincide.  A kernel row is all zero when
-      its peak, at the column of smallest |omega|, underflows
-      (:func:`_gaussian` evaluated there), and by the same test so is every
-      kernel column but these ``live`` ones.  At the paper's width 1303 of
-      2049 rows are live and 858 distinct (651 and 429 of 1025, 163 and 107
-      of 257); each distinct row is evaluated on the live columns only, one
-      block at a time, so no n x n kernel exists;
-    - per block of columns, the complex transform along axis 0 (the kernel's
-      zero rows fed in as zeros), the product with the kernel's block of
-      spectrum and the unscaled inverse, of which only the n cropped rows
-      are kept.  These are filled into two preallocated m x ``ROW_BLOCK``
-      buffers and transformed with ``overwrite_x`` (pocketfft then writes
-      the returned transform into the buffer itself; the returned array is
-      what is read, so another backend stays correct).  The buffers are
-      allocated together with the distinct kernel spectra as one array (so
-      freeing it returns the memory to the system; separate arrays under
-      glibc's 32 MB mmap threshold stay resident);
+      bits are one row (``np.linspace`` is not bitwise mirror symmetric).  A
+      kernel row is all zero when its peak, at the column of smallest
+      |omega|, underflows, and by the same test so is every kernel column
+      but these ``live`` ones.  At the paper's width 1303 of 2049 rows are
+      live and 858 distinct (651 and 429 of 1025, 163 and 107 of 257); each
+      distinct row is evaluated on the live columns only, so no n x n kernel
+      exists;
+    - per block of ``ROW_BLOCK`` spectrum columns, copied into the rows of a
+      contiguous buffer, the complex transform along them, the product with
+      the kernel's block of spectrum and the unscaled inverse, of which only
+      the n cropped samples are kept.  The buffers and the distinct kernel
+      spectra are one array, so freeing it returns the memory to the system
+      (glibc keeps separate arrays under its 32 MB mmap threshold resident);
     - the complex-to-real inverse along axis 1 of those rows, scaled once by
       1/m^2 and cropped; the row spectra are freed before the output is
       renormalized.
 
-    The transforms use every CPU the process may run on; pocketfft gives the
-    same bits for any worker count.  The arithmetic, padding, product order
-    and crop are those of SciPy's ``fftconvolve(values, kernel,
+    numpy's FFTs are the pocketfft that ``scipy.fft`` wraps, and the padding,
+    product order and crop are those of SciPy's ``fftconvolve(values, kernel,
     mode="same")`` with the kernel :func:`_gaussian` sampled on the whole
     offset lattice, so the result is bit-identical to it.  The output is
-    renormalized.  A zero width returns ``amp`` itself (amplitudes are
-    immutable, so its Schmidt data are shared); any other kernel narrower
-    than one grid cell degenerates to the identity, and scenario configs
-    reject such a width.
+    renormalized.  A zero width returns ``amp`` itself
+    (amplitudes are immutable, so its Schmidt data are shared); any other
+    kernel narrower than one grid cell degenerates to the identity, and
+    scenario configs reject such a width.
     """
     if delta_omega_psf < 0:
         raise ValueError("PSF width must be non-negative")
@@ -436,11 +436,9 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
         return amp
 
     n = amp.grid.n_points
-    m = sp_fft.next_fast_len(2 * n - 1, True)
+    m = _next_fast_len(2 * n - 1)
     half = m // 2 + 1
     crop = slice((n - 1) // 2, (n - 1) // 2 + n)
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)  # macOS and Windows have no affinity call
     complex_values = np.iscomplexobj(amp.values)
     planes = (amp.values.real, amp.values.imag) if complex_values else (amp.values,)
     sq = amp.grid.axis() ** 2
@@ -448,45 +446,44 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
     distinct, row_of = np.unique(sq[live], return_inverse=True)
     u = len(distinct)
-    work = np.empty(u * half + 2 * m * ROW_BLOCK, dtype=complex)
-    kernel_buf, data_buf = work[u * half:].reshape(2, m, ROW_BLOCK)
+    work = np.empty(u * half + 2 * ROW_BLOCK * m, dtype=complex)
+    kernel_buf, data_buf = work[u * half:].reshape(2, ROW_BLOCK, m)
 
     def kernel_rows(block):
         rows = np.zeros((len(distinct[block]), n))
         rows[:, cols] = _gaussian(distinct[block, None] + sq[cols], delta_omega_psf)
         return rows
 
-    kernel_spectra = _row_spectra(kernel_rows, u, m, workers,
-                                  out=work[:u * half].reshape(u, half))
-    spectra = [_row_spectra(plane.__getitem__, n, m, workers) for plane in planes]
+    kernel_spectra = _row_spectra(kernel_rows, u, m, out=work[:u * half].reshape(u, half))
+    spectra = [_row_spectra(plane.__getitem__, n, m) for plane in planes]
     for c in range(0, half, ROW_BLOCK):
         block = slice(c, c + ROW_BLOCK)
         width = min(ROW_BLOCK, half - c)
-        kernel = kernel_buf[:, :width]
+        kernel = kernel_buf[:width]
         kernel[:] = 0.0
-        kernel[live] = kernel_spectra[row_of, block]
-        kernel = sp_fft.fft(kernel, axis=0, overwrite_x=True, workers=workers)
+        kernel[:, live] = kernel_spectra[row_of, block].T
+        np.fft.fft(kernel, axis=1, out=kernel)
+        data = data_buf[:width]
         for spec in spectra:
-            data = data_buf[:, :width]
-            data[:n] = spec[:, block]
-            data[n:] = 0.0
-            data = sp_fft.fft(data, axis=0, overwrite_x=True, workers=workers)
+            data[:, :n] = spec[:, block].T
+            data[:, n:] = 0.0
+            np.fft.fft(data, axis=1, out=data)
             data *= kernel
-            data = sp_fft.ifft(data, axis=0, norm="forward", overwrite_x=True,
-                               workers=workers)
-            spec[:, block] = data[crop]
+            np.fft.ifft(data, axis=1, norm="forward", out=data)
+            spec[:, block] = data[:, crop].T
     del work, kernel_spectra, kernel_buf, data_buf, kernel, data
     # irfftn's factor, which pocketfft computes in long double
     scale = float(1 / np.longdouble(m * m))
+    row_buf = np.empty((ROW_BLOCK, m))
     out = []
     for spec in spectra:
         plane = np.empty((n, n))
         for r in range(0, n, ROW_BLOCK):
-            rows = sp_fft.irfft(spec[r:r + ROW_BLOCK], m, axis=1, norm="forward",
-                                workers=workers)
+            rows = row_buf[:min(ROW_BLOCK, n - r)]
+            np.fft.irfft(spec[r:r + ROW_BLOCK], m, axis=1, norm="forward", out=rows)
             np.multiply(rows[:, crop], scale, out=plane[r:r + ROW_BLOCK])
         out.append(plane)
-    del spectra, spec, rows
+    del spectra, spec, row_buf, rows
     blurred = out[0] + 1j * out[1] if complex_values else out[0]
     return JointAmplitude(amp.grid, blurred)
 

@@ -57,3 +57,19 @@ def test_readme_library_use_runs_as_written(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert float(capsys.readouterr().out.split()[-1]) < 1e-12
+
+
+def test_only_metrics_imports_scipy():
+    # the fits' least_squares is the package's one scipy dependency
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.add(path.stem)
+    assert importers == {"metrics"}
