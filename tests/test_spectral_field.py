@@ -412,6 +412,40 @@ class TestApplyPsf:
     def test_padding_length_is_scipys(self):
         assert all(_next_fast_len(t) == next_fast_len(t, True) for t in range(1, 20001))
 
+    # The blur's bit identity to fftconvolve rests on numpy 2's FFTs being
+    # the pocketfft that scipy.fft wraps: each call apply_psf makes gives the
+    # bits of the scipy call, at the padded lengths of 257, 1025 and 2049
+    # points.
+    @pytest.mark.parametrize("transform", ["rfft", "fft_in_place", "ifft_forward",
+                                           "irfft_forward"])
+    def test_numpy_transforms_give_scipys_bits(self, transform):
+        import scipy.fft
+
+        rng = np.random.default_rng(3)
+        for n in (257, 1025, 2049):
+            m = _next_fast_len(2 * n - 1)
+            real = rng.standard_normal((4, n))
+            half = m // 2 + 1
+            spectra = rng.standard_normal((4, half)) + 1j * rng.standard_normal((4, half))
+            full = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
+            if transform == "rfft":
+                got = np.empty((4, half), dtype=complex)
+                np.fft.rfft(real, m, axis=1, out=got)
+                want = scipy.fft.rfft(real, m, axis=1)
+            elif transform == "fft_in_place":
+                got = full.copy()
+                np.fft.fft(got, axis=1, out=got)
+                want = scipy.fft.fft(full, axis=1)
+            elif transform == "ifft_forward":
+                got = full.copy()
+                np.fft.ifft(got, axis=1, norm="forward", out=got)
+                want = scipy.fft.ifft(full, axis=1, norm="forward")
+            else:
+                got = np.empty((4, m))
+                np.fft.irfft(spectra, m, axis=1, norm="forward", out=got)
+                want = scipy.fft.irfft(spectra, m, axis=1, norm="forward")
+            assert got.tobytes() == want.tobytes(), n
+
     # 129, 257 and 301 points pad to 270, 540 and 625; the last width is
     # below one grid cell at every size.
     @pytest.mark.parametrize("n", [129, 257, 301])
