@@ -249,6 +249,11 @@ def _parse_experiment(entry, index, seen_names, grid):
               for key, value in _section(entry, path, schema, extra=("id",)).items()}
     if "d" in params and params["d"] < 2:
         raise ConfigError(f"{path}.d", f"dimension must be >= 2, got {params['d']}")
+    # an n-point grid holds at most n Schmidt modes (bases.schmidt_modes)
+    modes = {"fig3_schmidt": "n_modes", "schmidt_fringes": "d"}.get(exp_id)
+    if modes is not None and params[modes] > grid.n_points:
+        raise ConfigError(f"{path}.{modes}", f"{params[modes]} Schmidt modes exceed the "
+                                             f"grid rank {grid.n_points}")
     t1_values = params.get("t1_values_fs", [])
     if any(b <= a for a, b in zip(t1_values, t1_values[1:])):
         raise ConfigError(f"{path}.t1_values_fs",

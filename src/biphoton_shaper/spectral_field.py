@@ -10,7 +10,11 @@ in rad/fs.  The signal/idler grid is a symmetric square window so that
 omega = 0 (degeneracy) lies on a sample.
 """
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -300,9 +304,10 @@ def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
     return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing))
 
 
-# Rows per block of the build's pump envelope, of the blur's row transforms
-# and of the Schmidt mode lift (bases.amplitude_svd), and columns per block of
-# the blur's column transforms: each block's buffers are a few MB at 2049^2.
+# Rows per block of the build's pump envelope and of the Schmidt mode lift
+# (bases.amplitude_svd), and the rows or columns that the blur's workers
+# transform at once, all of them together: each block's buffers are a few MB
+# at 2049^2.
 ROW_BLOCK = 64
 
 # exp(-x) is +0.0 in float64 for every x above 745.14 (ln of the smallest
@@ -364,10 +369,18 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     return JointAmplitude(grid=grid, values=values)
 
 
-def _gaussian(sq_sum, width: float):
+def _gaussian(sq_sum, width: float, out=None):
     """exp(-sq_sum * 2 ln 2 / width^2), whose square has FWHM ``width``: the pump
-    envelope at (w_i + w_s)^2, the blur kernel at w_i^2 + w_s^2 of the offset lattice."""
-    return np.exp(-sq_sum * 2.0 * _LN2 / width**2)
+    envelope at (w_i + w_s)^2, the blur kernel at w_i^2 + w_s^2 of the offset lattice.
+
+    The steps run in place, in the order of that expression, in ``out`` when
+    it is given (``out`` may be ``sq_sum`` itself).
+    """
+    x = np.negative(sq_sum, out=out)
+    x *= 2.0
+    x *= _LN2
+    x /= width**2
+    return np.exp(x, out=out)
 
 
 def _next_fast_len(target: int) -> int:
@@ -378,18 +391,34 @@ def _next_fast_len(target: int) -> int:
     return m
 
 
-def _row_spectra(rows_of, count: int, m: int, out=None) -> np.ndarray:
-    """Length-m real-to-complex transform of ``count`` rows, zero padded.
+def _cpus() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` where the
+    platform has no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    ``rows_of(block)`` gives the rows selected by the slice ``block``, so a
-    block of rows need exist only while it is transformed.  The spectra go
-    into ``out`` when it is given.
+
+def _run_jobs(pool, jobs, buffers):
+    """Run every ``job(buf)`` of ``jobs`` on ``pool``, one worker per scratch
+    buffer of ``buffers``, and return when all have run.
+
+    Each worker pops the next job from one shared deque, whose pops are
+    atomic, so every job runs once, with the buffer of the worker that took
+    it.  The first error a job raises is raised here.
     """
-    spectra = np.empty((count, m // 2 + 1), dtype=complex) if out is None else out
-    for r in range(0, count, ROW_BLOCK):
-        block = slice(r, r + ROW_BLOCK)
-        np.fft.rfft(rows_of(block), m, axis=1, out=spectra[block])
-    return spectra
+    pending = deque(jobs)
+
+    def worker(buf):
+        while True:
+            try:
+                job = pending.popleft()
+            except IndexError:  # no job left
+                return
+            job(buf)
+
+    for _ in pool.map(worker, buffers):
+        pass
 
 
 def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
@@ -398,7 +427,8 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     A linear (zero-padded, not circular) convolution with the centred
     ``'same'`` crop.  Both axes are padded to m, the smallest 5-smooth length
     >= 2n - 1, and the 2-D transforms are run axis by axis in the order
-    ``rfftn``/``irfftn`` use, on only the data that reach the crop:
+    ``rfftn``/``irfftn`` use, on only the data that reach the crop, in three
+    passes:
 
     - a real-to-complex transform along axis 1 of the n data rows of each
       (real or imaginary) plane, and of each distinct kernel row that is not
@@ -410,16 +440,32 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
       but these ``live`` ones.  At the paper's width 1303 of 2049 rows are
       live and 858 distinct (651 and 429 of 1025, 163 and 107 of 257); each
       distinct row is evaluated on the live columns only, so no n x n kernel
-      exists;
-    - per block of ``ROW_BLOCK`` spectrum columns, copied into the rows of a
-      contiguous buffer, the complex transform along them, the product with
-      the kernel's block of spectrum and the unscaled inverse, of which only
-      the n cropped samples are kept.  The buffers and the distinct kernel
+      exists.  The kernel spectra are stored transposed, so that each
+      spectrum column's live rows are gathered from contiguous memory;
+    - per block of spectrum columns, copied into the rows of a contiguous
+      buffer, the complex transform along them, the product with the
+      kernel's block of spectrum and the unscaled inverse, of which only the
+      n cropped samples are kept.  The buffers and the distinct kernel
       spectra are one array, so freeing it returns the memory to the system
-      (glibc keeps separate arrays under its 32 MB mmap threshold resident);
+      (glibc keeps separate arrays under its 32 MB mmap threshold resident).
+      At 2049^2 the blur's resident peak (218.6 MB in perfbench's
+      ``schmidt_2049`` run) is not the run's: the complex copy of the
+      amplitude that each Schmidt-mode scan makes
+      (``measurement._product_signals``) takes it to about 224 MB;
     - the complex-to-real inverse along axis 1 of those rows, scaled once by
       1/m^2 and cropped; the row spectra are freed before the output is
       renormalized.
+
+    Each pass is a set of disjoint blocks of rows or columns, run on a
+    thread pool of one worker per CPU the process may use (:func:`_cpus`,
+    at most ``ROW_BLOCK``), which is joined before the function returns.
+    numpy's FFTs release the GIL, so the blocks run concurrently.  Every
+    block is ``ROW_BLOCK // workers`` high and all scratch is allocated
+    here, before the pool starts: the workers' buffers together hold at
+    most ``ROW_BLOCK`` rows, as one thread's did, and the workers call no
+    BLAS.  Each transform reads the same data and writes the same
+    destination whatever the block height, so the result has the same bits
+    on any number of CPUs.
 
     numpy's FFTs are the pocketfft that ``scipy.fft`` wraps, and the padding,
     product order and crop are those of SciPy's ``fftconvolve(values, kernel,
@@ -446,24 +492,34 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
     distinct, row_of = np.unique(sq[live], return_inverse=True)
     u = len(distinct)
-    work = np.empty(u * half + 2 * ROW_BLOCK * m, dtype=complex)
-    kernel_buf, data_buf = work[u * half:].reshape(2, ROW_BLOCK, m)
+    workers = min(_cpus(), ROW_BLOCK)
+    height = ROW_BLOCK // workers
 
-    def kernel_rows(block):
-        rows = np.zeros((len(distinct[block]), n))
-        rows[:, cols] = _gaussian(distinct[block, None] + sq[cols], delta_omega_psf)
-        return rows
+    def blocks(count):
+        return [slice(r, min(r + height, count)) for r in range(0, count, height)]
 
-    kernel_spectra = _row_spectra(kernel_rows, u, m, out=work[:u * half].reshape(u, half))
-    spectra = [_row_spectra(plane.__getitem__, n, m) for plane in planes]
-    for c in range(0, half, ROW_BLOCK):
-        block = slice(c, c + ROW_BLOCK)
-        width = min(ROW_BLOCK, half - c)
-        kernel = kernel_buf[:width]
+    work = np.empty(half * u + workers * 2 * height * m, dtype=complex)
+    kernel_spectra = work[:half * u].reshape(half, u)
+    column_bufs = work[half * u:].reshape(workers, 2, height, m)
+    spectra = [np.empty((n, half), dtype=complex) for _ in planes]
+    kernel_bufs = np.zeros((workers, height, n))
+
+    def kernel_rows(block, buf):
+        rows = buf[:block.stop - block.start]
+        live_part = np.add(distinct[block, None], sq[cols], out=rows[:, cols])
+        _gaussian(live_part, delta_omega_psf, out=live_part)
+        np.fft.rfft(rows, m, axis=1, out=kernel_spectra[:, block].T)
+
+    def data_rows(plane, spec, block, _buf):
+        np.fft.rfft(plane[block], m, axis=1, out=spec[block])
+
+    def columns(block, bufs):
+        kernel, data = bufs[:, :block.stop - block.start]
         kernel[:] = 0.0
-        kernel[:, live] = kernel_spectra[row_of, block].T
+        for row, spectrum in zip(kernel, kernel_spectra[block]):
+            # the indices are in range; "clip" writes into ``out`` unbuffered
+            np.take(spectrum, row_of, out=row[cols], mode="clip")
         np.fft.fft(kernel, axis=1, out=kernel)
-        data = data_buf[:width]
         for spec in spectra:
             data[:, :n] = spec[:, block].T
             data[:, n:] = 0.0
@@ -471,19 +527,29 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
             data *= kernel
             np.fft.ifft(data, axis=1, norm="forward", out=data)
             spec[:, block] = data[:, crop].T
-    del work, kernel_spectra, kernel_buf, data_buf, kernel, data
+
     # irfftn's factor, which pocketfft computes in long double
     scale = float(1 / np.longdouble(m * m))
-    row_buf = np.empty((ROW_BLOCK, m))
-    out = []
-    for spec in spectra:
-        plane = np.empty((n, n))
-        for r in range(0, n, ROW_BLOCK):
-            rows = row_buf[:min(ROW_BLOCK, n - r)]
-            np.fft.irfft(spec[r:r + ROW_BLOCK], m, axis=1, norm="forward", out=rows)
-            np.multiply(rows[:, crop], scale, out=plane[r:r + ROW_BLOCK])
-        out.append(plane)
-    del spectra, spec, row_buf, rows
+
+    def inverse_rows(spec, plane, block, buf):
+        rows = buf[:block.stop - block.start]
+        np.fft.irfft(spec[block], m, axis=1, norm="forward", out=rows)
+        np.multiply(rows[:, crop], scale, out=plane[block])
+
+    with ThreadPoolExecutor(workers) as pool:
+        _run_jobs(pool, [partial(kernel_rows, b) for b in blocks(u)]
+                  + [partial(data_rows, plane, spec, b)
+                     for plane, spec in zip(planes, spectra) for b in blocks(n)],
+                  kernel_bufs)
+        del kernel_bufs
+        _run_jobs(pool, [partial(columns, b) for b in blocks(half)], column_bufs)
+        del work, kernel_spectra, column_bufs
+        out = [np.empty((n, n)) for _ in planes]
+        row_bufs = np.empty((workers, height, m))
+        _run_jobs(pool, [partial(inverse_rows, spec, plane, b)
+                         for spec, plane in zip(spectra, out) for b in blocks(n)],
+                  row_bufs)
+    del spectra, row_bufs
     blurred = out[0] + 1j * out[1] if complex_values else out[0]
     return JointAmplitude(amp.grid, blurred)
 

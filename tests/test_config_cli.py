@@ -160,6 +160,14 @@ MALFORMED_VALUES = [
     pytest.param("psf.delta_omega", {"psf": {"delta_omega": "1e999"}},
                  id="psf-overflowing-exponent"),
     pytest.param("seed", {"seed": "1e3"}, id="int-key-exponent"),
+    # an n-point grid has at most n Schmidt modes; the run once found out
+    # after the amplitude build and the blur, and exited 3
+    pytest.param("experiments[0].n_modes",
+                 {"experiments": [{"id": "fig3_schmidt", "n_modes": 500}]},
+                 id="schmidt-modes-beyond-the-grid"),
+    pytest.param("experiments[0].d",
+                 {"experiments": [{"id": "schmidt_fringes", "d": 200, "phi_points": 12}]},
+                 id="schmidt-dimension-beyond-the-grid"),
     # a retired experiment is an unknown id like any other
     pytest.param("experiments[1].id",
                  {"experiments": [{"id": "flux_check"},

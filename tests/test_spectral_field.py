@@ -1,5 +1,8 @@
 """Spectral-field construction: pump, phase matching, amplitudes, PSF, flux."""
 
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,6 +29,7 @@ from biphoton_shaper import (
     photon_flux_limit,
     pump_envelope,
 )
+from biphoton_shaper import spectral_field
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.config import load_config, validate_config
 from biphoton_shaper.spectral_field import (
@@ -460,6 +464,54 @@ class TestApplyPsf:
         amp = JointAmplitude(grid=grid, values=values)
         assert np.array_equal(apply_psf(amp, width).values, self._fftconvolve(amp, width))
 
+    # The blocks of each pass are ROW_BLOCK // workers high (64, 32, 21 and
+    # 4 rows or columns here) and run on a pool of that many threads; every
+    # split gives fftconvolve's bits.  Without sched_getaffinity the pool
+    # has os.cpu_count() workers, or one when that is unknown.  Sixteen
+    # workers on a short switch interval stress the shared job queue: a job
+    # lost or run twice leaves garbage in, or transforms twice, its rows or
+    # columns.
+    @pytest.mark.parametrize("affinity, cpu_count, workers",
+                             [(1, None, 1), (2, None, 2), (3, None, 3), (16, None, 16),
+                              (None, 3, 3), (None, None, 1)],
+                             ids=["1", "2", "3", "16", "cpu_count-3", "cpu_count-None"])
+    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+    def test_bit_identical_on_any_cpu_count(self, affinity, cpu_count, workers,
+                                            complex_values, monkeypatch):
+        if affinity is None:  # a platform without sched_getaffinity
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        pools = []
+
+        class RecordingPool(spectral_field.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(spectral_field, "ThreadPoolExecutor", RecordingPool)
+        grid = SpectralGrid(n_points=257, omega_max=0.35)
+        rng = np.random.default_rng(257)
+        values = rng.standard_normal((257, 257))
+        if complex_values:
+            values = values + 1j * rng.standard_normal((257, 257))
+        amp = JointAmplitude(grid=grid, values=values)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blurred = apply_psf(amp, PSF_WIDTH)
+        finally:
+            sys.setswitchinterval(interval)
+        assert blurred.values.tobytes() == self._fftconvolve(amp, PSF_WIDTH).tobytes()
+        assert pools == [workers]
+
+    def test_workers_end_with_the_call(self, gamma_small):
+        before = threading.active_count()
+        apply_psf(gamma_small, PSF_WIDTH)
+        assert threading.active_count() == before
+
     def test_default_config_blur_bit_identical_to_fftconvolve(self):
         # the 1025^2 continuous-wave amplitude whose blur feeds default's
         # time-bin gamma fits
@@ -552,9 +604,11 @@ class TestPeakMemory:
     """Peak traced allocation at 1025^2, in planes of n^2 float64 (8.4 MB).
 
     tracemalloc sees numpy's arrays but not pocketfft's internal buffers, so
-    these bound the Python-visible working set only.  Measured: the build
-    peaks at 2.0 planes (4.0 with the pump envelope on the whole grid, 8.0
-    with the phase matching there too) and the blur at 3.78 (4.24 with one
+    these bound the Python-visible working set only; it sees the blur's
+    worker threads too.  Measured: the build peaks at 2.0 planes (4.0 with
+    the pump envelope on the whole grid, 8.0 with the phase matching there
+    too) and the blur at 3.61 with its pool of workers (3.78 on one thread
+    before numpy's transforms wrote into their destinations, 4.24 with one
     spectrum per live kernel row and per-block column buffers, 5.0 with
     every kernel row transformed, 13.3 through padded 2-D spectra).
     """
@@ -589,7 +643,7 @@ class TestPeakMemory:
     def test_apply_psf_complex(self, grid, pump_cw):
         """Blur of a complex amplitude, whose two planes are combined at the end.
 
-        Measured: 6.5 planes; 8.1 while the last row spectrum is still held
+        Measured: 6.37 planes; 8.1 while the last row spectrum is still held
         when the output is normalized, and 8.3 with every kernel row as well.
         """
         spdc, sfg = make_crystals()
