@@ -11,7 +11,6 @@ omega = 0 (degeneracy) lies on a sample.
 """
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -400,24 +399,18 @@ def _cpus() -> int:
 
 
 def _run_jobs(pool, jobs, buffers):
-    """Run every ``job(buf)`` of ``jobs`` on ``pool``, one worker per scratch
-    buffer of ``buffers``, and return when all have run.
-
-    Each worker pops the next job from one shared deque, whose pops are
-    atomic, so every job runs once, with the buffer of the worker that took
-    it.  The first error a job raises is raised here.
+    """Run every ``job(buf)`` of ``jobs`` on ``pool`` and return when all
+    have run: with k scratch buffers, worker w runs ``jobs[w::k]`` with
+    ``buffers[w]``, so the workers share nothing.  A job's error ends its
+    worker and is raised here (the lowest-numbered worker's, if several).
     """
-    pending = deque(jobs)
+    k = len(buffers)
 
-    def worker(buf):
-        while True:
-            try:
-                job = pending.popleft()
-            except IndexError:  # no job left
-                return
-            job(buf)
+    def worker(w):
+        for job in jobs[w::k]:
+            job(buffers[w])
 
-    for _ in pool.map(worker, buffers):
+    for _ in pool.map(worker, range(k)):
         pass
 
 
@@ -456,16 +449,17 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
       1/m^2 and cropped; the row spectra are freed before the output is
       renormalized.
 
-    Each pass is a set of disjoint blocks of rows or columns, run on a
-    thread pool of one worker per CPU the process may use (:func:`_cpus`,
-    at most ``ROW_BLOCK``), which is joined before the function returns.
-    numpy's FFTs release the GIL, so the blocks run concurrently.  Every
-    block is ``ROW_BLOCK // workers`` high and all scratch is allocated
-    here, before the pool starts: the workers' buffers together hold at
-    most ``ROW_BLOCK`` rows, as one thread's did, and the workers call no
-    BLAS.  Each transform reads the same data and writes the same
-    destination whatever the block height, so the result has the same bits
-    on any number of CPUs.
+    Each pass is a list of disjoint blocks of rows or columns, split
+    statically over a thread pool of one worker per CPU the process may use
+    (:func:`_cpus`, at most ``ROW_BLOCK``), joined before the function
+    returns: of k workers, worker w runs blocks w, w + k, w + 2k, ... with
+    its own buffer.  numpy's FFTs release the GIL, so the blocks run
+    concurrently.  Every block is ``ROW_BLOCK // workers`` high and all
+    scratch is allocated here, before the pool starts: the workers' buffers
+    together hold at most ``ROW_BLOCK`` rows, as one thread's did, and the
+    workers call no BLAS.  Each transform reads the same data and writes the
+    same destination whatever the block height, so the result has the same
+    bits on any number of CPUs.
 
     numpy's FFTs are the pocketfft that ``scipy.fft`` wraps, and the padding,
     product order and crop are those of SciPy's ``fftconvolve(values, kernel,

@@ -152,6 +152,22 @@ def cos4_residual(scan) -> float:
     return float(np.sqrt(np.mean((scan.values - separable / separable.mean()) ** 2)))
 
 
+def cw_franson_gamma1(grid: SpectralGrid, spdc, sfg, t1: float) -> float:
+    """Closed-form one-photon coherence gamma1 = B / A of a continuous-wave
+    source in two identical Franson interferometers of delay t1 [fs].
+
+    In the continuous-wave limit Gamma = phi(w) delta(w_i + w_s), with phi the
+    product of both crystals' phase matching on the anti-diagonal, and the
+    scan is |A + 2 e^{i phase} B + e^{2 i phase} A|^2 / 16 with A = int phi and
+    B = int phi cos(w t1): gamma2 = 1 and gamma1 = B / A exactly.  Both
+    integrals are 65537-point trapezoids over the grid's window.
+    """
+    w = np.linspace(-grid.omega_max, grid.omega_max, 65537)
+    pc = grid.pump_center_frequency
+    phi = phase_matching(w, -w, spdc, pc) * phase_matching(w, -w, sfg, pc)
+    return float(np.trapezoid(phi * np.cos(w * t1), w) / np.trapezoid(phi, w))
+
+
 def canonical_gamma(gamma1, gamma2):
     """The gamma2 <= 1 image of a fitted (gamma1, gamma2) pair.
 

@@ -1,11 +1,14 @@
 """Coincidence integrals, state projection, fringe scans, count synthesis."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from biphoton_shaper import (
     BasisError,
     GridError,
+    PumpSpec,
     SlmModel,
     SpectralGrid,
     TransferFunction,
@@ -27,9 +30,18 @@ from biphoton_shaper import (
     transfer_from_coefficients,
 )
 from biphoton_shaper.bases import amplitude_svd
+from biphoton_shaper.config import load_config, validate_config
 from biphoton_shaper.measurement import FringeScan, QuditState
+from biphoton_shaper.metrics import fit_gamma
 from conftest import make_crystals
-from oracles import cos4_residual, double_gaussian_amplitude, ladder, max_entangled_state
+from oracles import (
+    canonical_gamma,
+    cos4_residual,
+    cw_franson_gamma1,
+    double_gaussian_amplitude,
+    ladder,
+    max_entangled_state,
+)
 
 
 def ones_transfer(grid):
@@ -456,3 +468,29 @@ class TestTimeDomainOracle:
         c = np.abs(state.coefficients)
         assert c[0, 0] > 10 * c[0, 1]
         assert c[1, 1] > 10 * c[0, 1]
+
+    def test_franson_gamma_extrapolates_to_the_continuous_wave_oracle(self):
+        # The shipped 1025^2 grid cannot hold a continuous-wave pump, which
+        # is widened to a few grid cells; the unblurred gamma's error is
+        # second order in that width, so one Richardson step from 3 and 6
+        # cells must land on the closed-form continuous-wave gamma.  The fit
+        # bounds gamma1 >= 0 (phi0 takes its sign), so |gamma1| is compared.
+        root = Path(__file__).resolve().parents[1]
+        scenario = validate_config(load_config(root / "configs" / "default.yaml"))
+        grid = scenario.grid
+        phi = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+        t1_values = (10.0, 25.0, 35.0, 50.0, 70.0, 100.0)
+        gammas = {}
+        for cells in (3, 6):
+            amp = build_joint_amplitude(grid, PumpSpec(bandwidth=cells * grid.spacing),
+                                        scenario.spdc, scenario.sfg)
+            for t1 in t1_values:
+                transfers = franson_transfer(0.5, 0.5, t1, phi, grid)
+                fit = fit_gamma(FringeScan(phi, coincidence_scan(amp, transfers, transfers)))
+                gammas[cells, t1] = np.array(canonical_gamma(fit.parameters["gamma1"],
+                                                             fit.parameters["gamma2"]))
+        for t1 in t1_values:
+            gamma1, gamma2 = (4.0 * gammas[3, t1] - gammas[6, t1]) / 3.0
+            oracle = cw_franson_gamma1(grid, scenario.spdc, scenario.sfg, t1)
+            assert abs(gamma1 - abs(oracle)) < 5e-6, t1
+            assert abs(gamma2 - 1.0) < 2e-4, t1

@@ -1,5 +1,6 @@
 """Spectral-field construction: pump, phase matching, amplitudes, PSF, flux."""
 
+import itertools
 import os
 import sys
 import threading
@@ -467,10 +468,10 @@ class TestApplyPsf:
     # The blocks of each pass are ROW_BLOCK // workers high (64, 32, 21 and
     # 4 rows or columns here) and run on a pool of that many threads; every
     # split gives fftconvolve's bits.  Without sched_getaffinity the pool
-    # has os.cpu_count() workers, or one when that is unknown.  Sixteen
-    # workers on a short switch interval stress the shared job queue: a job
-    # lost or run twice leaves garbage in, or transforms twice, its rows or
-    # columns.
+    # has os.cpu_count() workers, or one when that is unknown.  Worker w runs
+    # every workers-th block from block w; sixteen workers on a short switch
+    # interval guard that split: a block skipped or run twice leaves garbage
+    # in, or transforms twice, its rows or columns.
     @pytest.mark.parametrize("affinity, cpu_count, workers",
                              [(1, None, 1), (2, None, 2), (3, None, 3), (16, None, 16),
                               (None, 3, 3), (None, None, 1)],
@@ -510,6 +511,21 @@ class TestApplyPsf:
     def test_workers_end_with_the_call(self, gamma_small):
         before = threading.active_count()
         apply_psf(gamma_small, PSF_WIDTH)
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, gamma_small, monkeypatch):
+        real_irfft = np.fft.irfft
+        calls = itertools.count()  # next() on it is atomic across threads
+
+        def failing_irfft(*args, **kwargs):
+            if next(calls) == 1:
+                raise FloatingPointError("irfft failed")
+            return real_irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", failing_irfft)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="irfft failed"):
+            apply_psf(gamma_small, PSF_WIDTH)
         assert threading.active_count() == before
 
     def test_default_config_blur_bit_identical_to_fftconvolve(self):
