@@ -63,7 +63,6 @@ from .spectral_field import (
     phase_matching,
     photon_flux_limit,
     pump_envelope,
-    taylor_curvature_for_bandwidth,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from .spectral_field import (
     SellmeierMismatch,
     SpectralGrid,
     TaylorMismatch,
-    taylor_curvature_for_bandwidth,
 )
 
 CONFIG_VERSION = 1
@@ -55,8 +54,7 @@ _SELLMEIER_INDEX = {"a": (float, _REQUIRED), "terms": (list, []), "d": (float, 0
                     "validity_um": (list, None)}
 _DISPERSION = {
     "taylor": {"model": _MODEL, "a1": (float, 0.0), "a2": (float, DEFAULT_TAYLOR_A2),
-               "a3": (float, 0.0), "target_bandwidth_nm": (float, None, *_POSITIVE),
-               "include_phase": (bool, None)},
+               "a3": (float, 0.0), "include_phase": (bool, None)},
     "sellmeier": {"model": _MODEL, "pump": _SELLMEIER_INDEX, "idler": _SELLMEIER_INDEX,
                   "signal": _SELLMEIER_INDEX, "include_phase": (bool, None)},
 }
@@ -92,6 +90,10 @@ _EXPERIMENT_PARAMS = {
                     "phi_points": 36},
 }
 _POSITIVE_LISTS = {"bin_widths"}
+
+# The experiments that read Schmidt modes, each with its parameter that
+# counts them; an n-point grid holds at most n modes (bases.schmidt_modes).
+SCHMIDT_MODE_PARAMS = {"fig3_schmidt": "n_modes", "schmidt_fringes": "d"}
 
 # A YAML 1.2 core-schema decimal.  PyYAML follows YAML 1.1, which reads
 # exponent forms such as 1e-2 and 1E3 as strings; float keys accept them.
@@ -249,8 +251,7 @@ def _parse_experiment(entry, index, seen_names, grid):
               for key, value in _section(entry, path, schema, extra=("id",)).items()}
     if "d" in params and params["d"] < 2:
         raise ConfigError(f"{path}.d", f"dimension must be >= 2, got {params['d']}")
-    # an n-point grid holds at most n Schmidt modes (bases.schmidt_modes)
-    modes = {"fig3_schmidt": "n_modes", "schmidt_fringes": "d"}.get(exp_id)
+    modes = SCHMIDT_MODE_PARAMS.get(exp_id)
     if modes is not None and params[modes] > grid.n_points:
         raise ConfigError(f"{path}.{modes}", f"{params[modes]} Schmidt modes exceed the "
                                              f"grid rank {grid.n_points}")
@@ -322,8 +323,6 @@ def validate_config(tree: dict) -> Scenario:
     with _built_from("pump.linewidth_mhz"):
         pump = PumpSpec.from_linewidth_mhz(cfg["pump"]["linewidth_mhz"])
 
-    if "target_bandwidth_nm" in raw_dispersion and "a2" in raw_dispersion:
-        raise ConfigError("dispersion.a2", "give either a2 or target_bandwidth_nm, not both")
     disp = cfg["dispersion"]
     if model == "sellmeier":
         shared = SellmeierMismatch(
@@ -331,21 +330,14 @@ def validate_config(tree: dict) -> Scenario:
             index_s=_sellmeier_index(disp["signal"], "dispersion.signal"),
             index_p=_sellmeier_index(disp["pump"], "dispersion.pump"),
         )
-    else:
-        # one material: both crystals share a2, calibrated on the source's length
-        a2 = disp["a2"]
-        if disp["target_bandwidth_nm"] is not None:
-            with _built_from("dispersion.target_bandwidth_nm"):
-                a2 = taylor_curvature_for_bandwidth(disp["target_bandwidth_nm"],
-                                                    grid.center_wavelength,
-                                                    cfg["crystals"]["spdc"]["length_mm"])
 
     def crystal(role_key, role):
+        # one material: both crystals share the dispersion, a2 included
         geometry = cfg["crystals"][role_key]
         poling = geometry["poling_period_um"]
         with _built_from(f"crystals.{role_key}"):
             dispersion = shared if model == "sellmeier" else TaylorMismatch.quasi_phase_matched(
-                poling, a1=disp["a1"], a2=a2, a3=disp["a3"])
+                poling, a1=disp["a1"], a2=disp["a2"], a3=disp["a3"])
             return CrystalSpec(length=geometry["length_mm"], poling_period=poling,
                                dispersion=dispersion, role=role)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bases, measurement, metrics, shaper, spectral_field
-from .config import Scenario
+from .config import SCHMIDT_MODE_PARAMS, Scenario
 from .errors import ResolutionError
 from .measurement import FringeScan
 
@@ -375,7 +375,7 @@ def run_scenario_experiments(scenario: Scenario):
     ctx = ScenarioContext(scenario)
     # Decompose with modes before any values-only request, so that one eigh
     # of the blurred amplitude serves every experiment.
-    if any(req.id in ("fig3_schmidt", "schmidt_fringes") for req in scenario.experiments):
+    if any(req.id in SCHMIDT_MODE_PARAMS for req in scenario.experiments):
         bases.amplitude_svd(ctx.gamma_psf)
     return [EXPERIMENT_RUNNERS[req.id](ctx, req) for req in scenario.experiments]
 

@@ -22,15 +22,11 @@ from .units import (
     C_NM_PER_FS,
     C_NM_PER_S,
     angular_frequency,
-    bandwidth_nm_to_rad_fs,
     linewidth_mhz_to_rad_fs,
     photon_energy_j,
 )
 
 _LN2 = np.log(2.0)
-
-# Half-max abscissa of sinc(x)^2; used to calibrate phase-matching bandwidths.
-_SINC_SQ_HALF_MAX = 1.3915573776896476
 
 # Narrowest pump envelope the grid represents, in grid cells.
 PUMP_CLAMP_CELLS = 3
@@ -124,16 +120,6 @@ class TaylorMismatch:
     def quasi_phase_matched(cls, poling_period_um: float, a1=0.0, a2=0.0, a3=0.0):
         """Expansion around exact quasi-phase matching for the given poling period."""
         return cls(dk0=-2.0 * np.pi / (poling_period_um * 1e-3), a1=a1, a2=a2, a3=a3)
-
-
-def taylor_curvature_for_bandwidth(delta_lambda_nm, center_nm, length_mm):
-    """Curvature a2 giving a sinc^2 singles spectrum of the stated FWHM.
-
-    The single-photon intensity along the energy-conservation line is
-    sinc(2*a2*L*omega^2)^2; inverting its half-max point fixes a2.
-    """
-    half_width = 0.5 * bandwidth_nm_to_rad_fs(delta_lambda_nm, center_nm)
-    return _SINC_SQ_HALF_MAX / (2.0 * half_width**2 * length_mm)
 
 
 @dataclass(frozen=True)

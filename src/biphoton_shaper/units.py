@@ -17,11 +17,6 @@ def angular_frequency(wavelength_nm):
     return 2.0 * np.pi * C_NM_PER_FS / wavelength_nm
 
 
-def bandwidth_nm_to_rad_fs(delta_lambda_nm, center_nm):
-    """Convert a wavelength FWHM around ``center_nm`` to rad/fs."""
-    return 2.0 * np.pi * C_NM_PER_FS * delta_lambda_nm / center_nm**2
-
-
 def linewidth_mhz_to_rad_fs(linewidth_mhz):
     """Convert a frequency linewidth in MHz to angular rad/fs."""
     return 2.0 * np.pi * linewidth_mhz * 1e6 * 1e-15

@@ -32,12 +32,11 @@ from biphoton_shaper import (
 )
 from biphoton_shaper import spectral_field
 from biphoton_shaper.bases import amplitude_svd
-from biphoton_shaper.config import load_config, validate_config
+from biphoton_shaper.config import DEFAULT_TAYLOR_A2, load_config, validate_config
 from biphoton_shaper.spectral_field import (
     _matching_argument,
     _next_fast_len,
     effective_pump,
-    taylor_curvature_for_bandwidth,
 )
 
 from conftest import PSF_WIDTH, make_crystals
@@ -699,13 +698,13 @@ class TestFluxLimit:
             photon_flux_limit(-1.0, 1064.0)
 
 
-class TestCalibration:
-    def test_curvature_matches_requested_bandwidth(self):
-        # build an amplitude with the calibrated curvature and re-measure the
-        # singles bandwidth on the energy-conservation cut
-        target_nm = 105.0
+class TestDocumentedCurvature:
+    @pytest.mark.parametrize("a2, target_nm", [(DEFAULT_TAYLOR_A2, 61.4), (7.93, 105.0)])
+    def test_singles_bandwidth_matches_the_readme_formula(self, a2, target_nm):
+        # README: a2 = 1.39156 / (2 L (dw/2)^2) for a sinc^2 singles FWHM dw;
+        # build an amplitude with a2 and re-measure that bandwidth on the
+        # energy-conservation cut
         grid = SpectralGrid(n_points=1025, omega_max=0.35)
-        a2 = taylor_curvature_for_bandwidth(target_nm, 1064.0, 11.5)
         spdc, _ = make_crystals(a2=a2)
         amp = build_joint_amplitude(grid, PumpSpec(bandwidth=1e6), spdc)
         n = grid.n_points
