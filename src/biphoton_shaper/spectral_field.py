@@ -299,6 +299,11 @@ ROW_BLOCK = 64
 # subnormal, with its rounding half-cell)
 _EXP_UNDERFLOW = 746.0
 
+# The blur leaves out the kernel rows and columns whose peak (of 1) is below
+# this: at eps^3 ~ 1.1e-47 no output bit moved in 200 cases of 129 to 1025
+# points, widths of 1 to 200 cells and five amplitude kinds; at 1e-25 some did.
+KERNEL_FLOOR = np.finfo(float).eps ** 3
+
 
 def _band_reach(width: float, spacing: float) -> int:
     """Grid cells from the anti-diagonal beyond which :func:`_gaussian` of
@@ -410,30 +415,28 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     passes:
 
     - a real-to-complex transform along axis 1 of the n data rows of each
-      (real or imaginary) plane, and of each distinct kernel row that is not
-      all zero; the m - n padded rows are zero and are not stored.  Kernel
-      row i depends on omega_i^2 only, so rows whose omega_i^2 have the same
-      bits are one row (``np.linspace`` is not bitwise mirror symmetric).  A
-      kernel row is all zero when its peak, at the column of smallest
-      |omega|, underflows, and by the same test so is every kernel column
-      but these ``live`` ones.  At the paper's width 1303 of 2049 rows are
-      live and 858 distinct (651 and 429 of 1025, 163 and 107 of 257); each
-      distinct row is evaluated on the live columns only, so no n x n kernel
-      exists.  The kernel spectra are stored transposed, so that each
-      spectrum column's live rows are gathered from contiguous memory;
+      (real or imaginary) plane, and of each kernel row whose peak, at the
+      column of smallest |omega|, is at least ``KERNEL_FLOOR``; the m - n
+      padded rows are zero and are not stored.  By the same test every
+      kernel column but these ``live`` ones is left out, so no n x n kernel
+      exists and no tap is subnormal (the smallest is about eps^6).  At the
+      paper's width 497 of 2049 rows are live (249 of 1025, 63 of 257).  The
+      kernel spectra are stored transposed, so that a block of spectrum
+      columns copies its live rows from contiguous memory;
     - per block of spectrum columns, copied into the rows of a contiguous
       buffer, the complex transform along them, the product with the
       kernel's block of spectrum and the unscaled inverse, of which only the
-      n cropped samples are kept.  The buffers and the distinct kernel
-      spectra are one array, so freeing it returns the memory to the system
-      (glibc keeps separate arrays under its 32 MB mmap threshold resident).
-      At 2049^2 the blur's resident peak (218.6 MB in perfbench's
-      ``schmidt_2049`` run) is not the run's: the complex copy of the
-      amplitude that each Schmidt-mode scan makes
-      (``measurement._product_signals``) takes it to about 224 MB;
+      n cropped samples are kept;
     - the complex-to-real inverse along axis 1 of those rows, scaled once by
       1/m^2 and cropped; the row spectra are freed before the output is
       renormalized.
+
+    The kernel spectra, the column buffers and then the output planes are
+    one scratch array, freed once the output is renormalized, so its memory
+    returns to the system (glibc keeps arrays under its 32 MB mmap threshold
+    resident).  At 2049^2 the run's peak RSS is not the blur's but that of
+    the complex copy of the amplitude each Schmidt-mode scan makes
+    (``measurement._product_signals``).
 
     Each pass is a list of disjoint blocks of rows or columns, split
     statically over a thread pool of one worker per CPU the process may use
@@ -441,20 +444,19 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     returns: of k workers, worker w runs blocks w, w + k, w + 2k, ... with
     its own buffer.  numpy's FFTs release the GIL, so the blocks run
     concurrently.  Every block is ``ROW_BLOCK // workers`` high and all
-    scratch is allocated here, before the pool starts: the workers' buffers
-    together hold at most ``ROW_BLOCK`` rows, as one thread's did, and the
-    workers call no BLAS.  Each transform reads the same data and writes the
-    same destination whatever the block height, so the result has the same
-    bits on any number of CPUs.
+    scratch is allocated here, before the pool starts, so the workers'
+    buffers together hold ``ROW_BLOCK`` rows; the workers call no BLAS.  Each
+    transform reads the same data and writes the same destination whatever
+    the block height, so the result has the same bits on any number of CPUs.
 
     numpy's FFTs are the pocketfft that ``scipy.fft`` wraps, and the padding,
     product order and crop are those of SciPy's ``fftconvolve(values, kernel,
     mode="same")`` with the kernel :func:`_gaussian` sampled on the whole
-    offset lattice, so the result is bit-identical to it.  The output is
-    renormalized.  A zero width returns ``amp`` itself
-    (amplitudes are immutable, so its Schmidt data are shared); any other
-    kernel narrower than one grid cell degenerates to the identity, and
-    scenario configs reject such a width.
+    offset lattice, so the result is bit-identical to it (the taps below
+    ``KERNEL_FLOOR`` reach no output bit).  The output is renormalized.  A
+    zero width returns ``amp`` itself (amplitudes are immutable, so its
+    Schmidt data are shared); any other kernel narrower than one grid cell
+    degenerates to the identity, and scenario configs reject such a width.
     """
     if delta_omega_psf < 0:
         raise ValueError("PSF width must be non-negative")
@@ -468,25 +470,25 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     complex_values = np.iscomplexobj(amp.values)
     planes = (amp.values.real, amp.values.imag) if complex_values else (amp.values,)
     sq = amp.grid.axis() ** 2
-    live = np.flatnonzero(_gaussian(sq + sq[np.argmin(sq)], delta_omega_psf))
+    live = np.flatnonzero(_gaussian(sq + sq[np.argmin(sq)], delta_omega_psf) >= KERNEL_FLOOR)
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
-    distinct, row_of = np.unique(sq[live], return_inverse=True)
-    u = len(distinct)
+    u = len(live)
     workers = min(_cpus(), ROW_BLOCK)
     height = ROW_BLOCK // workers
 
     def blocks(count):
         return [slice(r, min(r + height, count)) for r in range(0, count, height)]
 
-    work = np.empty(half * u + workers * 2 * height * m, dtype=complex)
+    bufs_end = half * u + workers * 2 * height * m
+    work = np.empty(max(bufs_end, len(planes) * n * n // 2 + 1), dtype=complex)
     kernel_spectra = work[:half * u].reshape(half, u)
-    column_bufs = work[half * u:].reshape(workers, 2, height, m)
+    column_bufs = work[half * u:bufs_end].reshape(workers, 2, height, m)
     spectra = [np.empty((n, half), dtype=complex) for _ in planes]
     kernel_bufs = np.zeros((workers, height, n))
 
     def kernel_rows(block, buf):
         rows = buf[:block.stop - block.start]
-        live_part = np.add(distinct[block, None], sq[cols], out=rows[:, cols])
+        live_part = np.add(sq[cols][block, None], sq[cols], out=rows[:, cols])
         _gaussian(live_part, delta_omega_psf, out=live_part)
         np.fft.rfft(rows, m, axis=1, out=kernel_spectra[:, block].T)
 
@@ -496,9 +498,7 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     def columns(block, bufs):
         kernel, data = bufs[:, :block.stop - block.start]
         kernel[:] = 0.0
-        for row, spectrum in zip(kernel, kernel_spectra[block]):
-            # the indices are in range; "clip" writes into ``out`` unbuffered
-            np.take(spectrum, row_of, out=row[cols], mode="clip")
+        kernel[:, cols] = kernel_spectra[block]
         np.fft.fft(kernel, axis=1, out=kernel)
         for spec in spectra:
             data[:, :n] = spec[:, block].T
@@ -523,8 +523,8 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
                   kernel_bufs)
         del kernel_bufs
         _run_jobs(pool, [partial(columns, b) for b in blocks(half)], column_bufs)
-        del work, kernel_spectra, column_bufs
-        out = [np.empty((n, n)) for _ in planes]
+        del kernel_spectra, column_bufs
+        out = work.view(float)[:len(planes) * n * n].reshape(len(planes), n, n)
         row_bufs = np.empty((workers, height, m))
         _run_jobs(pool, [partial(inverse_rows, spec, plane, b)
                          for spec, plane in zip(spectra, out) for b in blocks(n)],
