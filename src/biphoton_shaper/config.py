@@ -35,8 +35,8 @@ CONFIG_VERSION = 1
 
 # Phase-matching curvature [rad/mm per (rad/fs)^2] of the default crystal
 # pair.  Chosen so that the blurred joint amplitude of the default scenario
-# carries about 2.6 ebits (Schmidt number about 4.9); equivalent to a
-# sinc^2 singles bandwidth of roughly 61 nm around 1064 nm.
+# carries about 2.6 ebits (Schmidt number about 4.9); the sinc^2 singles
+# bandwidth it gives, 61.4 nm around 1064 nm, is what flux_check reports.
 DEFAULT_TAYLOR_A2 = 23.2
 
 # Schema: each key maps to a nested table or to (type, default) plus an
@@ -78,7 +78,7 @@ _SCHEMA = {
 # physical quantities > 0, lists hold finite numbers, and the items of the
 # lists in _POSITIVE_LISTS (widths) are > 0 as well.
 _EXPERIMENT_PARAMS = {
-    "flux_check": {"bandwidth_nm": 105.0, "power_uw": 1.0},
+    "flux_check": {"power_uw": 1.0},
     "fig2_amplitude": {"export_stride": 16},
     "fig3_schmidt": {"n_modes": 6, "n_eigenvalues": 21},
     "freq_bin_fringes": {"d": 2, "bin_width": 0.024, "bin_spacing": 0.036,

@@ -96,11 +96,11 @@ def _fringe_table(scan: FringeScan):
 
 def run_flux_check(ctx: ScenarioContext, req) -> ExperimentResult:
     p = req.params
-    limit = spectral_field.photon_flux_limit(p["bandwidth_nm"],
-                                             ctx.grid.center_wavelength)
+    bandwidth = spectral_field.singles_bandwidth_nm(ctx.grid, ctx.scenario.spdc)
+    limit = spectral_field.photon_flux_limit(bandwidth, ctx.grid.center_wavelength)
     density = limit.mode_density(p["power_uw"] * 1e-6)
     report = {
-        "bandwidth_nm": p["bandwidth_nm"],
+        "bandwidth_nm": bandwidth,
         "max_flux_per_s": limit.flux,
         "max_power_w": limit.power,
         "operating_power_uw": p["power_uw"],

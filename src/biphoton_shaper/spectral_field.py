@@ -271,7 +271,7 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec):
     """Require >= SINC_LOBE_SAMPLES of the phase-matching main lobe on the ridge cut.
 
     The cut runs along the energy-conservation anti-diagonal, where the pump
-    envelope leaves the sinc as the only structure to resolve.
+    envelope leaves the sinc as the only structure to resolve; returns x on it.
     """
     ax = grid.axis()
     x = _matching_argument(ax, -ax, crystal, grid.pump_center_frequency)
@@ -281,6 +281,23 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec):
             f"phase-matching main lobe of the {crystal.role} crystal covers "
             f"{lobe} grid samples (< {SINC_LOBE_SAMPLES}); refine the grid"
         )
+    return x
+
+
+def singles_bandwidth_nm(grid: SpectralGrid, spdc: CrystalSpec) -> float:
+    """FWHM [nm] of sinc(x)^2 on the ridge cut, its half maxima interpolated on the axis."""
+    s = sinc(_check_sinc_resolution(grid, spdc)) ** 2
+    peak = int(np.argmax(s))
+    below = np.flatnonzero(s < 0.5 * s[peak])
+    if not (below.size and below[0] < peak < below[-1]):
+        raise ResolutionError(f"singles FWHM beyond grid.omega_max = {grid.omega_max}; widen it")
+    ends = [i + (0.5 * s[peak] - s[i]) / (s[i + 1] - s[i])
+            for i in (below[below < peak][-1], below[below > peak][0] - 1)]
+    lam = grid.center_wavelength  # Python floats: an unrepresentable width is 0 or inf
+    nm = float(ends[1] - ends[0]) * grid.spacing * lam / angular_frequency(lam)  # lam dw / w
+    if not 0.0 < nm < np.inf:
+        raise NumericalError(f"no representable bandwidth at grid.center_wavelength_nm = {lam:g}")
+    return nm
 
 
 def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:

@@ -82,6 +82,41 @@ def psf_kernel(grid: SpectralGrid, delta_omega_psf: float) -> np.ndarray:
     return np.exp(-(sq[:, None] + sq) * 2.0 * np.log(2.0) / delta_omega_psf**2)
 
 
+def rotated_psf_blur(grid: SpectralGrid, pump, spdc, sfg, delta_omega_psf: float):
+    """The PSF blur of the amplitude, factorized in rotated lattice coordinates.
+
+    Domain: Taylor dispersion with a1 = a3 = 0 and a real amplitude, so that
+    Gamma[i, j] = alpha_{i+j} * Phi_{i-j}, alpha the pump envelope of
+    :func:`effective_pump` on the sum frequency and Phi the product of the
+    crystals' phase matching on the difference frequency.  With p = k + l and
+    q = k - l, the kernel exp(-a (k^2 + l^2)) = G_p G_q, G_m = exp(-a m^2 / 2)
+    and a = 2 ln 2 h^2 / delta^2, over the (p, q) of equal parity only; the
+    parity indicator (1 + (-1)^(p+q)) / 2 splits the blur into two products of
+    1-D convolutions, with Gt_m = (-1)^m G_m:
+
+        B[i, j] = ((alpha*G)_{i+j} (Phi*G)_{i-j} + (alpha*Gt)_{i+j} (Phi*Gt)_{i-j}) / 2.
+
+    Exact on the unbounded lattice, and unnormalized.  ``apply_psf`` pads the
+    window with zeros, so the two agree only on samples the kernel's live taps
+    cannot carry past an edge.
+    """
+    n, h = grid.n_points, grid.spacing
+    offsets = np.arange(-(n - 1), n)            # i + j - (n - 1) and i - j
+    alpha = pump_envelope(offsets * h, effective_pump(pump, grid))
+    half = offsets * h / 2.0  # omega_i = -omega_s = half, so omega_i - omega_s = offsets * h
+    pc = grid.pump_center_frequency
+    phi = phase_matching(half, -half, spdc, pc) * phase_matching(half, -half, sfg, pc)
+    a = 2.0 * np.log(2.0) * h * h / delta_omega_psf**2
+    lags = np.arange(-(2 * n - 2), 2 * n - 1)
+    g = np.exp(-a * lags * lags / 2.0)
+    gt = np.where(lags % 2 == 0, g, -g)
+    crop = slice(2 * n - 2, 4 * n - 3)          # the 2n - 1 outputs of a 'full' convolution
+    i = np.arange(n)
+    plus, minus = i[:, None] + i, i[:, None] - i + (n - 1)
+    return sum(np.convolve(alpha, kern)[crop][plus] * np.convolve(phi, kern)[crop][minus]
+               for kern in (g, gt)) / 2.0
+
+
 def mirror_coupling(amp: JointAmplitude) -> float:
     """c = ||S - J S J||_F / 2 for S = h * Gamma and J the sample reversal.
 

@@ -14,7 +14,13 @@ import pytest
 import yaml
 
 import biphoton_shaper
-from biphoton_shaper import ConfigError, frequency_bins, pixelate, transfer_from_coefficients
+from biphoton_shaper import (
+    ConfigError,
+    frequency_bins,
+    photon_flux_limit,
+    pixelate,
+    transfer_from_coefficients,
+)
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import (
     _EXPERIMENT_PARAMS,
@@ -118,6 +124,10 @@ MALFORMED_VALUES = [
     pytest.param("dispersion.target_bandwidth_nm",
                  {"dispersion": {"model": "taylor", "target_bandwidth_nm": 105.0}},
                  id="target-bandwidth-removed"),
+    # flux_check derives the singles bandwidth from the modelled crystals
+    pytest.param("experiments[0].bandwidth_nm",
+                 {"experiments": [{"id": "flux_check", "bandwidth_nm": 105.0}]},
+                 id="flux-bandwidth-removed"),
     # the pump sits at half grid.center_wavelength_nm
     pytest.param("pump.wavelength_nm", {"pump": {"wavelength_nm": 532.0}},
                  id="pump-wavelength-removed"),
@@ -435,6 +445,20 @@ class TestCli:
         assert "grid.center_wavelength_nm" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_window_short_of_the_singles_half_maximum_exits_3(self, tmp_path, capsys):
+        # a2 = 0.4 puts the sinc^2 half maximum at 0.389 rad/fs, beyond quick's 0.35
+        tree = load_config(ROOT / "configs" / "quick.yaml")
+        tree["dispersion"] = {"a2": 0.4}
+        tree["experiments"] = [{"id": "flux_check"}]
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("simulation error [ResolutionError]: ")
+        assert "grid.omega_max" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_grid_too_large_for_memory_exits_3(self, tmp_path):
         # the 20001^2 amplitude needs 6.4 GB; the 3 GB address-space limit is
         # set in the child only, so the allocation fails there at once
@@ -644,8 +668,11 @@ class TestCli:
         names = {f["name"] for f in manifest["files"]}
         assert "flux_check_report.json" in names
         flux = json.loads((out / "flux_check_report.json").read_text())["report"]
-        assert abs(flux["max_flux_per_s"] - 2.8e13) / 2.8e13 < 0.05
-        assert abs(flux["max_power_w"] - 5.2e-6) / 5.2e-6 < 0.05
+        # the singles FWHM of the default a2 = 23.2 (README), not the paper's 105 nm
+        assert abs(flux["bandwidth_nm"] - 61.4) / 61.4 < 0.005
+        limit = photon_flux_limit(flux["bandwidth_nm"], 1064.0)
+        assert flux["max_flux_per_s"] == limit.flux
+        assert flux["max_power_w"] == limit.power
         report = json.loads((out / "freq_bin_fringes_d2_report.json").read_text())
         assert report["passed"] is True
         assert report["report"]["lambda"] > 0.999  # ideal scan fits at unity

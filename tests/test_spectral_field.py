@@ -38,6 +38,7 @@ from biphoton_shaper.spectral_field import (
     _matching_argument,
     _next_fast_len,
     effective_pump,
+    singles_bandwidth_nm,
 )
 
 from conftest import PSF_WIDTH, make_crystals
@@ -46,6 +47,7 @@ from oracles import (
     dense_joint_amplitude,
     double_gaussian_amplitude,
     psf_kernel,
+    rotated_psf_blur,
 )
 
 LN2 = np.log(2.0)
@@ -565,6 +567,37 @@ class TestApplyPsf:
             want = fftconvolve(amp.values, kernel, mode="same")
         return want / np.sqrt(np.sum(np.abs(want) ** 2) * amp.grid.spacing**2)
 
+    @pytest.mark.parametrize("cells", [1.0, 2.0, 3.5, 14.0])
+    def test_interior_matches_rotated_oracle(self, small_grid, pump_cw, cells):
+        spdc, sfg = make_crystals()
+        self._assert_interior_matches_rotated_oracle(
+            small_grid, pump_cw, spdc, sfg, cells * small_grid.spacing)
+
+    def test_default_config_interior_matches_rotated_oracle(self):
+        root = Path(__file__).resolve().parents[1]
+        scenario = validate_config(load_config(root / "configs" / "default.yaml"))
+        self._assert_interior_matches_rotated_oracle(
+            scenario.grid, scenario.pump, scenario.spdc, scenario.sfg,
+            scenario.psf_delta_omega)
+
+    @staticmethod
+    def _assert_interior_matches_rotated_oracle(grid, pump, spdc, sfg, width):
+        # Beyond the reach of the kernel's live taps from every edge the zero
+        # padding of apply_psf is invisible.  The oracle is scaled at the peak
+        # sample: scaled by its whole-plane norm, the gap at the window's
+        # anti-diagonal corners (3e-6 to 1e-5 of the max) would leak 3e-11 to
+        # 1e-10 into every sample.
+        blurred = apply_psf(build_joint_amplitude(grid, pump, spdc, sfg), width).values
+        oracle = rotated_psf_blur(grid, pump, spdc, sfg, width)
+        peak = np.unravel_index(np.argmax(np.abs(blurred)), blurred.shape)
+        oracle *= blurred[peak] / oracle[peak]
+        a = 2.0 * LN2 * grid.spacing**2 / width**2
+        reach = int(np.sqrt(-np.log(KERNEL_FLOOR) / a))
+        inner = slice(reach + 1, grid.n_points - 1 - reach)
+        assert inner.start < inner.stop
+        gap = np.max(np.abs(blurred[inner, inner] - oracle[inner, inner]))
+        assert gap <= 1e-14 * np.max(np.abs(blurred))
+
     def test_traced_peak_memory(self, gamma_small):
         # Unit: one padded half-spectrum of a 257^2 grid.  The in-place
         # product, with the kernel spectrum freed before the inverse
@@ -729,6 +762,8 @@ class TestDocumentedCurvature:
         fwhm = ax[above[-1]] - ax[above[0]]
         target = 2 * np.pi * 299.792458 * target_nm / 1064.0**2
         assert abs(fwhm - target) / target < 0.02
+        # flux_check's interpolated width of the ridge cut, in nm
+        assert abs(singles_bandwidth_nm(grid, spdc) - target_nm) / target_nm < 0.005
 
 
 class TestDoubleGaussian:
