@@ -302,9 +302,8 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     work too.  The signal side is the :func:`mirrored` idler basis, so the
     signal problem S^dagger S is never solved.
 
-    beta are the squared singular values of S, and the name is kept from
-    when they were computed by an SVD: the benchmark's tracer
-    (``perfbench/tracer.py``) probes this function by name.
+    beta are the squared singular values of S.  The benchmark's tracer
+    (``perfbench/tracer.py``) probes this function by name, so the name stays.
 
     Each amplitude is decomposed at most once per kind of request: the result
     is stored on the (immutable) amplitude, a values-only request reuses a

@@ -47,8 +47,10 @@ _REQUIRED = object()
 _POSITIVE = (">", 0.0)
 _NON_NEGATIVE = (">=", 0.0)
 
-_CRYSTAL = {"length_mm": (float, 11.5, *_POSITIVE),
-            "poling_period_um": (float, 9.0, *_POSITIVE)}
+_CRYSTAL = {"length_mm": (float, 11.5, *_POSITIVE)}
+_POLED = {**_CRYSTAL, "poling_period_um": (float, 9.0, *_POSITIVE)}  # read by Sellmeier only
+_CRYSTALS = {"taylor": {"spdc": _CRYSTAL, "sfg": _CRYSTAL},
+             "sellmeier": {"spdc": _POLED, "sfg": _POLED}}
 _MODEL = (str, "taylor")
 _SELLMEIER_INDEX = {"a": (float, _REQUIRED), "terms": (list, []), "d": (float, 0.0),
                     "validity_um": (list, None)}
@@ -64,7 +66,7 @@ _SCHEMA = {
     "grid": {"n_points": (int, 1025, ">=", 3), "omega_max": (float, 0.35, *_POSITIVE),
              "center_wavelength_nm": (float, 1064.0, *_POSITIVE)},
     "pump": {"linewidth_mhz": (float, 5.0, *_POSITIVE)},
-    "crystals": {"spdc": _CRYSTAL, "sfg": _CRYSTAL},
+    "crystals": _CRYSTALS["taylor"],
     "dispersion": _DISPERSION["taylor"],
     "psf": {"delta_omega": (float, 9.6e-3, *_NON_NEGATIVE)},
     "slm": {"n_pixels": (int, 640, ">=", 1), "pixel_width_um": (float, 100.0, *_POSITIVE),
@@ -305,8 +307,8 @@ def validate_config(tree: dict) -> Scenario:
     model = _get(raw_dispersion, "model", "dispersion", *_MODEL)
     if model not in _DISPERSION:
         raise ConfigError("dispersion.model", f"unknown dispersion model {model!r}")
-    cfg = _section(tree, "", {**_SCHEMA, "dispersion": _DISPERSION[model]},
-                   extra=("version", "experiments"))
+    schema = {**_SCHEMA, "crystals": _CRYSTALS[model], "dispersion": _DISPERSION[model]}
+    cfg = _section(tree, "", schema, extra=("version", "experiments"))
 
     g = cfg["grid"]
     with _built_from("grid.n_points"):
@@ -323,6 +325,7 @@ def validate_config(tree: dict) -> Scenario:
     with _built_from("pump.linewidth_mhz"):
         pump = PumpSpec.from_linewidth_mhz(cfg["pump"]["linewidth_mhz"])
 
+    # one material: both crystals share the dispersion, a2 included
     disp = cfg["dispersion"]
     if model == "sellmeier":
         shared = SellmeierMismatch(
@@ -330,16 +333,14 @@ def validate_config(tree: dict) -> Scenario:
             index_s=_sellmeier_index(disp["signal"], "dispersion.signal"),
             index_p=_sellmeier_index(disp["pump"], "dispersion.pump"),
         )
+    else:  # 9 um: +-2pi/G cancel but set the rounding (ulp of 698 rad/mm) of perfbench's gamma
+        shared = TaylorMismatch.quasi_phase_matched(9.0, a1=disp["a1"], a2=disp["a2"],
+                                                    a3=disp["a3"])
 
     def crystal(role_key, role):
-        # one material: both crystals share the dispersion, a2 included
         geometry = cfg["crystals"][role_key]
-        poling = geometry["poling_period_um"]
-        with _built_from(f"crystals.{role_key}"):
-            dispersion = shared if model == "sellmeier" else TaylorMismatch.quasi_phase_matched(
-                poling, a1=disp["a1"], a2=disp["a2"], a3=disp["a3"])
-            return CrystalSpec(length=geometry["length_mm"], poling_period=poling,
-                               dispersion=dispersion, role=role)
+        return CrystalSpec(length=geometry["length_mm"], dispersion=shared, role=role,
+                           poling_period=geometry.get("poling_period_um", 9.0))
 
     if "experiments" not in tree:
         raise ConfigError("experiments", "missing required key")

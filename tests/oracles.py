@@ -203,6 +203,39 @@ def cw_franson_gamma1(grid: SpectralGrid, spdc, sfg, t1: float) -> float:
     return float(np.trapezoid(phi * np.cos(w * t1), w) / np.trapezoid(phi, w))
 
 
+def franson_gamma(grid: SpectralGrid, pump, spdc, sfg, delta_omega_psf: float, t1: float):
+    """Closed-form Franson (gamma1, gamma2) of the PSF-blurred amplitude in two
+    identical interferometers of delay t1 [fs].
+
+    Domain: Taylor dispersion with a1 = a3 = 0 and a real amplitude, so that
+    Gamma = alpha(w_i + w_s) Phi(w_i - w_s) (:func:`rotated_psf_blur`), and
+    T = R on both photons.  The scan is then |I0 + 2 e^{i phase} I1 +
+    e^{2 i phase} I2|^2 / 16 with I0, I1 and I2 proportional to A(0) P(0),
+    A(t1/2) P(t1/2) and A(t1) P(0), where A and P are the cosine transforms of
+    the blurred 1-D pump and phase-matching factors:
+
+        gamma2 = A(t1) / A(0),  gamma1 = A(t1/2) P(t1/2) / (A(0) P(0)).
+
+    The kernel exp(-(w_i^2 + w_s^2) 2 ln 2 / delta^2) is exp(-u^2 ln 2 / delta^2)
+    in each of u = w_i + w_s and w_i - w_s, so the blur multiplies both
+    transforms by exp(-t^2 delta^2 / (4 ln 2)).  The Gaussian pump of
+    :func:`effective_pump`, of intensity FWHM b, has A(t) / A(0) =
+    exp(-t^2 b^2 / (8 ln 2)); P(t1/2) / P(0) of the unblurred factor is
+    :func:`cw_franson_gamma1`, over the grid's window.
+    """
+    b = effective_pump(pump, grid).bandwidth
+    ln2 = np.log(2.0)
+
+    def kernel(t):
+        return np.exp(-t * t * delta_omega_psf**2 / (4.0 * ln2))
+
+    def blurred_pump(t):
+        return np.exp(-t * t * b * b / (8.0 * ln2)) * kernel(t)
+
+    phase_matching_ratio = cw_franson_gamma1(grid, spdc, sfg, t1) * kernel(t1 / 2.0)
+    return float(blurred_pump(t1 / 2.0) * phase_matching_ratio), float(blurred_pump(t1))
+
+
 def canonical_gamma(gamma1, gamma2):
     """The gamma2 <= 1 image of a fitted (gamma1, gamma2) pair.
 

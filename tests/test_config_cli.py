@@ -36,7 +36,7 @@ from biphoton_shaper.scenarios import (
     emit_outputs,
 )
 
-from oracles import canonical_gamma, per_cell_csv
+from oracles import canonical_gamma, franson_gamma, per_cell_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -131,6 +131,14 @@ MALFORMED_VALUES = [
     # the pump sits at half grid.center_wavelength_nm
     pytest.param("pump.wavelength_nm", {"pump": {"wavelength_nm": 532.0}},
                  id="pump-wavelength-removed"),
+    # the Taylor expansion is written around quasi-phase matching, so only
+    # the Sellmeier model reads a crystal's poling period
+    pytest.param("crystals.spdc.poling_period_um",
+                 {"crystals": {"spdc": {"length_mm": 11.5, "poling_period_um": 9.0}}},
+                 id="taylor-spdc-poling-period-removed"),
+    pytest.param("crystals.sfg.poling_period_um",
+                 {"crystals": {"sfg": {"poling_period_um": 9.9}}},
+                 id="taylor-sfg-poling-period-removed"),
     # 0.2 pixels per bin: the quantized setting once passed the Bell test
     # with a route gap of 3.33
     pytest.param("slm.n_pixels",
@@ -193,13 +201,19 @@ def paper_context():
 
 
 @pytest.fixture(scope="module")
-def quick_reports(tmp_path_factory):
-    """Report of every experiment of one ``configs/quick.yaml`` run, by name."""
+def quick_out(tmp_path_factory):
+    """Output directory of one ``configs/quick.yaml`` run."""
     out = tmp_path_factory.mktemp("quick") / "out"
     assert main(["run", str(ROOT / "configs" / "quick.yaml"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def quick_reports(quick_out):
+    """Report of every experiment of the ``configs/quick.yaml`` run, by name."""
     return {path.name.removesuffix("_report.json"):
             json.loads(path.read_text(encoding="utf-8"))["report"]
-            for path in out.glob("*_report.json")}
+            for path in quick_out.glob("*_report.json")}
 
 
 def perfbench_module():
@@ -244,10 +258,13 @@ class TestValidateConfig:
         assert len(scenario.experiments) == 10
 
     def test_shipped_default_yaml_states_the_schema_defaults(self):
-        # configs/default.yaml restates every default but its experiment list
+        # configs/default.yaml restates every default but its experiment list,
+        # crystal keys included: those of the Taylor model, a length only
         shipped, defaults = load_config(ROOT / "configs" / "default.yaml"), default_config()
         del shipped["experiments"], defaults["experiments"]
         assert shipped == defaults
+        assert shipped["dispersion"]["model"] == "taylor"
+        assert shipped["crystals"] == {role: {"length_mm": 11.5} for role in ("spdc", "sfg")}
 
     def test_benchmark_workloads_are_valid(self):
         # the benchmark runs these trees, so a schema change that rejects
@@ -320,6 +337,22 @@ class TestValidateConfig:
                               "signal": index}
         scenario = validate_config(tree)
         assert scenario.spdc.dispersion.index_p.a == 3.2
+
+    def test_sellmeier_crystals_read_their_poling_period(self):
+        # under Sellmeier the grating term 2*pi/G is physical: a toy material
+        # poled to quasi-match at degeneracy, and the same 1e-4 off it
+        toy = {"a": 3.2, "terms": [[0.9, 0.06]], "d": 0.008}
+        tree = {**QUICK_CONFIG, "dispersion": {"model": "sellmeier", "pump": toy,
+                                               "idler": toy, "signal": toy}}
+        matched = validate_config(tree)
+        dk0 = matched.spdc.dispersion.mismatch(0.0, 0.0, matched.grid.pump_center_frequency)
+        amplitudes = []
+        for period in np.array([1.0, 1.0001]) * 2.0 * np.pi / (-dk0) * 1e3:
+            crystal = {"length_mm": 11.5, "poling_period_um": float(period)}
+            scenario = validate_config({**tree, "crystals": {"spdc": crystal, "sfg": crystal}})
+            assert scenario.spdc.poling_period == scenario.sfg.poling_period == period
+            amplitudes.append(ScenarioContext(scenario).gamma.values)
+        assert np.max(np.abs(amplitudes[1] - amplitudes[0])) > 0.1 * np.max(np.abs(amplitudes[0]))
 
     def test_runners_match_accepted_experiment_ids(self):
         accepted = {entry["id"] for entry in default_config()["experiments"]}
@@ -537,6 +570,25 @@ class TestCli:
                         <= bench.REFERENCE_ATOL + bench.REFERENCE_RTOL * abs(value)), \
                     (name, path, got[path], value)
 
+    def test_quick_qudit_reports_state_their_filter(self, quick_out, quick_reports):
+        # every qudit experiment equalizes its diagonal with the Procrustean
+        # filter, and reports and tabulates what the filter did
+        qudit = {name: quick_reports[name] for name in
+                 ("freq_bin_fringes_d2", "schmidt_fringes_d2", "procrustean_d3")}
+        assert qudit.keys() == {name for name, report in quick_reports.items() if "d" in report}
+        for name, report in qudit.items():
+            before, after, filt = (np.array(report[key]) for key in
+                                   ("signals_before", "signals_after", "procrustean_amplitudes"))
+            assert np.array_equal(after, filt**4 * before), name
+            assert report["equalization_spread"] == after.max() / after.min() - 1.0
+            assert report["equalization_spread"] < 1e-12, name
+            (path,) = quick_out.glob(f"{name}_signals_*.csv")
+            header, *rows = path.read_text(encoding="utf-8").splitlines()
+            assert header == "k,signal_before,filter_amplitude,signal_after"
+            table = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+            assert np.array_equal(table, np.column_stack([np.arange(len(filt)), before,
+                                                          filt, after])), name
+
     def test_count_record_with_no_counts_exits_3(self, tmp_path, capsys):
         tree = {**QUICK_CONFIG, "grid": {"n_points": 257, "omega_max": 0.35},
                 "counting": {"duration_s": 0.0},
@@ -656,7 +708,7 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
-        assert (out / "freq_bin_fringes_d2_counts_003.csv").is_file()
+        assert (out / "freq_bin_fringes_d2_counts_004.csv").is_file()
 
     def test_run_writes_manifest_and_reports(self, tmp_path, capsys):
         path = write_config(tmp_path, QUICK_CONFIG)
@@ -702,8 +754,8 @@ class TestCli:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", path, "--out", str(out_a)]) == 0
         assert main(["run", path, "--out", str(out_b), "--seed", "123"]) == 0
-        counts_a = (out_a / "freq_bin_fringes_d2_counts_003.csv").read_text()
-        counts_b = (out_b / "freq_bin_fringes_d2_counts_003.csv").read_text()
+        counts_a = (out_a / "freq_bin_fringes_d2_counts_004.csv").read_text()
+        counts_b = (out_b / "freq_bin_fringes_d2_counts_004.csv").read_text()
         assert counts_a != counts_b
 
     def test_pixelated_fringe_experiment(self, tmp_path):
@@ -764,6 +816,44 @@ class TestCli:
         (stack,) = idler_stacks
         assert np.array_equal(table["re_m"], stack[0].real)
         assert np.array_equal(table["im_m"], stack[0].imag)
+
+    def test_default_time_bin_sweep_matches_the_franson_closed_form(self, paper_context):
+        # The closed form holds for Taylor with a1 = a3 = 0, a real amplitude
+        # and T = R.  The bounds are its measured gaps, rounded up: the window
+        # cuts the ridge (on a doubled window they shrink 19- to 83-fold).
+        # The fit cannot see the sign of gamma1, which the closed form gives
+        # as negative at 70 and 100 fs, so |gamma1| is compared.
+        scenario = paper_context.scenario
+        assert scenario.spdc.dispersion.a1 == scenario.spdc.dispersion.a3 == 0.0
+        assert not scenario.include_phase
+        req = next(req for req in scenario.experiments if req.id == "time_bin_sweep")
+        report = EXPERIMENT_RUNNERS[req.id](paper_context, req).report
+        assert report["t1_values_fs"] == [0.0, 10.0, 25.0, 35.0, 50.0, 70.0, 100.0]
+        bounds = {"no_psf": (0.0, 2.2e-6, 1.1e-8),
+                  "psf": (scenario.psf_delta_omega, 2.2e-5, 1.9e-6)}
+        for row in report["sweep"]:
+            for label, (width, bound1, bound2) in bounds.items():
+                gamma1, gamma2 = canonical_gamma(row[label]["gamma1"], row[label]["gamma2"])
+                want1, want2 = franson_gamma(scenario.grid, scenario.pump, scenario.spdc,
+                                             scenario.sfg, width, row["t1_fs"])
+                assert abs(abs(gamma1) - abs(want1)) <= bound1, (label, row["t1_fs"])
+                assert abs(gamma2 - want2) <= bound2, (label, row["t1_fs"])
+
+    def test_fig2_reports_the_blurred_window_edge_weight(self):
+        # the blur spreads weight toward the window edge: at 0.2 rad/fs the
+        # blurred amplitude's edge weight (1.2e-4) is above the run's bound on
+        # the unblurred one (1e-4), which reads 9.6e-9
+        weights = {}
+        for width in (0.0, 0.2):
+            tree = {**QUICK_CONFIG, "psf": {"delta_omega": width},
+                    "experiments": [{"id": "fig2_amplitude"}]}
+            scenario = validate_config(tree)
+            req = scenario.experiments[0]
+            report = EXPERIMENT_RUNNERS[req.id](ScenarioContext(scenario), req).report
+            weights[width] = report["window_edge_weight"], report["window_edge_weight_psf"]
+        assert weights[0.0][1] == weights[0.0][0]
+        assert weights[0.2][0] == weights[0.0][0]
+        assert weights[0.2][1] > 1e3 * weights[0.2][0]
 
     def test_each_amplitude_decomposed_once(self, tmp_path, eigensolver_calls):
         # values only for gamma (fig2), with modes for gamma_psf (fig2, fig3
