@@ -138,7 +138,7 @@ def time_bins(centers, widths, grid: SpectralGrid) -> BasisSet:
 
 
 def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
-    """Rotate each mode's global phase so its peak sample is real positive.
+    """Flip each real mode's sign so its peak sample is positive.
 
     The peak is the lowest-omega sample within ``MODE_PEAK_RTOL`` of the
     largest magnitude.  The two mirror peaks of a mode of a mirror-symmetric
@@ -149,10 +149,8 @@ def _fix_mode_signs(functions: np.ndarray) -> np.ndarray:
     for j in range(out.shape[0]):
         mag = np.abs(out[j])
         k = np.argmax(mag >= mag.max() * (1.0 - MODE_PEAK_RTOL))
-        if mag[k] != 0:
-            out[j] = out[j] * (np.conj(out[j, k]) / mag[k])
-    if np.all(np.abs(out.imag) < 1e-14):
-        out = out.real
+        if out[j, k] < 0:
+            out[j] = -out[j]
     return out
 
 
@@ -298,9 +296,9 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     Those are the modes :func:`schmidt_modes` can return (r is 104 of 2049
     for the blurred amplitude of the paper's source, 612 of 1025 unblurred);
     each block's other eigenvectors are dropped once it is solved and are
-    never lifted.  No symmetry of Gamma is assumed, so complex amplitudes
-    work too.  The signal side is the :func:`mirrored` idler basis, so the
-    signal problem S^dagger S is never solved.
+    never lifted.  No symmetry of Gamma is assumed.  The signal side is the
+    :func:`mirrored` idler basis, so the signal problem S^dagger S is never
+    solved.
 
     beta are the squared singular values of S.  The benchmark's tracer
     (``perfbench/tracer.py``) probes this function by name, so the name stays.
@@ -355,8 +353,8 @@ def schmidt_modes(amp: JointAmplitude, d: int) -> BasisSet:
     The mode weights are the first d of :func:`amplitude_svd`'s beta, and d
     may not exceed the number of weights at or above ``SCHMIDT_RANK_FLOOR``
     (the modes :func:`amplitude_svd` keeps): a larger d raises
-    :class:`RankError`, as does one above the grid size.  Each mode's global
-    phase is fixed so that its peak sample is real positive
+    :class:`RankError`, as does one above the grid size.  Each mode's sign
+    is fixed so that its peak sample is positive
     (see :func:`_fix_mode_signs` for how tied peaks are resolved).  For the
     signal side of an anti-diagonally correlated amplitude use
     :func:`mirrored` of this basis.  When the amplitude splits by mirror

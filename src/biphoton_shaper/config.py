@@ -56,9 +56,9 @@ _SELLMEIER_INDEX = {"a": (float, _REQUIRED), "terms": (list, []), "d": (float, 0
                     "validity_um": (list, None)}
 _DISPERSION = {
     "taylor": {"model": _MODEL, "a1": (float, 0.0), "a2": (float, DEFAULT_TAYLOR_A2),
-               "a3": (float, 0.0), "include_phase": (bool, None)},
+               "a3": (float, 0.0)},
     "sellmeier": {"model": _MODEL, "pump": _SELLMEIER_INDEX, "idler": _SELLMEIER_INDEX,
-                  "signal": _SELLMEIER_INDEX, "include_phase": (bool, None)},
+                  "signal": _SELLMEIER_INDEX},
 }
 _SCHEMA = {
     "seed": (int, 20240901, ">=", 0),
@@ -129,7 +129,6 @@ class Scenario:
     psf_delta_omega: float
     slm: SlmModel
     counting: CountingParams
-    include_phase: bool = False
     experiments: list = field(default_factory=list)
 
 
@@ -377,6 +376,5 @@ def validate_config(tree: dict) -> Scenario:
         counting=CountingParams(peak_rate=c["peak_rate_hz"],
                                 background_rate=c["background_rate_hz"],
                                 duration=c["duration_s"]),
-        include_phase=bool(disp["include_phase"]),
         experiments=experiments,
     )

@@ -120,7 +120,9 @@ def _product_signals(c: np.ndarray, u_i: np.ndarray, u_s: np.ndarray, w=None):
     products (no copy when it already has that dtype), then the rows are
     evaluated one at a time.  Each row multiplies the same data that
     ``(w * u_i) @ c`` casts to, so every signal is bit-identical to that
-    per-row expression.
+    per-row expression.  The grid amplitude is real and the rows complex,
+    so its complex copy, 16 n^2 bytes (67 MB at 2049^2), is made once per
+    call; at 2049^2 that copy sets the run's peak RSS, not the blur.
     """
     if u_i.shape != u_s.shape:
         raise ValueError("idler and signal rows must have the same shape")

@@ -61,8 +61,7 @@ class ScenarioContext:
         """The amplitude; its ``window_edge_weight`` is stored on the context,
         and a window that cuts it raises ResolutionError."""
         amp = spectral_field.build_joint_amplitude(
-            self.scenario.grid, self.scenario.pump, self.scenario.spdc,
-            self.scenario.sfg, include_phase=self.scenario.include_phase)
+            self.scenario.grid, self.scenario.pump, self.scenario.spdc, self.scenario.sfg)
         self.window_edge_weight = _window_edge_weight(amp)
         if self.window_edge_weight > WINDOW_EDGE_BOUND:
             raise ResolutionError(

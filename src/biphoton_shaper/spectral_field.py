@@ -207,13 +207,16 @@ class CrystalSpec:
 
 @dataclass
 class JointAmplitude:
-    """Complex two-photon amplitude sampled on a square grid.
+    """Real two-photon amplitude sampled on a square grid.
 
-    Normalized so that sum(|values|^2) * spacing^2 = 1; values whose norm is
-    not finite (non-finite samples, or an overflowing sum) raise
-    :class:`NumericalError`.  ``values`` is read-only after normalization, so
-    the Schmidt data that :func:`biphoton_shaper.bases.amplitude_svd` stores
-    on the instance can never go stale.
+    The upconversion crystal is the source's time-reversed twin, so the
+    phase-matching phase cancels and the detected amplitude is real; complex
+    values raise ``ValueError``.  Normalized so that sum(values^2) *
+    spacing^2 = 1; values whose norm is not finite (non-finite samples, or
+    an overflowing sum) raise :class:`NumericalError`.  ``values`` is
+    read-only after normalization, so the Schmidt data that
+    :func:`biphoton_shaper.bases.amplitude_svd` stores on the instance can
+    never go stale.
     """
 
     grid: SpectralGrid
@@ -222,6 +225,8 @@ class JointAmplitude:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
+        if np.iscomplexobj(self.values):
+            raise ValueError("amplitude values must be real")
         if self.values.shape != (self.grid.n_points, self.grid.n_points):
             raise GridError("amplitude shape does not match its grid")
         with np.errstate(over="ignore"):
@@ -248,23 +253,18 @@ def _matching_argument(omega_i, omega_s, crystal: CrystalSpec, pump_center):
     the upconversion crystal is its time-reversed twin and gets -x.  Negation
     is exact in floating point, so -x equals the sum of the negated mismatch
     and grating terms bit for bit (an exact zero may change sign, which
-    neither sinc(x) nor exp(i*x) sees).
+    sinc(x) does not see).
     """
     dk = crystal.dispersion.mismatch(omega_i, omega_s, pump_center)
     x = (dk + crystal.grating_wavevector) * crystal.length / 2.0
     return x if crystal.role == "SPDC" else -x
 
 
-def phase_matching(omega_i, omega_s, crystal: CrystalSpec, pump_center,
-                   include_phase=False):
-    """Quasi-phase-matching function sinc(x), optionally times exp(i*x), with
-    the role-signed argument x of :func:`_matching_argument`; ``pump_center``
-    is the pump's central angular frequency [rad/fs]."""
-    x = _matching_argument(omega_i, omega_s, crystal, pump_center)
-    out = sinc(x)
-    if include_phase:
-        out = out * np.exp(1j * x)
-    return out
+def phase_matching(omega_i, omega_s, crystal: CrystalSpec, pump_center):
+    """Quasi-phase-matching function sinc(x) with the role-signed argument x
+    of :func:`_matching_argument`; ``pump_center`` is the pump's central
+    angular frequency [rad/fs]."""
+    return sinc(_matching_argument(omega_i, omega_s, crystal, pump_center))
 
 
 def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec):
@@ -330,8 +330,7 @@ def _band_reach(width: float, spacing: float) -> int:
 
 
 def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
-                          sfg: CrystalSpec | None = None,
-                          include_phase=False) -> JointAmplitude:
+                          sfg: CrystalSpec | None = None) -> JointAmplitude:
     """Construct the joint spectral amplitude on the grid.
 
     The source amplitude (pump envelope times phase matching), times the
@@ -356,7 +355,7 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     pc = grid.pump_center_frequency
     pump = effective_pump(pump, grid)
     reach = _band_reach(pump.bandwidth, grid.spacing)
-    values = np.zeros((n, n), complex if include_phase else float)
+    values = np.zeros((n, n))
     for r in range(0, n, ROW_BLOCK):
         rows = slice(r, min(r + ROW_BLOCK, n))
         # omega_i + omega_s ~ 0 on the anti-diagonal, column n - 1 - row
@@ -364,14 +363,9 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
         envelope = pump_envelope(ax[rows, None] + ax[lo:hi], pump)
         i, j = np.nonzero(envelope)
         wi, ws = ax[r + i], ax[lo + j]
-        in_band = envelope[i, j] * phase_matching(wi, ws, spdc, pc,
-                                                  include_phase=include_phase)
+        in_band = envelope[i, j] * phase_matching(wi, ws, spdc, pc)
         if sfg is not None:
-            # A complex product's imaginary part can differ in the last bit
-            # when the operands are swapped.  The acceptance factor is the
-            # left one: numpy ran the full-grid ``values * acceptance`` in
-            # place on the acceptance temporary, as ``acceptance * values``.
-            in_band = phase_matching(wi, ws, sfg, pc, include_phase=include_phase) * in_band
+            in_band = phase_matching(wi, ws, sfg, pc) * in_band
         values[r + i, lo + j] = in_band
     return JointAmplitude(grid=grid, values=values)
 
@@ -431,29 +425,27 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     ``rfftn``/``irfftn`` use, on only the data that reach the crop, in three
     passes:
 
-    - a real-to-complex transform along axis 1 of the n data rows of each
-      (real or imaginary) plane, and of each kernel row whose peak, at the
-      column of smallest |omega|, is at least ``KERNEL_FLOOR``; the m - n
-      padded rows are zero and are not stored.  By the same test every
-      kernel column but these ``live`` ones is left out, so no n x n kernel
-      exists and no tap is subnormal (the smallest is about eps^6).  At the
-      paper's width 497 of 2049 rows are live (249 of 1025, 63 of 257).  The
-      kernel spectra are stored transposed, so that a block of spectrum
-      columns copies its live rows from contiguous memory;
+    - a real-to-complex transform along axis 1 of the n data rows, and of
+      each kernel row whose peak, at the column of smallest |omega|, is at
+      least ``KERNEL_FLOOR``; the m - n padded rows are zero and are not
+      stored.  By the same test every kernel column but these ``live`` ones
+      is left out, so no n x n kernel exists and no tap is subnormal (the
+      smallest is about eps^6).  At the paper's width 497 of 2049 rows are
+      live (249 of 1025, 63 of 257).  The kernel spectra are stored
+      transposed, so that a block of spectrum columns copies its live rows
+      from contiguous memory;
     - per block of spectrum columns, copied into the rows of a contiguous
       buffer, the complex transform along them, the product with the
       kernel's block of spectrum and the unscaled inverse, of which only the
       n cropped samples are kept;
     - the complex-to-real inverse along axis 1 of those rows, scaled once by
-      1/m^2 and cropped; the row spectra are freed before the output is
+      1/m^2 and cropped; the row spectrum is freed before the output is
       renormalized.
 
-    The kernel spectra, the column buffers and then the output planes are
-    one scratch array, freed once the output is renormalized, so its memory
+    The kernel spectra, the column buffers and then the output are one
+    scratch array, freed once the output is renormalized, so its memory
     returns to the system (glibc keeps arrays under its 32 MB mmap threshold
-    resident).  At 2049^2 the run's peak RSS is not the blur's but that of
-    the complex copy of the amplitude each Schmidt-mode scan makes
-    (``measurement._product_signals``).
+    resident).
 
     Each pass is a list of disjoint blocks of rows or columns, split
     statically over a thread pool of one worker per CPU the process may use
@@ -484,8 +476,6 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     m = _next_fast_len(2 * n - 1)
     half = m // 2 + 1
     crop = slice((n - 1) // 2, (n - 1) // 2 + n)
-    complex_values = np.iscomplexobj(amp.values)
-    planes = (amp.values.real, amp.values.imag) if complex_values else (amp.values,)
     sq = amp.grid.axis() ** 2
     live = np.flatnonzero(_gaussian(sq + sq[np.argmin(sq)], delta_omega_psf) >= KERNEL_FLOOR)
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
@@ -497,10 +487,10 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
         return [slice(r, min(r + height, count)) for r in range(0, count, height)]
 
     bufs_end = half * u + workers * 2 * height * m
-    work = np.empty(max(bufs_end, len(planes) * n * n // 2 + 1), dtype=complex)
+    work = np.empty(max(bufs_end, n * n // 2 + 1), dtype=complex)
     kernel_spectra = work[:half * u].reshape(half, u)
     column_bufs = work[half * u:bufs_end].reshape(workers, 2, height, m)
-    spectra = [np.empty((n, half), dtype=complex) for _ in planes]
+    spectrum = np.empty((n, half), dtype=complex)
     kernel_bufs = np.zeros((workers, height, n))
 
     def kernel_rows(block, buf):
@@ -509,45 +499,39 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
         _gaussian(live_part, delta_omega_psf, out=live_part)
         np.fft.rfft(rows, m, axis=1, out=kernel_spectra[:, block].T)
 
-    def data_rows(plane, spec, block, _buf):
-        np.fft.rfft(plane[block], m, axis=1, out=spec[block])
+    def data_rows(block, _buf):
+        np.fft.rfft(amp.values[block], m, axis=1, out=spectrum[block])
 
     def columns(block, bufs):
         kernel, data = bufs[:, :block.stop - block.start]
         kernel[:] = 0.0
         kernel[:, cols] = kernel_spectra[block]
         np.fft.fft(kernel, axis=1, out=kernel)
-        for spec in spectra:
-            data[:, :n] = spec[:, block].T
-            data[:, n:] = 0.0
-            np.fft.fft(data, axis=1, out=data)
-            data *= kernel
-            np.fft.ifft(data, axis=1, norm="forward", out=data)
-            spec[:, block] = data[:, crop].T
+        data[:, :n] = spectrum[:, block].T
+        data[:, n:] = 0.0
+        np.fft.fft(data, axis=1, out=data)
+        data *= kernel
+        np.fft.ifft(data, axis=1, norm="forward", out=data)
+        spectrum[:, block] = data[:, crop].T
 
     # irfftn's factor, which pocketfft computes in long double
     scale = float(1 / np.longdouble(m * m))
 
-    def inverse_rows(spec, plane, block, buf):
+    def inverse_rows(block, buf):
         rows = buf[:block.stop - block.start]
-        np.fft.irfft(spec[block], m, axis=1, norm="forward", out=rows)
-        np.multiply(rows[:, crop], scale, out=plane[block])
+        np.fft.irfft(spectrum[block], m, axis=1, norm="forward", out=rows)
+        np.multiply(rows[:, crop], scale, out=blurred[block])
 
     with ThreadPoolExecutor(workers) as pool:
         _run_jobs(pool, [partial(kernel_rows, b) for b in blocks(u)]
-                  + [partial(data_rows, plane, spec, b)
-                     for plane, spec in zip(planes, spectra) for b in blocks(n)],
-                  kernel_bufs)
+                  + [partial(data_rows, b) for b in blocks(n)], kernel_bufs)
         del kernel_bufs
         _run_jobs(pool, [partial(columns, b) for b in blocks(half)], column_bufs)
         del kernel_spectra, column_bufs
-        out = work.view(float)[:len(planes) * n * n].reshape(len(planes), n, n)
+        blurred = work.view(float)[:n * n].reshape(n, n)
         row_bufs = np.empty((workers, height, m))
-        _run_jobs(pool, [partial(inverse_rows, spec, plane, b)
-                         for spec, plane in zip(spectra, out) for b in blocks(n)],
-                  row_bufs)
-    del spectra, row_bufs
-    blurred = out[0] + 1j * out[1] if complex_values else out[0]
+        _run_jobs(pool, [partial(inverse_rows, b) for b in blocks(n)], row_bufs)
+    del spectrum, row_bufs
     return JointAmplitude(amp.grid, blurred)
 
 

@@ -32,7 +32,7 @@ def double_gaussian_amplitude(grid: SpectralGrid, a: float, b: float) -> JointAm
     return JointAmplitude(grid=grid, values=values)
 
 
-def dense_joint_amplitude(grid, pump, spdc, sfg=None, include_phase=False) -> JointAmplitude:
+def dense_joint_amplitude(grid, pump, spdc, sfg=None) -> JointAmplitude:
     """The joint amplitude evaluated on every sample of the (wi, ws) mesh.
 
     Reference for ``build_joint_amplitude``, which evaluates the phase
@@ -44,17 +44,10 @@ def dense_joint_amplitude(grid, pump, spdc, sfg=None, include_phase=False) -> Jo
     wi, ws = np.meshgrid(ax, ax, indexing="ij")
     pc = grid.pump_center_frequency
     values = pump_envelope(wi + ws, effective_pump(pump, grid)) * phase_matching(
-        wi, ws, spdc, include_phase=include_phase, pump_center=pc
+        wi, ws, spdc, pump_center=pc
     )
     if sfg is not None:
-        # ``values * phase_matching(...)`` ran as ``phase_matching(...) *
-        # values``: numpy reused the right-hand temporary in place, and the
-        # operand order decides the last bit of complex products.
-        values = phase_matching(
-            wi, ws, sfg, include_phase=include_phase, pump_center=pc
-        ) * values
-    if not include_phase:
-        values = values.real
+        values = phase_matching(wi, ws, sfg, pump_center=pc) * values
     return JointAmplitude(grid=grid, values=values)
 
 

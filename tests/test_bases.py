@@ -312,10 +312,9 @@ class TestSchmidtCache:
                 array[0, ...] = 0.0
 
 
-# (grid points, Taylor a1, include_phase): a nonzero a1 breaks the mirror
-# symmetry, so those amplitudes take the coupled route, one block of order n
-PAPER_CASES = [(257, 0.0, False), (1025, 0.0, False), (257, 0.0, True),
-               (257, 2.0, False), (257, 2.0, True)]
+# (grid points, Taylor a1): a nonzero a1 breaks the mirror symmetry, so
+# those amplitudes take the coupled route, one block of order n
+PAPER_CASES = [(257, 0.0), (1025, 0.0), (257, 2.0)]
 
 
 @pytest.fixture(scope="module", params=PAPER_CASES, ids=lambda case: "-".join(map(str, case)))
@@ -324,10 +323,9 @@ def paper_psf_svd(request):
 
     (amp, beta, first 6 left vectors, whether the amplitude is mirror symmetric)
     """
-    n, a1, include_phase = request.param
+    n, a1 = request.param
     grid = SpectralGrid(n_points=n, omega_max=0.35)
-    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals(a1=a1),
-                                  include_phase=include_phase)
+    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals(a1=a1))
     amp = apply_psf(gamma, PSF_WIDTH)
     u, sv, _ = np.linalg.svd(amp.values * grid.spacing, full_matrices=False)
     return amp, sv**2, u[:, :6], a1 == 0.0
@@ -415,27 +413,25 @@ class TestEigenproblemMatchesSvd:
             assert np.array_equal(f[::-1], (-1) ** j * f)
 
 
-# (grid points, Taylor a1, include_phase, PSF width, orders of the eigh
-# calls): the blurred 257-point blocks take the dense step at once (2k would
-# reach their order) and the blurred 1025-point ones the 80-column sketch; a
+# (grid points, Taylor a1, PSF width, orders of the eigh calls): the
+# blurred 257-point blocks take the dense step at once (2k would reach
+# their order) and the blurred 1025-point ones the 80-column sketch; a
 # nonzero a1 is solved whole, in one block of order n, whose sketch fails
 # and is followed by the dense step; so is each block of the unblurred
 # amplitude (612 modes)
-LOW_RANK_CASES = [(257, 0.0, False, PSF_WIDTH, [129, 128]),
-                  (1025, 0.0, False, PSF_WIDTH, [80, 80]),
-                  (1025, 0.0, True, PSF_WIDTH, [80, 80]),
-                  (1025, 2.0, False, PSF_WIDTH, [80, 1025]),
-                  (1025, 0.0, False, 0.0, [80, 513, 80, 512])]
+LOW_RANK_CASES = [(257, 0.0, PSF_WIDTH, [129, 128]),
+                  (1025, 0.0, PSF_WIDTH, [80, 80]),
+                  (1025, 2.0, PSF_WIDTH, [80, 1025]),
+                  (1025, 0.0, 0.0, [80, 513, 80, 512])]
 
 
 @pytest.fixture(scope="module", params=LOW_RANK_CASES,
-                ids=lambda case: "-".join(map(str, case[:4])))
+                ids=lambda case: "-".join(map(str, case[:3])))
 def low_rank_case(request):
     """(amplitude, oracle weights, oracle modes, orders of the eigh calls)"""
-    n, a1, include_phase, width, orders = request.param
+    n, a1, width, orders = request.param
     grid = SpectralGrid(n_points=n, omega_max=0.35)
-    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals(a1=a1),
-                                  include_phase=include_phase)
+    gamma = build_joint_amplitude(grid, PumpSpec.from_linewidth_mhz(5.0), *make_crystals(a1=a1))
     amp = apply_psf(gamma, width)
     return (amp, *gram_eigh_schmidt(amp), orders)
 

@@ -23,7 +23,11 @@ from biphoton_shaper import (
 )
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import (
+    _CRYSTALS,
+    _DISPERSION,
     _EXPERIMENT_PARAMS,
+    _SCHEMA,
+    _SELLMEIER_INDEX,
     default_config,
     load_config,
     validate_config,
@@ -139,6 +143,14 @@ MALFORMED_VALUES = [
     pytest.param("crystals.sfg.poling_period_um",
                  {"crystals": {"sfg": {"poling_period_um": 9.9}}},
                  id="taylor-sfg-poling-period-removed"),
+    # the detector crystal undoes the source's phase-matching phase, so the
+    # amplitude is real under either model
+    pytest.param("dispersion.include_phase",
+                 {"dispersion": {"model": "taylor", "include_phase": True}},
+                 id="taylor-include-phase-removed"),
+    pytest.param("dispersion.include_phase",
+                 {"dispersion": {**sellmeier_pump(), "include_phase": False}},
+                 id="sellmeier-include-phase-removed"),
     # 0.2 pixels per bin: the quantized setting once passed the Bell test
     # with a route gap of 3.33
     pytest.param("slm.n_pixels",
@@ -265,6 +277,31 @@ class TestValidateConfig:
         assert shipped == defaults
         assert shipped["dispersion"]["model"] == "taylor"
         assert shipped["crystals"] == {role: {"length_mm": 11.5} for role in ("spdc", "sfg")}
+
+    def test_every_schema_key_is_documented(self):
+        # a key is documented by a README code span that is its key path,
+        # optionally followed by ": value" (`dispersion.a2`, `a2: 7.93`), or
+        # by a key of configs/default.yaml
+        spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+        paths = (re.fullmatch(r"([A-Za-z_][\w.]*)(?::.*)?", span) for span in spans)
+        documented = {name for path in paths if path for name in path[1].split(".")}
+
+        def keys(tree):
+            for key, value in tree.items():
+                yield key
+                if isinstance(value, dict):
+                    yield from keys(value)
+
+        shipped = load_config(ROOT / "configs" / "default.yaml")
+        for entry in shipped.pop("experiments"):
+            documented.update(entry)
+        documented.update(keys(shipped))
+        # the model tables are keyed by dispersion.model, the experiment
+        # tables by experiment id: values, not keys
+        tables = (_SCHEMA, _SELLMEIER_INDEX, *_DISPERSION.values(), *_CRYSTALS.values(),
+                  *_EXPERIMENT_PARAMS.values())
+        missing = sorted({key for table in tables for key in keys(table)} - documented)
+        assert not missing, f"config keys in neither README.md nor default.yaml: {missing}"
 
     def test_benchmark_workloads_are_valid(self):
         # the benchmark runs these trees, so a schema change that rejects
@@ -493,9 +530,10 @@ class TestCli:
         assert not out.exists()
 
     def test_grid_too_large_for_memory_exits_3(self, tmp_path):
-        # the 20001^2 amplitude needs 6.4 GB; the 3 GB address-space limit is
-        # set in the child only, so the allocation fails there at once
-        limit = 3 << 30
+        # the real 20001^2 amplitude needs 8 n^2 = 3.2 GB, beyond the 2 GiB
+        # address-space limit, which is set in the child only, so the
+        # allocation fails there at once
+        limit = 2 << 30
         tree = {**QUICK_CONFIG, "grid": {"n_points": 20001, "omega_max": 0.35},
                 "experiments": [{"id": "fig2_amplitude"}]}
         path = write_config(tmp_path, tree)
@@ -825,7 +863,6 @@ class TestCli:
         # as negative at 70 and 100 fs, so |gamma1| is compared.
         scenario = paper_context.scenario
         assert scenario.spdc.dispersion.a1 == scenario.spdc.dispersion.a3 == 0.0
-        assert not scenario.include_phase
         req = next(req for req in scenario.experiments if req.id == "time_bin_sweep")
         report = EXPERIMENT_RUNNERS[req.id](paper_context, req).report
         assert report["t1_values_fs"] == [0.0, 10.0, 25.0, 35.0, 50.0, 70.0, 100.0]

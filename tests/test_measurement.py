@@ -33,7 +33,6 @@ from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.config import load_config, validate_config
 from biphoton_shaper.measurement import FringeScan, QuditState
 from biphoton_shaper.metrics import fit_gamma
-from conftest import make_crystals
 from oracles import (
     canonical_gamma,
     cos4_residual,
@@ -150,15 +149,6 @@ class TestCoincidenceScan:
                        slm)
         assert np.array_equal(coincidence_signal(gamma_small, m_i, m_s),
                               _pair_integrals(gamma_small, m_i, m_s))
-
-    def test_complex_amplitude_matches_loop_bitwise(self, small_grid, pump_cw):
-        spdc, sfg = make_crystals()
-        amp = build_joint_amplitude(small_grid, pump_cw, spdc, sfg, include_phase=True)
-        assert np.iscomplexobj(amp.values)
-        phi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-        stack = franson_transfer(0.5, 0.5, 35.0, phi, small_grid)
-        assert np.array_equal(coincidence_signal(amp, stack, stack),
-                              _pair_integrals(amp, stack, stack))
 
     def test_stack_shapes_must_match(self, gamma_small):
         grid = gamma_small.grid

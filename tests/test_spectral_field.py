@@ -148,14 +148,6 @@ class TestPhaseMatching:
             assert np.isclose(phase_matching(0.0, 0.0, crystal, PUMP_CENTER), expected,
                               atol=1e-12)
 
-    def test_include_phase_factor(self):
-        length = 2.0
-        x = 1.1
-        dk0 = -2 * np.pi / 9e-3 + 2 * x / length
-        crystal = CrystalSpec(length, 9.0, TaylorMismatch(dk0=dk0), role="SPDC")
-        value = phase_matching(0.0, 0.0, crystal, PUMP_CENTER, include_phase=True)
-        assert np.isclose(value, np.sinc(x / np.pi) * np.exp(1j * x))
-
 
 class TestSellmeier:
     def test_constant_index_means_perfect_matching(self):
@@ -264,11 +256,30 @@ class TestBuildJointAmplitude:
         for amp in (gamma_small, gamma_psf_small):
             assert np.max(np.abs(amp.values - amp.values.T)) < 1e-9
 
-    def test_phase_factors_cancel_for_identical_crystals(self, small_grid, pump_cw):
-        spdc, sfg = make_crystals()
+    # The upconversion crystal's phase-matching phase exp(i*x_sfg) undoes the
+    # source's exp(i*x_spdc), which is why the package builds a real amplitude.
+    @pytest.mark.parametrize("model, a1", [("taylor", 0.0), ("taylor", 2.0), ("sellmeier", None)],
+                             ids=["taylor-a1=0", "taylor-a1=2", "sellmeier"])
+    def test_phase_factors_cancel_for_identical_crystals(self, small_grid, pump_cw, model, a1):
+        spdc, sfg = (_sellmeier_crystals(small_grid) if model == "sellmeier"
+                     else make_crystals(a1=a1))
+        ax = small_grid.axis()
+        wi, ws = np.meshgrid(ax, ax, indexing="ij")
+        pc = small_grid.pump_center_frequency
+        x_spdc = _matching_argument(wi, ws, spdc, pc)
+        x_sfg = _matching_argument(wi, ws, sfg, pc)
+        phased = (pump_envelope(wi + ws, effective_pump(pump_cw, small_grid))
+                  * spectral_field.sinc(x_spdc) * np.exp(1j * x_spdc)
+                  * spectral_field.sinc(x_sfg) * np.exp(1j * x_sfg))
+        phased /= np.sqrt(np.sum(np.abs(phased) ** 2) * small_grid.spacing**2)
         plain = build_joint_amplitude(small_grid, pump_cw, spdc, sfg)
-        phased = build_joint_amplitude(small_grid, pump_cw, spdc, sfg, include_phase=True)
-        assert np.max(np.abs(plain.values - phased.values)) < 1e-12
+        assert plain.values.dtype == np.float64
+        assert np.max(np.abs(plain.values - phased)) < 1e-12
+
+    def test_complex_values_rejected(self, small_grid):
+        values = np.ones((small_grid.n_points, small_grid.n_points), dtype=complex)
+        with pytest.raises(ValueError, match="real"):
+            JointAmplitude(grid=small_grid, values=values)
 
     def test_shape_mismatch_rejected(self, small_grid):
         with pytest.raises(GridError):
@@ -313,32 +324,31 @@ class TestBandLimitedBuild:
     ])
     @pytest.mark.parametrize("dispersion", ["taylor", "sellmeier"])
     @pytest.mark.parametrize("with_sfg", [False, True], ids=["spdc", "spdc+sfg"])
-    @pytest.mark.parametrize("include_phase", [False, True], ids=["real", "phase"])
     def test_equals_full_grid_oracle(self, n, pump_bandwidth, band_share, dispersion,
-                                     with_sfg, include_phase):
-        self._check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg, include_phase)
+                                     with_sfg):
+        self._check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg)
 
     def test_equals_full_grid_oracle_at_2049(self):
         # the size of the schmidt_2049 benchmark, where the envelope's
         # column window is the narrowest share of a row
-        self._check_oracle(2049, CW_BANDWIDTH, 0.07, "taylor", True, False)
+        self._check_oracle(2049, CW_BANDWIDTH, 0.07, "taylor", True)
 
     @staticmethod
-    def _check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg, include_phase):
+    def _check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg):
         grid = SpectralGrid(n_points=n, omega_max=0.35)
         spdc, sfg = make_crystals() if dispersion == "taylor" else _sellmeier_crystals(grid)
         sfg = sfg if with_sfg else None
         pump = PumpSpec(bandwidth=pump_bandwidth)
-        amp = build_joint_amplitude(grid, pump, spdc, sfg, include_phase=include_phase)
-        want = dense_joint_amplitude(grid, pump, spdc, sfg, include_phase=include_phase)
-        assert amp.values.dtype == want.values.dtype
+        amp = build_joint_amplitude(grid, pump, spdc, sfg)
+        want = dense_joint_amplitude(grid, pump, spdc, sfg)
+        assert amp.values.dtype == want.values.dtype == np.float64
         assert np.array_equal(amp.values, want.values)
         ax = grid.axis()
         outside = pump_envelope(ax[:, None] + ax, effective_pump(pump, grid)) == 0.0
         assert abs(1.0 - outside.mean() - band_share) < 0.01
         # +0.0 outside the band, whatever the sign of the phase matching there
         zeros = amp.values[outside]
-        assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag))
+        assert not np.any(np.signbit(zeros))
 
     def test_dispersion_is_evaluated_in_the_band_only(self, small_grid, pump_cw):
         # a pump index valid only within 0.2 rad/fs of the pump center: the
@@ -360,8 +370,8 @@ class TestBandLimitedBuild:
         root = Path(__file__).resolve().parents[1]
         scenario = validate_config(load_config(root / "configs" / "quick.yaml"))
         args = (scenario.grid, scenario.pump, scenario.spdc, scenario.sfg)
-        amp = build_joint_amplitude(*args, include_phase=scenario.include_phase)
-        want = dense_joint_amplitude(*args, include_phase=scenario.include_phase)
+        amp = build_joint_amplitude(*args)
+        want = dense_joint_amplitude(*args)
         assert amp.values.tobytes() == want.values.tobytes()
 
 
@@ -456,27 +466,21 @@ class TestApplyPsf:
     # 129, 257 and 301 points pad to 270, 540 and 625; the last width is
     # below one grid cell at every size.
     @pytest.mark.parametrize("n", [129, 257, 301])
-    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("width", [PSF_WIDTH, 0.05, 2.0e-4])
-    def test_bit_identical_to_fftconvolve(self, n, complex_values, width):
+    def test_bit_identical_to_fftconvolve(self, n, width):
         grid = SpectralGrid(n_points=n, omega_max=0.35)
         rng = np.random.default_rng(n)
-        values = rng.standard_normal((n, n))
-        if complex_values:
-            values = values + 1j * rng.standard_normal((n, n))
-        amp = JointAmplitude(grid=grid, values=values)
+        amp = JointAmplitude(grid=grid, values=rng.standard_normal((n, n)))
         assert np.array_equal(apply_psf(amp, width).values, self._fftconvolve(amp, width))
 
     # Band-limited amplitudes, whose blurred tails fall to FFT rounding: the
     # samples that a kernel floor would move first
     @pytest.mark.parametrize("bandwidth", [None, 0.2], ids=["cw", "broad"])
-    @pytest.mark.parametrize("include_phase", [False, True], ids=["real", "phase"])
     @pytest.mark.parametrize("cells", [1, 2, 3.5, 20, 60])
     def test_bit_identical_to_fftconvolve_band_limited(self, small_grid, pump_cw, bandwidth,
-                                                       include_phase, cells):
+                                                       cells):
         pump = pump_cw if bandwidth is None else PumpSpec(bandwidth=bandwidth)
-        amp = build_joint_amplitude(small_grid, pump, *make_crystals(),
-                                    include_phase=include_phase)
+        amp = build_joint_amplitude(small_grid, pump, *make_crystals())
         width = cells * small_grid.spacing
         assert apply_psf(amp, width).values.tobytes() == self._fftconvolve(amp, width).tobytes()
 
@@ -491,9 +495,7 @@ class TestApplyPsf:
                              [(1, None, 1), (2, None, 2), (3, None, 3), (16, None, 16),
                               (None, 3, 3), (None, None, 1)],
                              ids=["1", "2", "3", "16", "cpu_count-3", "cpu_count-None"])
-    @pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
-    def test_bit_identical_on_any_cpu_count(self, affinity, cpu_count, workers,
-                                            complex_values, monkeypatch):
+    def test_bit_identical_on_any_cpu_count(self, affinity, cpu_count, workers, monkeypatch):
         if affinity is None:  # a platform without sched_getaffinity
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
@@ -510,10 +512,7 @@ class TestApplyPsf:
         monkeypatch.setattr(spectral_field, "ThreadPoolExecutor", RecordingPool)
         grid = SpectralGrid(n_points=257, omega_max=0.35)
         rng = np.random.default_rng(257)
-        values = rng.standard_normal((257, 257))
-        if complex_values:
-            values = values + 1j * rng.standard_normal((257, 257))
-        amp = JointAmplitude(grid=grid, values=values)
+        amp = JointAmplitude(grid=grid, values=rng.standard_normal((257, 257)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -548,23 +547,17 @@ class TestApplyPsf:
         # time-bin gamma fits
         root = Path(__file__).resolve().parents[1]
         scenario = validate_config(load_config(root / "configs" / "default.yaml"))
-        amp = build_joint_amplitude(scenario.grid, scenario.pump, scenario.spdc, scenario.sfg,
-                                    include_phase=scenario.include_phase)
+        amp = build_joint_amplitude(scenario.grid, scenario.pump, scenario.spdc, scenario.sfg)
         width = scenario.psf_delta_omega
         assert (apply_psf(amp, width).values.tobytes()
                 == self._fftconvolve(amp, width).tobytes())
 
     @staticmethod
     def _fftconvolve(amp, width):
-        """The renormalized ``fftconvolve(..., mode="same")`` of each plane."""
+        """The renormalized ``fftconvolve(..., mode="same")`` of the amplitude."""
         from scipy.signal import fftconvolve
 
-        kernel = psf_kernel(amp.grid, width)
-        if np.iscomplexobj(amp.values):
-            want = (fftconvolve(amp.values.real, kernel, mode="same")
-                    + 1j * fftconvolve(amp.values.imag, kernel, mode="same"))
-        else:
-            want = fftconvolve(amp.values, kernel, mode="same")
+        want = fftconvolve(amp.values, psf_kernel(amp.grid, width), mode="same")
         return want / np.sqrt(np.sum(np.abs(want) ** 2) * amp.grid.spacing**2)
 
     @pytest.mark.parametrize("cells", [1.0, 2.0, 3.5, 14.0])
@@ -702,18 +695,6 @@ class TestPeakMemory:
         apply_psf(amp, PSF_WIDTH)  # warm the transform plan cache
         planes = self._traced_peak_planes(grid.n_points, apply_psf, amp, PSF_WIDTH)
         assert planes <= 3.45
-
-    def test_apply_psf_complex(self, grid, pump_cw):
-        """Blur of a complex amplitude, whose two planes are combined at the end.
-
-        Measured: 6.37 planes; 8.1 while the last row spectrum is still held
-        when the output is normalized, and 8.3 with every kernel row as well.
-        """
-        spdc, sfg = make_crystals()
-        amp = build_joint_amplitude(grid, pump_cw, spdc, sfg, include_phase=True)
-        apply_psf(amp, PSF_WIDTH)  # warm the transform plan cache
-        planes = self._traced_peak_planes(grid.n_points, apply_psf, amp, PSF_WIDTH)
-        assert planes <= 7.0
 
     def test_amplitude_svd(self, grid, pump_cw):
         """Full decomposition (modes) of the 1025^2 amplitude.
