@@ -314,7 +314,7 @@ class TestSchmidtCache:
 
 # (grid points, Taylor a1): a nonzero a1 breaks the mirror symmetry, so
 # those amplitudes take the coupled route, one block of order n
-PAPER_CASES = [(257, 0.0), (1025, 0.0), (257, 2.0)]
+PAPER_CASES = [(257, 0.0), (1025, 0.0), (257, 2.0), (1025, 2.0)]
 
 
 @pytest.fixture(scope="module", params=PAPER_CASES, ids=lambda case: "-".join(map(str, case)))
@@ -414,12 +414,14 @@ class TestEigenproblemMatchesSvd:
 
 
 # (grid points, Taylor a1, PSF width, orders of the eigh calls): the
-# blurred 257-point blocks take the dense step at once (2k would reach
-# their order) and the blurred 1025-point ones the 80-column sketch; a
+# 257-point blocks, blurred or not, take the dense step at once (2k would
+# reach their order) and the blurred 1025-point ones the 80-column sketch; a
 # nonzero a1 is solved whole, in one block of order n, whose sketch fails
 # and is followed by the dense step; so is each block of the unblurred
-# amplitude (612 modes)
+# 1025-point amplitude (612 modes)
 LOW_RANK_CASES = [(257, 0.0, PSF_WIDTH, [129, 128]),
+                  (257, 0.0, 0.0, [129, 128]),
+                  (257, 2.0, PSF_WIDTH, [80, 257]),
                   (1025, 0.0, PSF_WIDTH, [80, 80]),
                   (1025, 2.0, PSF_WIDTH, [80, 1025]),
                   (1025, 0.0, 0.0, [80, 513, 80, 512])]

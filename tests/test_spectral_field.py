@@ -305,6 +305,18 @@ def _sellmeier_crystals(grid):
             CrystalSpec(11.5, poling_um, model, role="SFG"))
 
 
+def _crystals(dispersion, grid):
+    """The identical crystal pair of a dispersion case.
+
+    ``taylor`` is the shipped, mirror-symmetric model; a nonzero Taylor a1
+    tilts the phase-matching band off the anti-diagonal, and the Sellmeier
+    toy curves it.
+    """
+    if dispersion == "sellmeier":
+        return _sellmeier_crystals(grid)
+    return make_crystals(a1={"taylor": 0.0, "taylor-a1=2": 2.0}[dispersion])
+
+
 CW_BANDWIDTH = PumpSpec.from_linewidth_mhz(5.0).bandwidth
 
 
@@ -322,7 +334,7 @@ class TestBandLimitedBuild:
         (129, 0.5, 1.0), (257, 0.5, 1.0),
         (129, CW_BANDWIDTH, 0.79), (257, CW_BANDWIDTH, 0.47), (1025, CW_BANDWIDTH, 0.13),
     ])
-    @pytest.mark.parametrize("dispersion", ["taylor", "sellmeier"])
+    @pytest.mark.parametrize("dispersion", ["taylor", "taylor-a1=2", "sellmeier"])
     @pytest.mark.parametrize("with_sfg", [False, True], ids=["spdc", "spdc+sfg"])
     def test_equals_full_grid_oracle(self, n, pump_bandwidth, band_share, dispersion,
                                      with_sfg):
@@ -336,7 +348,7 @@ class TestBandLimitedBuild:
     @staticmethod
     def _check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg):
         grid = SpectralGrid(n_points=n, omega_max=0.35)
-        spdc, sfg = make_crystals() if dispersion == "taylor" else _sellmeier_crystals(grid)
+        spdc, sfg = _crystals(dispersion, grid)
         sfg = sfg if with_sfg else None
         pump = PumpSpec(bandwidth=pump_bandwidth)
         amp = build_joint_amplitude(grid, pump, spdc, sfg)
@@ -463,9 +475,9 @@ class TestApplyPsf:
                 want = scipy.fft.irfft(spectra, m, axis=1, norm="forward")
             assert got.tobytes() == want.tobytes(), n
 
-    # 129, 257 and 301 points pad to 270, 540 and 625; the last width is
-    # below one grid cell at every size.
-    @pytest.mark.parametrize("n", [129, 257, 301])
+    # 65, 129, 257, 301 and 513 points pad to 135, 270, 540, 625 and 1080;
+    # the last width is below one grid cell at every size.
+    @pytest.mark.parametrize("n", [65, 129, 257, 301, 513])
     @pytest.mark.parametrize("width", [PSF_WIDTH, 0.05, 2.0e-4])
     def test_bit_identical_to_fftconvolve(self, n, width):
         grid = SpectralGrid(n_points=n, omega_max=0.35)
@@ -475,18 +487,22 @@ class TestApplyPsf:
 
     # Band-limited amplitudes, whose blurred tails fall to FFT rounding: the
     # samples that a kernel floor would move first
+    @pytest.mark.parametrize("dispersion", ["taylor", "taylor-a1=2", "sellmeier"])
     @pytest.mark.parametrize("bandwidth", [None, 0.2], ids=["cw", "broad"])
     @pytest.mark.parametrize("cells", [1, 2, 3.5, 20, 60])
     def test_bit_identical_to_fftconvolve_band_limited(self, small_grid, pump_cw, bandwidth,
-                                                       cells):
+                                                       cells, dispersion):
         pump = pump_cw if bandwidth is None else PumpSpec(bandwidth=bandwidth)
-        amp = build_joint_amplitude(small_grid, pump, *make_crystals())
+        amp = build_joint_amplitude(small_grid, pump, *_crystals(dispersion, small_grid))
         width = cells * small_grid.spacing
         assert apply_psf(amp, width).values.tobytes() == self._fftconvolve(amp, width).tobytes()
 
     # The blocks of each pass are ROW_BLOCK // workers high (64, 32, 21 and
     # 4 rows or columns here) and run on a pool of that many threads; every
-    # split gives fftconvolve's bits.  Without sched_getaffinity the pool
+    # split gives fftconvolve's bits.  The 257 data rows leave a one-row
+    # last block at every height; the 63 rows of the smaller grid, at the
+    # same spacing, fill three 21-row blocks exactly and are fewer than one
+    # 64-row block.  Without sched_getaffinity the pool
     # has os.cpu_count() workers, or one when that is unknown.  Worker w runs
     # every workers-th block from block w; sixteen workers on a short switch
     # interval guard that split: a block skipped or run twice leaves garbage
@@ -495,7 +511,9 @@ class TestApplyPsf:
                              [(1, None, 1), (2, None, 2), (3, None, 3), (16, None, 16),
                               (None, 3, 3), (None, None, 1)],
                              ids=["1", "2", "3", "16", "cpu_count-3", "cpu_count-None"])
-    def test_bit_identical_on_any_cpu_count(self, affinity, cpu_count, workers, monkeypatch):
+    @pytest.mark.parametrize("n", [257, 63])
+    def test_bit_identical_on_any_cpu_count(self, affinity, cpu_count, workers, n,
+                                            monkeypatch):
         if affinity is None:  # a platform without sched_getaffinity
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
@@ -510,9 +528,9 @@ class TestApplyPsf:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(spectral_field, "ThreadPoolExecutor", RecordingPool)
-        grid = SpectralGrid(n_points=257, omega_max=0.35)
-        rng = np.random.default_rng(257)
-        amp = JointAmplitude(grid=grid, values=rng.standard_normal((257, 257)))
+        grid = SpectralGrid(n_points=n, omega_max=0.35 * (n - 1) / 256)
+        rng = np.random.default_rng(n)
+        amp = JointAmplitude(grid=grid, values=rng.standard_normal((n, n)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
