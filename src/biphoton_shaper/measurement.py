@@ -122,7 +122,9 @@ def _product_signals(c: np.ndarray, u_i: np.ndarray, u_s: np.ndarray, w=None):
     ``(w * u_i) @ c`` casts to, so every signal is bit-identical to that
     per-row expression.  The grid amplitude is real and the rows complex,
     so its complex copy, 16 n^2 bytes (67 MB at 2049^2), is made once per
-    call; at 2049^2 that copy sets the run's peak RSS, not the blur.
+    call.  The scenario runner frees the unblurred amplitude before the
+    qudit scans of a 2049^2 Schmidt run, so with that copy they peak at
+    about 192 MB, below the blur's 216 MB (the build's is 144 MB).
     """
     if u_i.shape != u_s.shape:
         raise ValueError("idler and signal rows must have the same shape")

@@ -59,7 +59,9 @@ class ScenarioContext:
     @cached_property
     def gamma(self):
         """The amplitude; its ``window_edge_weight`` is stored on the context,
-        and a window that cuts it raises ResolutionError."""
+        and a window that cuts it raises ResolutionError.  The scenario
+        runner drops it after its last reader (see GAMMA_READERS); a later
+        read builds the same amplitude again."""
         amp = spectral_field.build_joint_amplitude(
             self.scenario.grid, self.scenario.pump, self.scenario.spdc, self.scenario.sfg)
         self.window_edge_weight = _window_edge_weight(amp)
@@ -118,9 +120,8 @@ def run_flux_check(ctx: ScenarioContext, req) -> ExperimentResult:
 def _amplitude_table(amp, stride: int):
     ax = amp.grid.axis()[::stride]
     omega_i, omega_s = np.meshgrid(ax, ax, indexing="ij")
-    values = amp.values[::stride, ::stride].ravel()
     return {"omega_i": omega_i.ravel(), "omega_s": omega_s.ravel(),
-            "re": values.real, "im": values.imag}
+            "re": amp.values[::stride, ::stride].ravel()}
 
 
 def run_fig2_amplitude(ctx: ScenarioContext, req) -> ExperimentResult:
@@ -154,7 +155,7 @@ def run_fig3_schmidt(ctx: ScenarioContext, req) -> ExperimentResult:
     beta = report_full.eigenvalues[:n_eigen]
     modes = {"omega": ctx.grid.axis()}
     for j, f in enumerate(basis.functions):
-        modes.update({f"re_f{j}": f.real, f"im_f{j}": f.imag})
+        modes[f"re_f{j}"] = f.real
     report = {
         "eigenvalues": beta,
         "captured_weight": float(report_full.eigenvalues[:n_modes].sum()),
@@ -367,15 +368,30 @@ EXPERIMENT_RUNNERS = {
     "procrustean": run_procrustean,
 }
 
+# The experiments that read the unblurred amplitude ``ScenarioContext.gamma``;
+# every other one reads only ``gamma_psf``.
+GAMMA_READERS = frozenset({"fig2_amplitude", "time_bin_sweep"})
+
 
 def run_scenario_experiments(scenario: Scenario):
-    """Run every experiment of the scenario; returns results in config order."""
+    """Run every experiment of the scenario; returns results in config order.
+
+    The unblurred amplitude is dropped from the context once the blurred one
+    is built and no experiment still to run is in GAMMA_READERS, so that the
+    later experiments run without it (33.6 MB at 2049^2).
+    """
     ctx = ScenarioContext(scenario)
     # Decompose with modes before any values-only request, so that one eigh
     # of the blurred amplitude serves every experiment.
     if any(req.id in SCHMIDT_MODE_PARAMS for req in scenario.experiments):
         bases.amplitude_svd(ctx.gamma_psf)
-    return [EXPERIMENT_RUNNERS[req.id](ctx, req) for req in scenario.experiments]
+    ids = [req.id for req in scenario.experiments]
+    results = []
+    for k, req in enumerate(scenario.experiments):
+        if "gamma_psf" in vars(ctx) and GAMMA_READERS.isdisjoint(ids[k:]):
+            vars(ctx).pop("gamma", None)
+        results.append(EXPERIMENT_RUNNERS[req.id](ctx, req))
+    return results
 
 
 # --- output emission ---------------------------------------------------------

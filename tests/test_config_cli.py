@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,13 @@ from biphoton_shaper.config import (
 from biphoton_shaper.bases import amplitude_svd, max_offdiag, schmidt_modes
 from biphoton_shaper.scenarios import (
     EXPERIMENT_RUNNERS,
+    GAMMA_READERS,
     ExperimentResult,
     ScenarioContext,
+    _render_csv,
+    _render_json,
     emit_outputs,
+    run_scenario_experiments,
 )
 
 from oracles import canonical_gamma, franson_gamma, per_cell_csv
@@ -984,6 +989,97 @@ class TestCli:
         first = text.splitlines()[1].split(",")
         assert len(first) == 2
         float(first[1])  # parses as a number
+
+
+def _grid_257(tree):
+    """``tree`` on a 257-point grid over the same window."""
+    return {**tree, "grid": {**tree.get("grid", {}), "n_points": 257}}
+
+
+def _rendered(results):
+    """Every report and table of ``results``, rendered as the run writes them."""
+    return [(_render_json(r.report), [_render_csv(t) for t in r.tables.values()])
+            for r in results]
+
+
+class TestGammaRelease:
+    """The runner frees the unblurred amplitude after its last reader."""
+
+    # phase points and delays that keep each experiment's run short
+    FAST_PARAMS = {"freq_bin_fringes": {"phi_points": 12},
+                   "time_bin_sweep": {"t1_values_fs": [0, 25], "phi_points": 12},
+                   "schmidt_fringes": {"phi_points": 12},
+                   "procrustean": {"phi_points": 12}}
+
+    @pytest.mark.parametrize("exp_id", sorted(EXPERIMENT_RUNNERS))
+    def test_every_reader_is_listed(self, exp_id):
+        # After the drop a read of ctx.gamma builds the amplitude again, so a
+        # runner that reads it must be in GAMMA_READERS, and one that is
+        # listed must read it (or the run keeps it for nothing).
+        tree = _grid_257({**QUICK_CONFIG, "experiments": [
+            {"id": exp_id, **self.FAST_PARAMS.get(exp_id, {})}]})
+        scenario = validate_config(tree)
+        ctx = ScenarioContext(scenario)
+        ctx.gamma_psf
+        del ctx.gamma
+        EXPERIMENT_RUNNERS[exp_id](ctx, scenario.experiments[0])
+        assert ("gamma" in vars(ctx)) == (exp_id in GAMMA_READERS)
+
+    @pytest.mark.parametrize("width", [None, 0.0], ids=["shipped-psf", "no-psf"])
+    @pytest.mark.parametrize("source", ["quick", "default", "fringe_scan", "schmidt_2049"])
+    def test_gamma_is_freed_after_its_last_reader(self, monkeypatch, source, width):
+        tree = perfbench_module().WORKLOADS[source]
+        if isinstance(tree, str):
+            tree = load_config(ROOT / tree)
+        tree = _grid_257(tree)
+        if width is not None:
+            tree["psf"] = {"delta_omega": width}
+        scenario = validate_config(tree)
+        ids = [req.id for req in scenario.experiments]
+        last_reader = max(k for k, exp_id in enumerate(ids) if exp_id in GAMMA_READERS)
+        assert last_reader + 1 < len(ids)
+
+        calls = {"build": 0, "blur": 0}
+        gamma_ref = []
+        real_build = biphoton_shaper.spectral_field.build_joint_amplitude
+        real_blur = biphoton_shaper.spectral_field.apply_psf
+
+        def build(*args):
+            calls["build"] += 1
+            amp = real_build(*args)
+            gamma_ref.append(weakref.ref(amp))
+            return amp
+
+        def blur(*args):
+            calls["blur"] += 1
+            return real_blur(*args)
+
+        alive = []  # whether Gamma was alive as each experiment started
+        for exp_id, runner in EXPERIMENT_RUNNERS.items():
+            def starting(ctx, req, runner=runner):
+                alive.append(bool(gamma_ref) and gamma_ref[0]() is not None)
+                return runner(ctx, req)
+            monkeypatch.setitem(EXPERIMENT_RUNNERS, exp_id, starting)
+        monkeypatch.setattr(biphoton_shaper.spectral_field, "build_joint_amplitude", build)
+        monkeypatch.setattr(biphoton_shaper.spectral_field, "apply_psf", blur)
+        released = run_scenario_experiments(scenario)
+        assert calls == {"build": 1, "blur": 1}
+        # with no blur gamma_psf is Gamma itself, so the drop only removes a name
+        assert alive[last_reader + 1:] == [width == 0.0] * (len(ids) - last_reader - 1)
+
+        if width == 0.0:
+            # every report and table as in a run that keeps Gamma throughout
+            monkeypatch.setattr(biphoton_shaper.scenarios, "GAMMA_READERS",
+                                frozenset(EXPERIMENT_RUNNERS))
+            assert _rendered(released) == _rendered(run_scenario_experiments(scenario))
+
+    def test_amplitude_tables_have_real_columns_only(self):
+        tree = {**QUICK_CONFIG, "experiments": [{"id": "fig2_amplitude", "export_stride": 8},
+                                                {"id": "fig3_schmidt", "n_modes": 3}]}
+        results = run_scenario_experiments(validate_config(tree))
+        assert [list(table) for r in results for table in r.tables.values()] == [
+            ["omega_i", "omega_s", "re"], ["omega_i", "omega_s", "re"],
+            ["omega", "re_f0", "re_f1", "re_f2"], ["j", "beta"]]
 
 
 class TestEmitOutputs:
