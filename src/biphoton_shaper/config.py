@@ -39,6 +39,15 @@ CONFIG_VERSION = 1
 # bandwidth it gives, 61.4 nm around 1064 nm, is what flux_check reports.
 DEFAULT_TAYLOR_A2 = 23.2
 
+# Largest grid.n_points that validate accepts: the largest odd n whose
+# working set fits in 4 GiB.  A run holds at most four n^2 float64 planes
+# (8 n^2 bytes each) at once: the PSF blur traces 2.93 planes at 1025^2 and
+# 2.77 at 2049^2 besides its 1-plane input, and a scan holds the blurred
+# amplitude's 2-plane complex copy beside that amplitude and, until its last
+# reader has run, the unblurred one.  4 * 8 * n^2 <= 2^32 gives n <= 11585
+# (11585^2 * 32 B = 4,294,791,200 B; 11587 would need 4,296,274,208 B).
+MAX_GRID_POINTS = 11585
+
 # Schema: each key maps to a nested table or to (type, default) plus an
 # optional lower bound (">" or ">=", value).  A default of None marks an
 # optional key that the default tree leaves out; _REQUIRED marks a key that
@@ -310,6 +319,9 @@ def validate_config(tree: dict) -> Scenario:
     cfg = _section(tree, "", schema, extra=("version", "experiments"))
 
     g = cfg["grid"]
+    if g["n_points"] > MAX_GRID_POINTS:
+        raise ConfigError("grid.n_points", f"must be <= {MAX_GRID_POINTS}, the largest grid "
+                                           f"that runs in 4 GiB, got {g['n_points']}")
     with _built_from("grid.n_points"):
         grid = SpectralGrid(n_points=g["n_points"], omega_max=g["omega_max"],
                             center_wavelength=g["center_wavelength_nm"])

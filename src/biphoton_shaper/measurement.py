@@ -124,7 +124,10 @@ def _product_signals(c: np.ndarray, u_i: np.ndarray, u_s: np.ndarray, w=None):
     so its complex copy, 16 n^2 bytes (67 MB at 2049^2), is made once per
     call.  The scenario runner frees the unblurred amplitude before the
     qudit scans of a 2049^2 Schmidt run, so with that copy they peak at
-    about 192 MB, below the blur's 216 MB (the build's is 144 MB).
+    about 192 MB, below the blur's 203 MB (the build's is 145 MB).  At
+    1025^2 the first copy (16.8 MB) sets the peak RSS of a ``default`` run,
+    128 MB: glibc maps it fresh, since the blur frees no block larger than
+    its 8.4 MB output to raise the mmap threshold above it.
     """
     if u_i.shape != u_s.shape:
         raise ValueError("idler and signal rows must have the same shape")

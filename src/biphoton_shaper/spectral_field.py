@@ -34,6 +34,18 @@ PUMP_CLAMP_CELLS = 3
 # Fewest grid samples the phase-matching main lobe may cover on the ridge cut.
 SINC_LOBE_SAMPLES = 8
 
+# Rows per block of the build's pump envelope, of an amplitude's subnormal
+# flush and of the Schmidt mode lift (bases.amplitude_svd), and the rows that
+# the blur's workers transform at once, all of them together: each block's
+# buffers are a few MB at 2049^2.
+ROW_BLOCK = 64
+
+# Spectrum columns that the blur's workers transform at once, all of them
+# together, and so the most workers it runs.  Each column takes two m-sample
+# complex buffers (138 kB at 2049^2): 32 columns hold 4.4 MB, where 64 held
+# 8.8 MB and ran no faster; 16 saved 2.2 MB more but ran 3-10% slower.
+COLUMN_BLOCK = 32
+
 
 def sinc(x):
     """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
@@ -213,8 +225,12 @@ class JointAmplitude:
     phase-matching phase cancels and the detected amplitude is real; complex
     values raise ``ValueError``.  Normalized so that sum(values^2) *
     spacing^2 = 1; values whose norm is not finite (non-finite samples, or
-    an overflowing sum) raise :class:`NumericalError`.  ``values`` is
-    read-only after normalization, so the Schmidt data that
+    an overflowing sum) raise :class:`NumericalError`.  Each normalized
+    sample of magnitude below ``np.finfo(float).tiny`` (a subnormal, such as
+    the pump envelope's underflow tail) is stored as +0.0, ``ROW_BLOCK`` rows
+    at a time with no full-grid temporary, so no product with the amplitude
+    takes the slow subnormal path.  ``values`` is read-only after
+    normalization, so the Schmidt data that
     :func:`biphoton_shaper.bases.amplitude_svd` stores on the instance can
     never go stale.
     """
@@ -236,6 +252,9 @@ class JointAmplitude:
         if norm == 0.0:
             raise ValueError("amplitude is identically zero")
         self.values = self.values / norm
+        for r in range(0, self.grid.n_points, ROW_BLOCK):
+            rows = self.values[r:r + ROW_BLOCK]
+            rows[np.abs(rows) < np.finfo(float).tiny] = 0.0
         self.values.flags.writeable = False
 
 
@@ -306,12 +325,6 @@ def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
     return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing))
 
 
-# Rows per block of the build's pump envelope and of the Schmidt mode lift
-# (bases.amplitude_svd), and the rows or columns that the blur's workers
-# transform at once, all of them together: each block's buffers are a few MB
-# at 2049^2.
-ROW_BLOCK = 64
-
 # exp(-x) is +0.0 in float64 for every x above 745.14 (ln of the smallest
 # subnormal, with its rounding half-cell)
 _EXP_UNDERFLOW = 746.0
@@ -344,7 +357,9 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     columns where |omega_i + omega_s| can keep it above float64 underflow
     (:func:`_band_reach`), so no full-grid temporary exists.  In the band
     each sample is the product the full grid would give, bit for bit;
-    outside it the amplitude is +0.0.
+    outside it the amplitude is +0.0.  The envelope's underflow tail leaves
+    subnormal samples at the band's edges (3496 at 1025^2, 7152 at 2049^2
+    once normalized); :class:`JointAmplitude` stores them as +0.0.
     """
     _check_sinc_resolution(grid, spdc)
     if sfg is not None:
@@ -438,25 +453,33 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
       buffer, the complex transform along them, the product with the
       kernel's block of spectrum and the unscaled inverse, of which only the
       n cropped samples are kept;
-    - the complex-to-real inverse along axis 1 of those rows, scaled once by
-      1/m^2 and cropped; the row spectrum is freed before the output is
-      renormalized.
+    - the complex-to-real inverse along axis 1 of those rows, in waves of
+      one block per worker; once a wave is joined, its rows are scaled once
+      by 1/m^2, cropped and written over the front of the row spectrum,
+      which that wave and the earlier ones have consumed.
 
-    The kernel spectra, the column buffers and then the output are one
-    scratch array, freed once the output is renormalized, so its memory
-    returns to the system (glibc keeps arrays under its 32 MB mmap threshold
-    resident).
+    The row spectrum, the kernel spectra and the workers' buffers are one
+    complex buffer, and the output takes its front: output row r ends at
+    byte 8n(r + 1), at or before spectrum row r + 1, which starts at byte
+    16 half (r + 1) as half >= n.  The buffer is then shrunk to the n x n
+    output with ``ndarray.resize``, a ``realloc`` that returns its tail to
+    the system, before the output is renormalized.  So the blur never holds
+    its input, the row spectrum and a separate output plane at once: it
+    traces 2.93 planes of n^2 float64 besides its input at 1025^2 and 2.77
+    at 2049^2.
 
     Each pass is a list of disjoint blocks of rows or columns, split
     statically over a thread pool of one worker per CPU the process may use
-    (:func:`_cpus`, at most ``ROW_BLOCK``), joined before the function
+    (:func:`_cpus`, at most ``COLUMN_BLOCK``), joined before the function
     returns: of k workers, worker w runs blocks w, w + k, w + 2k, ... with
     its own buffer.  numpy's FFTs release the GIL, so the blocks run
-    concurrently.  Every block is ``ROW_BLOCK // workers`` high and all
-    scratch is allocated here, before the pool starts, so the workers'
-    buffers together hold ``ROW_BLOCK`` rows; the workers call no BLAS.  Each
-    transform reads the same data and writes the same destination whatever
-    the block height, so the result has the same bits on any number of CPUs.
+    concurrently.  Every block of rows is ``ROW_BLOCK // workers`` high and
+    every block of columns ``COLUMN_BLOCK // workers`` wide, and all scratch
+    is allocated here, before the pool starts, so the workers' buffers
+    together hold at most ``ROW_BLOCK`` rows or ``COLUMN_BLOCK`` columns;
+    the workers call no BLAS.  Each transform reads the same data and writes
+    the same destination whatever the block height, so the result has the
+    same bits on any number of CPUs.
 
     numpy's FFTs are the pocketfft that ``scipy.fft`` wraps, and the padding,
     product order and crop are those of SciPy's ``fftconvolve(values, kernel,
@@ -480,18 +503,25 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     live = np.flatnonzero(_gaussian(sq + sq[np.argmin(sq)], delta_omega_psf) >= KERNEL_FLOOR)
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
     u = len(live)
-    workers = min(_cpus(), ROW_BLOCK)
-    height = ROW_BLOCK // workers
+    workers = min(_cpus(), COLUMN_BLOCK)
+    height, width = ROW_BLOCK // workers, COLUMN_BLOCK // workers
 
-    def blocks(count):
-        return [slice(r, min(r + height, count)) for r in range(0, count, height)]
+    def blocks(count, size=height):
+        return [slice(r, min(r + size, count)) for r in range(0, count, size)]
 
-    bufs_end = half * u + workers * 2 * height * m
-    work = np.empty(max(bufs_end, n * n // 2 + 1), dtype=complex)
-    kernel_spectra = work[:half * u].reshape(half, u)
-    column_bufs = work[half * u:bufs_end].reshape(workers, 2, height, m)
-    spectrum = np.empty((n, half), dtype=complex)
-    kernel_bufs = np.zeros((workers, height, n))
+    # [row spectrum | kernel spectra | scratch]: the scratch holds the kernel
+    # rows, then the column buffers; the inverse rows then overwrite the
+    # kernel spectra and the scratch
+    row_len = workers * height * m
+    col_len = workers * 2 * width * m
+    work = np.empty(n * half + half * u + max(col_len, (row_len + 1) // 2), dtype=complex)
+    spectrum = work[:n * half].reshape(n, half)
+    tail = work[n * half:]
+    kernel_spectra = tail[:half * u].reshape(half, u)
+    scratch = tail[half * u:]
+    column_bufs = scratch[:col_len].reshape(workers, 2, width, m)
+    kernel_bufs = scratch.view(float)[:workers * height * n].reshape(workers, height, n)
+    kernel_bufs[:] = 0.0
 
     def kernel_rows(block, buf):
         rows = buf[:block.stop - block.start]
@@ -514,24 +544,28 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
         np.fft.ifft(data, axis=1, norm="forward", out=data)
         spectrum[:, block] = data[:, crop].T
 
-    # irfftn's factor, which pocketfft computes in long double
-    scale = float(1 / np.longdouble(m * m))
-
     def inverse_rows(block, buf):
         rows = buf[:block.stop - block.start]
         np.fft.irfft(spectrum[block], m, axis=1, norm="forward", out=rows)
-        np.multiply(rows[:, crop], scale, out=blurred[block])
 
+    # irfftn's factor, which pocketfft computes in long double
+    scale = float(1 / np.longdouble(m * m))
+    blurred = work.view(float)[:n * n].reshape(n, n)
     with ThreadPoolExecutor(workers) as pool:
         _run_jobs(pool, [partial(kernel_rows, b) for b in blocks(u)]
                   + [partial(data_rows, b) for b in blocks(n)], kernel_bufs)
-        del kernel_bufs
-        _run_jobs(pool, [partial(columns, b) for b in blocks(half)], column_bufs)
-        del kernel_spectra, column_bufs
-        blurred = work.view(float)[:n * n].reshape(n, n)
-        row_bufs = np.empty((workers, height, m))
-        _run_jobs(pool, [partial(inverse_rows, b) for b in blocks(n)], row_bufs)
-    del spectrum, row_bufs
+        _run_jobs(pool, [partial(columns, b) for b in blocks(half, width)], column_bufs)
+        row_bufs = tail.view(float)[:row_len].reshape(workers, height, m)
+        row_blocks = blocks(n)
+        for w in range(0, len(row_blocks), workers):
+            wave = row_blocks[w:w + workers]
+            _run_jobs(pool, [partial(inverse_rows, b) for b in wave], row_bufs)
+            for block, rows in zip(wave, row_bufs):
+                np.multiply(rows[:block.stop - block.start, crop], scale, out=blurred[block])
+    # no view of the buffer may outlive the resize
+    del spectrum, tail, kernel_spectra, scratch, column_bufs, kernel_bufs, row_bufs, rows, blurred
+    work.resize((n * n + 1) // 2, refcheck=False)
+    blurred = work.view(float)[:n * n].reshape(n, n)
     return JointAmplitude(amp.grid, blurred)
 
 

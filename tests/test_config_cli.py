@@ -24,6 +24,7 @@ from biphoton_shaper import (
 )
 from biphoton_shaper.cli import main
 from biphoton_shaper.config import (
+    MAX_GRID_POINTS,
     _CRYSTALS,
     _DISPERSION,
     _EXPERIMENT_PARAMS,
@@ -534,12 +535,38 @@ class TestCli:
         assert "grid.omega_max" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_grid_above_the_size_limit_exits_2(self, tmp_path, capsys, command):
+        # 20001^2 takes 3.2 GB for the amplitude alone, four planes 12.8 GB
+        tree = {**QUICK_CONFIG, "grid": {"n_points": 20001, "omega_max": 0.35}}
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        argv = [command, path] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"config error: grid.n_points: must be <= {MAX_GRID_POINTS}, the "
+                        f"largest grid that runs in 4 GiB, got 20001")
+        assert not out.exists()
+
+    def test_size_limit_is_the_largest_odd_grid_in_four_gib(self):
+        # four n^2 float64 planes (config.MAX_GRID_POINTS) in 4 GiB
+        assert MAX_GRID_POINTS % 2 == 1
+        assert 32 * MAX_GRID_POINTS**2 <= 4 << 30 < 32 * (MAX_GRID_POINTS + 2) ** 2
+        for n_points, valid in ((MAX_GRID_POINTS, True), (MAX_GRID_POINTS + 2, False)):
+            tree = {**QUICK_CONFIG, "grid": {"n_points": n_points, "omega_max": 0.35}}
+            if valid:
+                assert validate_config(tree).grid.n_points == n_points
+            else:
+                with pytest.raises(ConfigError) as err:
+                    validate_config(tree)
+                assert err.value.path == "grid.n_points"
+
     def test_grid_too_large_for_memory_exits_3(self, tmp_path):
-        # the real 20001^2 amplitude needs 8 n^2 = 3.2 GB, beyond the 2 GiB
-        # address-space limit, which is set in the child only, so the
-        # allocation fails there at once
-        limit = 2 << 30
-        tree = {**QUICK_CONFIG, "grid": {"n_points": 20001, "omega_max": 0.35},
+        # the largest grid that validates needs 8 n^2 = 1.07 GB for the real
+        # amplitude alone, beyond the 512 MiB address-space limit, which is
+        # set in the child only, so the allocation fails there at once
+        limit = 512 << 20
+        tree = {**QUICK_CONFIG, "grid": {"n_points": MAX_GRID_POINTS, "omega_max": 0.35},
                 "experiments": [{"id": "fig2_amplitude"}]}
         path = write_config(tmp_path, tree)
         out = tmp_path / "out"
@@ -554,7 +581,7 @@ class TestCli:
         assert done.returncode == 3, done.stderr
         (line,) = done.stderr.splitlines()
         assert line.startswith("simulation error [MemoryError]: ")
-        assert "grid.n_points = 20001" in line
+        assert f"grid.n_points = {MAX_GRID_POINTS}" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
