@@ -51,7 +51,6 @@ from .shaper import (
 )
 from .spectral_field import (
     CrystalSpec,
-    FluxLimit,
     JointAmplitude,
     PumpSpec,
     SellmeierIndex,

@@ -225,7 +225,7 @@ def _parity_blocks(amp: JointAmplitude):
 
 
 def _solve_block(blocks: list, compute_modes: bool):
-    """Pop the first block B off ``blocks`` and solve B B^dagger.
+    """Pop the first block B off ``blocks`` and solve B B^T.
 
     Returns its eigenvalues in descending order and, when ``compute_modes``
     is true, the eigenvectors of those at or above ``SCHMIDT_RANK_FLOOR`` as
@@ -234,11 +234,11 @@ def _solve_block(blocks: list, compute_modes: bool):
     first tries a randomized range finder with one step of subspace
     iteration (Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)):
     Q = qr(B Omega) for k fixed-seed Gaussian columns Omega, then
-    Q = qr(B B^dagger Q), and the Ritz pairs (w, Q V) of C C^dagger with
-    C = Q^dagger B.  When the smallest Ritz value is below ``_SKETCH_TAIL``,
+    Q = qr(B B^T Q), and the Ritz pairs (w, Q V) of C C^T with
+    C = Q^T B.  When the smallest Ritz value is below ``_SKETCH_TAIL``,
     the sketch holds every weight above the entropy floor, and the block's
     other weights are stored as 0.0.  Otherwise, and for smaller blocks, the
-    block is solved by the dense ``eigh`` of B B^dagger, with B freed before
+    block is solved by the dense ``eigh`` of B B^T, with B freed before
     it is solved.
     """
     b = blocks.pop(0)
@@ -247,13 +247,13 @@ def _solve_block(blocks: list, compute_modes: bool):
     if compute_modes and 2 * k < order:
         omega = np.random.default_rng(_SKETCH_SEED).standard_normal((b.shape[1], k))
         q = np.linalg.qr(b @ omega)[0]
-        q = np.linalg.qr(b @ (b.conj().T @ q))[0]
-        c = q.conj().T @ b
-        w, v = np.linalg.eigh(c @ c.conj().T)
+        q = np.linalg.qr(b @ (b.T @ q))[0]
+        c = q.T @ b
+        w, v = np.linalg.eigh(c @ c.T)
         if w[0] < _SKETCH_TAIL:
             kept = np.count_nonzero(w >= SCHMIDT_RANK_FLOOR)
             return np.concatenate([w[::-1], np.zeros(order - k)]), q @ v[:, ::-1][:, :kept]
-    gram = b @ b.conj().T
+    gram = b @ b.T
     del b
     if not compute_modes:
         return np.linalg.eigvalsh(gram)[::-1], None
@@ -267,7 +267,7 @@ def _solve_block(blocks: list, compute_modes: bool):
 def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     """Schmidt data of an amplitude: (weights beta, idler modes).
 
-    Both come from Hermitian eigenproblems on S = h * Gamma, split by mirror
+    Both come from symmetric eigenproblems on S = h * Gamma, split by mirror
     parity.  Q pairs each sample with its mirror (omega with -omega) and maps
     them to the even and odd coordinates of :func:`_fold`; S' = Q S Q^T then
     has the blocks S_ee, S_eo, S_oe and S_oo.  When the coupling
@@ -281,7 +281,7 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     has c = 0 and Schmidt modes of definite parity (Law, Walmsley & Eberly,
     PRL 84, 5304 (2000)).
 
-    For each block B, beta holds the eigenvalues of B B^dagger
+    For each block B, beta holds the eigenvalues of B B^T
     (:func:`_solve_block`), merged over the blocks in descending order (a
     stable sort) with rounding-level negatives clipped to 0; beta_j sums to
     one.  A mode request of the blurred 1025^2 or 2049^2 amplitude of the
@@ -297,7 +297,7 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     for the blurred amplitude of the paper's source, 612 of 1025 unblurred);
     each block's other eigenvectors are dropped once it is solved and are
     never lifted.  No symmetry of Gamma is assumed.  The signal side is the
-    :func:`mirrored` idler basis, so the signal problem S^dagger S is never
+    :func:`mirrored` idler basis, so the signal problem S^T S is never
     solved.
 
     beta are the squared singular values of S.  The benchmark's tracer

@@ -348,9 +348,9 @@ def validate_config(tree: dict) -> Scenario:
         shared = TaylorMismatch.quasi_phase_matched(9.0, a1=disp["a1"], a2=disp["a2"],
                                                     a3=disp["a3"])
 
-    def crystal(role_key, role):
-        geometry = cfg["crystals"][role_key]
-        return CrystalSpec(length=geometry["length_mm"], dispersion=shared, role=role,
+    def crystal(key):
+        geometry = cfg["crystals"][key]
+        return CrystalSpec(length=geometry["length_mm"], dispersion=shared,
                            poling_period=geometry.get("poling_period_um", 9.0))
 
     if "experiments" not in tree:
@@ -381,8 +381,8 @@ def validate_config(tree: dict) -> Scenario:
         output_dir=cfg["output_dir"],
         grid=grid,
         pump=pump,
-        spdc=crystal("spdc", "SPDC"),
-        sfg=crystal("sfg", "SFG"),
+        spdc=crystal("spdc"),
+        sfg=crystal("sfg"),
         psf_delta_omega=psf_width,
         slm=slm,
         counting=CountingParams(peak_rate=c["peak_rate_hz"],

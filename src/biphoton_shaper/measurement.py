@@ -131,8 +131,7 @@ def _product_signals(c: np.ndarray, u_i: np.ndarray, u_s: np.ndarray, w=None):
     """
     if u_i.shape != u_s.shape:
         raise ValueError("idler and signal rows must have the same shape")
-    factors = (u_i, c) if w is None else (w, u_i, c)
-    c = c.astype(np.result_type(*factors), copy=False)
+    c = c.astype(np.result_type(u_i, c), copy=False)  # float64 weights change no type
     n = u_i.shape[-1]
     rows = zip(u_i.reshape(-1, n), u_s.reshape(-1, n))
     if w is not None:

@@ -98,23 +98,23 @@ def _fringe_table(scan: FringeScan):
 def run_flux_check(ctx: ScenarioContext, req) -> ExperimentResult:
     p = req.params
     bandwidth = spectral_field.singles_bandwidth_nm(ctx.grid, ctx.scenario.spdc)
-    limit = spectral_field.photon_flux_limit(bandwidth, ctx.grid.center_wavelength)
-    density = limit.mode_density(p["power_uw"] * 1e-6)
+    flux, power = spectral_field.photon_flux_limit(bandwidth, ctx.grid.center_wavelength)
+    density = p["power_uw"] * 1e-6 / power  # spectral mode density P / P_max
     report = {
         "bandwidth_nm": bandwidth,
-        "max_flux_per_s": limit.flux,
-        "max_power_w": limit.power,
+        "max_flux_per_s": flux,
+        "max_power_w": power,
         "operating_power_uw": p["power_uw"],
         "mode_density": density,
         "below_single_photon_limit": density < 1.0,
     }
-    summary = (f"{req.name}: max flux {limit.flux:.3e}/s, max power "
-               f"{limit.power * 1e6:.2f} uW, mode density {density:.3f} at "
+    summary = (f"{req.name}: max flux {flux:.3e}/s, max power "
+               f"{power * 1e6:.2f} uW, mode density {density:.3f} at "
                f"{p['power_uw']:.2f} uW")
     return ExperimentResult(req.name, req.id, summary, density < 1.0, report,
                             {"flux": {"quantity": ["max_flux_per_s", "max_power_w",
                                                    "mode_density"],
-                                      "value": [limit.flux, limit.power, density]}})
+                                      "value": [flux, power, density]}})
 
 
 def _amplitude_table(amp, stride: int):

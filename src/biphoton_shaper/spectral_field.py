@@ -111,8 +111,7 @@ class TaylorMismatch:
     """Low-order expansion of the collinear phase mismatch [rad/mm].
 
     mismatch = dk0 + a1*(w_i + w_s) + a2*(w_i - w_s)^2 + a3*(w_i + w_s)^2,
-    in the down-conversion sign convention k_i + k_s - k_p, for both crystal
-    roles (:func:`_matching_argument` flips the sign for upconversion).  With
+    in the down-conversion sign convention k_i + k_s - k_p.  With
     all a_i = 0 and dk0 = -2*pi/G the crystal is perfectly quasi-phase matched
     everywhere.  ``pump_center`` is not read; it is there so that both models
     share one call signature.
@@ -174,7 +173,7 @@ class SellmeierIndex:
 @dataclass(frozen=True)
 class SellmeierMismatch:
     """Phase mismatch k_i + k_s - k_p [rad/mm] from refractive-index models,
-    in the down-conversion sign convention for both crystal roles.
+    in the down-conversion sign convention.
 
     Relative frequencies are converted to absolute ones with the pump center
     frequency [rad/fs] supplied at evaluation time.
@@ -196,20 +195,18 @@ class SellmeierMismatch:
 class CrystalSpec:
     """Periodically poled nonlinear crystal.
 
-    length in mm, poling period in um; ``role`` selects the sign convention of
-    the mismatch and of the quasi-phase-matching term ("SPDC" or "SFG").
+    length in mm, poling period in um.  Both crystals take the down-conversion
+    sign convention: the upconversion crystal is the source's time-reversed
+    twin, with phase-matching argument -x, and sinc(-x) = sinc(x).
     """
 
     length: float
     poling_period: float
     dispersion: TaylorMismatch | SellmeierMismatch
-    role: str = "SPDC"
 
     def __post_init__(self):
         if self.length <= 0 or self.poling_period <= 0:
             raise ValueError("crystal length and poling period must be positive")
-        if self.role not in ("SPDC", "SFG"):
-            raise ValueError(f"unknown crystal role {self.role!r}")
 
     @property
     def grating_wavevector(self) -> float:
@@ -265,39 +262,32 @@ def pump_envelope(omega_sum, pump: PumpSpec):
 
 
 def _matching_argument(omega_i, omega_s, crystal: CrystalSpec, pump_center):
-    """The phase-matching argument, the one place that reads the crystal role.
-
-    x = (mismatch + 2*pi/G) * L / 2, with the down-conversion mismatch
-    k_i + k_s - k_p of ``crystal.dispersion``, for a down-conversion crystal;
-    the upconversion crystal is its time-reversed twin and gets -x.  Negation
-    is exact in floating point, so -x equals the sum of the negated mismatch
-    and grating terms bit for bit (an exact zero may change sign, which
-    sinc(x) does not see).
-    """
+    """The phase-matching argument x = (mismatch + 2*pi/G) * L / 2, with the
+    down-conversion mismatch k_i + k_s - k_p of ``crystal.dispersion``."""
     dk = crystal.dispersion.mismatch(omega_i, omega_s, pump_center)
-    x = (dk + crystal.grating_wavevector) * crystal.length / 2.0
-    return x if crystal.role == "SPDC" else -x
+    return (dk + crystal.grating_wavevector) * crystal.length / 2.0
 
 
 def phase_matching(omega_i, omega_s, crystal: CrystalSpec, pump_center):
-    """Quasi-phase-matching function sinc(x) with the role-signed argument x
-    of :func:`_matching_argument`; ``pump_center`` is the pump's central
+    """Quasi-phase-matching function sinc(x) with the argument x of
+    :func:`_matching_argument`; ``pump_center`` is the pump's central
     angular frequency [rad/fs]."""
     return sinc(_matching_argument(omega_i, omega_s, crystal, pump_center))
 
 
-def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec):
+def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec, label: str):
     """Require >= SINC_LOBE_SAMPLES of the phase-matching main lobe on the ridge cut.
 
     The cut runs along the energy-conservation anti-diagonal, where the pump
     envelope leaves the sinc as the only structure to resolve; returns x on it.
+    ``label`` ("SPDC" or "SFG") names the crystal in the error.
     """
     ax = grid.axis()
     x = _matching_argument(ax, -ax, crystal, grid.pump_center_frequency)
     lobe = int(np.count_nonzero(np.abs(x) < np.pi))
     if lobe < SINC_LOBE_SAMPLES:
         raise ResolutionError(
-            f"phase-matching main lobe of the {crystal.role} crystal covers "
+            f"phase-matching main lobe of the {label} crystal covers "
             f"{lobe} grid samples (< {SINC_LOBE_SAMPLES}); refine the grid"
         )
     return x
@@ -305,7 +295,7 @@ def _check_sinc_resolution(grid: SpectralGrid, crystal: CrystalSpec):
 
 def singles_bandwidth_nm(grid: SpectralGrid, spdc: CrystalSpec) -> float:
     """FWHM [nm] of sinc(x)^2 on the ridge cut, its half maxima interpolated on the axis."""
-    s = sinc(_check_sinc_resolution(grid, spdc)) ** 2
+    s = sinc(_check_sinc_resolution(grid, spdc, "SPDC")) ** 2
     peak = int(np.argmax(s))
     below = np.flatnonzero(s < 0.5 * s[peak])
     if not (below.size and below[0] < peak < below[-1]):
@@ -361,9 +351,9 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     subnormal samples at the band's edges (3496 at 1025^2, 7152 at 2049^2
     once normalized); :class:`JointAmplitude` stores them as +0.0.
     """
-    _check_sinc_resolution(grid, spdc)
+    _check_sinc_resolution(grid, spdc, "SPDC")
     if sfg is not None:
-        _check_sinc_resolution(grid, sfg)
+        _check_sinc_resolution(grid, sfg, "SFG")
 
     n = grid.n_points
     ax = grid.axis()
@@ -569,20 +559,9 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     return JointAmplitude(amp.grid, blurred)
 
 
-@dataclass(frozen=True)
-class FluxLimit:
-    """Single-photon-limit flux [1/s] and power [W] of a down-conversion source."""
-
-    flux: float
-    power: float
-
-    def mode_density(self, power_w: float) -> float:
-        """Spectral mode density n = P / P_max for an operating power [W]."""
-        return power_w / self.power
-
-
-def photon_flux_limit(spdc_bandwidth_nm: float, center_wavelength: float) -> FluxLimit:
-    """Maximum photon flux below the single-photon limit, flux = c*dlambda/lambda^2.
+def photon_flux_limit(spdc_bandwidth_nm: float, center_wavelength: float):
+    """Maximum photon flux below the single-photon limit, flux = c*dlambda/lambda^2,
+    and its power: (flux [1/s], power [W]).
 
     Raises :class:`NumericalError` naming ``grid.center_wavelength_nm`` when
     the flux or the power is not a positive finite float.
@@ -599,4 +578,4 @@ def photon_flux_limit(spdc_bandwidth_nm: float, center_wavelength: float) -> Flu
             f"no representable flux limit at grid.center_wavelength_nm = "
             f"{center_wavelength:g} with a {spdc_bandwidth_nm:g} nm bandwidth: "
             f"flux {flux:.3g}/s, power {power:.3g} W")
-    return FluxLimit(flux=flux, power=power)
+    return flux, power

@@ -18,8 +18,7 @@ PSF_WIDTH = 9.6e-3
 
 def make_crystals(a2=DEFAULT_TAYLOR_A2, length=11.5, poling=9.0, a1=0.0):
     disp = TaylorMismatch.quasi_phase_matched(poling, a1=a1, a2=a2)
-    return (CrystalSpec(length, poling, disp, role="SPDC"),
-            CrystalSpec(length, poling, disp, role="SFG"))
+    return CrystalSpec(length, poling, disp), CrystalSpec(length, poling, disp)
 
 
 @pytest.fixture(scope="session")

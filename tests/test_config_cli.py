@@ -506,6 +506,28 @@ class TestCli:
         assert "grid.omega_max" in err
         assert not out.exists()
 
+    def test_unresolved_sfg_crystal_is_named_in_the_error(self, tmp_path, capsys):
+        # a 5 m upconversion crystal narrows its sinc below quick's grid
+        tree = load_config(ROOT / "configs" / "quick.yaml")
+        tree["crystals"] = {"sfg": {"length_mm": 5000}}
+        path = write_config(tmp_path, tree)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.rstrip("\n").endswith(
+            "phase-matching main lobe of the SFG crystal covers 3 grid samples (< 8); "
+            "refine the grid")
+
+    def test_flux_check_mode_density_is_power_over_max_power(self, tmp_path):
+        tree = load_config(ROOT / "configs" / "default.yaml")
+        tree["experiments"] = [e for e in tree["experiments"] if e["id"] == "flux_check"]
+        path = write_config(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        report = json.loads((out / "flux_check_report.json").read_text())["report"]
+        assert report["operating_power_uw"] == 1.0
+        assert report["mode_density"] == 1e-6 / report["max_power_w"]
+        # P_max = 3.03 uW for default's 61.4 nm singles band (5.2 uW at the paper's 105 nm)
+        assert abs(report["mode_density"] - 0.330) < 0.001
+
     @pytest.mark.parametrize("wavelength", [1.0e-200, 1.0e+160, 1.0e+150])
     def test_unrepresentable_flux_limit_exits_3(self, tmp_path, capsys, wavelength):
         # lambda^2 underflows to 0, overflows, or the limit's power underflows
@@ -792,9 +814,8 @@ class TestCli:
         flux = json.loads((out / "flux_check_report.json").read_text())["report"]
         # the singles FWHM of the default a2 = 23.2 (README), not the paper's 105 nm
         assert abs(flux["bandwidth_nm"] - 61.4) / 61.4 < 0.005
-        limit = photon_flux_limit(flux["bandwidth_nm"], 1064.0)
-        assert flux["max_flux_per_s"] == limit.flux
-        assert flux["max_power_w"] == limit.power
+        assert (flux["max_flux_per_s"], flux["max_power_w"]) == photon_flux_limit(
+            flux["bandwidth_nm"], 1064.0)
         report = json.loads((out / "freq_bin_fringes_d2_report.json").read_text())
         assert report["passed"] is True
         assert report["report"]["lambda"] > 0.999  # ideal scan fits at unity
