@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, GridError, NumericalError, RankError, ResolutionError
-from .spectral_field import ROW_BLOCK, JointAmplitude, SpectralGrid, sinc
+from .spectral_field import BLOCK, JointAmplitude, SpectralGrid, sinc
 
 SCHMIDT_RANK_FLOOR = 1e-12
 # mode weights at or below this floor are rounding noise of the eigensolver
@@ -291,7 +291,7 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
     values-only request takes ``eigvalsh`` alone.  The idler modes are the
     eigenvectors of the r weights at or above ``SCHMIDT_RANK_FLOOR``, as
     continuum-normalized rows of an (r, n) array (a parity block's lifted by
-    Q^T, 64 at a time, straight into their rows), or None when
+    Q^T, ``BLOCK`` at a time, straight into their rows), or None when
     ``compute_modes`` is false (only the eigenvalues are computed then).
     Those are the modes :func:`schmidt_modes` can return (r is 104 of 2049
     for the blurred amplitude of the paper's source, 612 of 1025 unblurred);
@@ -334,8 +334,8 @@ def amplitude_svd(amp: JointAmplitude, compute_modes: bool = True):
             parities = (0, 1) if len(vectors) == 2 else (None,)  # None: on samples
             offset = 0
             for parity, w, v in zip(parities, values, vectors):
-                for start in range(0, v.shape[1], ROW_BLOCK):
-                    cols = v[:, start:start + ROW_BLOCK] / np.sqrt(amp.grid.spacing)
+                for start in range(0, v.shape[1], BLOCK):
+                    cols = v[:, start:start + BLOCK] / np.sqrt(amp.grid.spacing)
                     rows = rank[offset + start:offset + start + cols.shape[1]]
                     if parity is None:
                         modes[rows] = cols.T

@@ -39,14 +39,19 @@ CONFIG_VERSION = 1
 # bandwidth it gives, 61.4 nm around 1064 nm, is what flux_check reports.
 DEFAULT_TAYLOR_A2 = 23.2
 
+# Poling period [um] of a crystal that does not give one.  A Taylor model is
+# anchored at it too (TaylorMismatch.quasi_phase_matched), so that its dk0 and
+# the crystal's 2*pi/G cancel; they cancel only up to rounding, the ulp of
+# 698 rad/mm, which perfbench's reference gamma values pin.
+DEFAULT_POLING_PERIOD_UM = 9.0
+
 # Largest grid.n_points that validate accepts: the largest odd n whose
 # working set fits in 4 GiB.  A run holds at most four n^2 float64 planes
-# (8 n^2 bytes each) at once: the PSF blur traces 2.93 planes at 1025^2 and
+# (8 n^2 bytes each) at once: the PSF blur traces 2.91 planes at 1025^2 and
 # 2.77 at 2049^2 besides its 1-plane input, and a scan holds the blurred
 # amplitude's 2-plane complex copy beside that amplitude and, until its last
-# reader has run, the unblurred one.  4 * 8 * n^2 <= 2^32 gives n <= 11585
-# (11585^2 * 32 B = 4,294,791,200 B; 11587 would need 4,296,274,208 B).
-MAX_GRID_POINTS = 11585
+# reader has run, the unblurred one.  4 * 8 * n^2 <= 2^32 gives n <= 11585.
+MAX_GRID_POINTS = (math.isqrt(2**32 // (4 * 8)) - 1) | 1
 
 # Schema: each key maps to a nested table or to (type, default) plus an
 # optional lower bound (">" or ">=", value).  A default of None marks an
@@ -57,7 +62,8 @@ _POSITIVE = (">", 0.0)
 _NON_NEGATIVE = (">=", 0.0)
 
 _CRYSTAL = {"length_mm": (float, 11.5, *_POSITIVE)}
-_POLED = {**_CRYSTAL, "poling_period_um": (float, 9.0, *_POSITIVE)}  # read by Sellmeier only
+# read by Sellmeier only; a Taylor crystal takes the default
+_POLED = {**_CRYSTAL, "poling_period_um": (float, DEFAULT_POLING_PERIOD_UM, *_POSITIVE)}
 _CRYSTALS = {"taylor": {"spdc": _CRYSTAL, "sfg": _CRYSTAL},
              "sellmeier": {"spdc": _POLED, "sfg": _POLED}}
 _MODEL = (str, "taylor")
@@ -344,14 +350,14 @@ def validate_config(tree: dict) -> Scenario:
             index_s=_sellmeier_index(disp["signal"], "dispersion.signal"),
             index_p=_sellmeier_index(disp["pump"], "dispersion.pump"),
         )
-    else:  # 9 um: +-2pi/G cancel but set the rounding (ulp of 698 rad/mm) of perfbench's gamma
-        shared = TaylorMismatch.quasi_phase_matched(9.0, a1=disp["a1"], a2=disp["a2"],
-                                                    a3=disp["a3"])
+    else:
+        shared = TaylorMismatch.quasi_phase_matched(DEFAULT_POLING_PERIOD_UM, a1=disp["a1"],
+                                                    a2=disp["a2"], a3=disp["a3"])
 
     def crystal(key):
         geometry = cfg["crystals"][key]
-        return CrystalSpec(length=geometry["length_mm"], dispersion=shared,
-                           poling_period=geometry.get("poling_period_um", 9.0))
+        period = geometry.get("poling_period_um", DEFAULT_POLING_PERIOD_UM)
+        return CrystalSpec(length=geometry["length_mm"], poling_period=period, dispersion=shared)
 
     if "experiments" not in tree:
         raise ConfigError("experiments", "missing required key")

@@ -34,17 +34,14 @@ PUMP_CLAMP_CELLS = 3
 # Fewest grid samples the phase-matching main lobe may cover on the ridge cut.
 SINC_LOBE_SAMPLES = 8
 
-# Rows per block of the build's pump envelope, of an amplitude's subnormal
-# flush and of the Schmidt mode lift (bases.amplitude_svd), and the rows that
-# the blur's workers transform at once, all of them together: each block's
-# buffers are a few MB at 2049^2.
-ROW_BLOCK = 64
-
-# Spectrum columns that the blur's workers transform at once, all of them
-# together, and so the most workers it runs.  Each column takes two m-sample
-# complex buffers (138 kB at 2049^2): 32 columns hold 4.4 MB, where 64 held
-# 8.8 MB and ran no faster; 16 saved 2.2 MB more but ran 3-10% slower.
-COLUMN_BLOCK = 32
+# Rows or columns per block of every blocked loop: the build's pump envelope,
+# an amplitude's subnormal flush, the Schmidt mode lift (bases.amplitude_svd)
+# and the blur's three passes, whose workers transform one block together,
+# so it is also the most workers the blur runs.  A block of spectrum columns
+# takes two m-sample complex buffers per column, 4.4 MB at 2049^2; 64 columns
+# held 8.8 MB and ran no faster, 16 saved 2.2 MB more but ran 3-10% slower.
+# No output bit depends on it.
+BLOCK = 32
 
 
 def sinc(x):
@@ -224,7 +221,7 @@ class JointAmplitude:
     spacing^2 = 1; values whose norm is not finite (non-finite samples, or
     an overflowing sum) raise :class:`NumericalError`.  Each normalized
     sample of magnitude below ``np.finfo(float).tiny`` (a subnormal, such as
-    the pump envelope's underflow tail) is stored as +0.0, ``ROW_BLOCK`` rows
+    the pump envelope's underflow tail) is stored as +0.0, ``BLOCK`` rows
     at a time with no full-grid temporary, so no product with the amplitude
     takes the slow subnormal path.  ``values`` is read-only after
     normalization, so the Schmidt data that
@@ -249,8 +246,8 @@ class JointAmplitude:
         if norm == 0.0:
             raise ValueError("amplitude is identically zero")
         self.values = self.values / norm
-        for r in range(0, self.grid.n_points, ROW_BLOCK):
-            rows = self.values[r:r + ROW_BLOCK]
+        for r in range(0, self.grid.n_points, BLOCK):
+            rows = self.values[r:r + BLOCK]
             rows[np.abs(rows) < np.finfo(float).tiny] = 0.0
         self.values.flags.writeable = False
 
@@ -343,7 +340,7 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     The phase matching is evaluated only in the pump's band, the samples
     where the envelope is nonzero (about 13% of a 1025^2 grid and 7% of a
     2049^2 grid with the clamped continuous-wave pump).  The envelope itself
-    is evaluated one block of ``ROW_BLOCK`` rows at a time, on only the
+    is evaluated one block of ``BLOCK`` rows at a time, on only the
     columns where |omega_i + omega_s| can keep it above float64 underflow
     (:func:`_band_reach`), so no full-grid temporary exists.  In the band
     each sample is the product the full grid would give, bit for bit;
@@ -361,8 +358,8 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     pump = effective_pump(pump, grid)
     reach = _band_reach(pump.bandwidth, grid.spacing)
     values = np.zeros((n, n))
-    for r in range(0, n, ROW_BLOCK):
-        rows = slice(r, min(r + ROW_BLOCK, n))
+    for r in range(0, n, BLOCK):
+        rows = slice(r, min(r + BLOCK, n))
         # omega_i + omega_s ~ 0 on the anti-diagonal, column n - 1 - row
         lo, hi = max(n - rows.stop - reach, 0), min(n - rows.start + reach, n)
         envelope = pump_envelope(ax[rows, None] + ax[lo:hi], pump)
@@ -455,21 +452,20 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     output with ``ndarray.resize``, a ``realloc`` that returns its tail to
     the system, before the output is renormalized.  So the blur never holds
     its input, the row spectrum and a separate output plane at once: it
-    traces 2.93 planes of n^2 float64 besides its input at 1025^2 and 2.77
+    traces 2.91 planes of n^2 float64 besides its input at 1025^2 and 2.77
     at 2049^2.
 
     Each pass is a list of disjoint blocks of rows or columns, split
     statically over a thread pool of one worker per CPU the process may use
-    (:func:`_cpus`, at most ``COLUMN_BLOCK``), joined before the function
-    returns: of k workers, worker w runs blocks w, w + k, w + 2k, ... with
-    its own buffer.  numpy's FFTs release the GIL, so the blocks run
-    concurrently.  Every block of rows is ``ROW_BLOCK // workers`` high and
-    every block of columns ``COLUMN_BLOCK // workers`` wide, and all scratch
-    is allocated here, before the pool starts, so the workers' buffers
-    together hold at most ``ROW_BLOCK`` rows or ``COLUMN_BLOCK`` columns;
-    the workers call no BLAS.  Each transform reads the same data and writes
-    the same destination whatever the block height, so the result has the
-    same bits on any number of CPUs.
+    (:func:`_cpus`, at most ``BLOCK``), joined before the function returns:
+    of k workers, worker w runs blocks w, w + k, w + 2k, ... with its own
+    buffer.  numpy's FFTs release the GIL, so the blocks run concurrently.
+    Every block of rows or columns is ``BLOCK // workers`` high or wide, and
+    all scratch is allocated here, before the pool starts, so the workers'
+    buffers together hold at most ``BLOCK`` rows or columns; the workers
+    call no BLAS.  Each transform reads the same data and writes the same
+    destination whatever the block size, so the result has the same bits on
+    any number of CPUs and for any ``BLOCK``.
 
     numpy's FFTs are the pocketfft that ``scipy.fft`` wraps, and the padding,
     product order and crop are those of SciPy's ``fftconvolve(values, kernel,
@@ -493,24 +489,22 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     live = np.flatnonzero(_gaussian(sq + sq[np.argmin(sq)], delta_omega_psf) >= KERNEL_FLOOR)
     cols = slice(live[0], live[-1] + 1)  # sq falls, then rises: live is one run
     u = len(live)
-    workers = min(_cpus(), COLUMN_BLOCK)
-    height, width = ROW_BLOCK // workers, COLUMN_BLOCK // workers
+    workers = min(_cpus(), BLOCK)
+    size = BLOCK // workers
 
-    def blocks(count, size=height):
+    def blocks(count):
         return [slice(r, min(r + size, count)) for r in range(0, count, size)]
 
     # [row spectrum | kernel spectra | scratch]: the scratch holds the kernel
-    # rows, then the column buffers; the inverse rows then overwrite the
-    # kernel spectra and the scratch
-    row_len = workers * height * m
-    col_len = workers * 2 * width * m
-    work = np.empty(n * half + half * u + max(col_len, (row_len + 1) // 2), dtype=complex)
+    # rows, then the column buffers; the inverse rows, a quarter of the
+    # column buffers' bytes, then overwrite the kernel spectra and the scratch
+    work = np.empty(n * half + half * u + workers * 2 * size * m, dtype=complex)
     spectrum = work[:n * half].reshape(n, half)
     tail = work[n * half:]
     kernel_spectra = tail[:half * u].reshape(half, u)
     scratch = tail[half * u:]
-    column_bufs = scratch[:col_len].reshape(workers, 2, width, m)
-    kernel_bufs = scratch.view(float)[:workers * height * n].reshape(workers, height, n)
+    column_bufs = scratch.reshape(workers, 2, size, m)
+    kernel_bufs = scratch.view(float)[:workers * size * n].reshape(workers, size, n)
     kernel_bufs[:] = 0.0
 
     def kernel_rows(block, buf):
@@ -544,8 +538,8 @@ def apply_psf(amp: JointAmplitude, delta_omega_psf: float) -> JointAmplitude:
     with ThreadPoolExecutor(workers) as pool:
         _run_jobs(pool, [partial(kernel_rows, b) for b in blocks(u)]
                   + [partial(data_rows, b) for b in blocks(n)], kernel_bufs)
-        _run_jobs(pool, [partial(columns, b) for b in blocks(half, width)], column_bufs)
-        row_bufs = tail.view(float)[:row_len].reshape(workers, height, m)
+        _run_jobs(pool, [partial(columns, b) for b in blocks(half)], column_bufs)
+        row_bufs = tail.view(float)[:workers * size * m].reshape(workers, size, m)
         row_blocks = blocks(n)
         for w in range(0, len(row_blocks), workers):
             wave = row_blocks[w:w + workers]

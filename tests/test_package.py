@@ -16,12 +16,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # (README).
 UNUSED_ALLOWED = {("bases", "time_bins"), ("config", "default_config")}
 
+# (module, name) of the module-level constants that no code of the package reads.
+UNREAD_CONSTANTS_ALLOWED = set()
+
 
 def _referenced_names(path: Path) -> set:
-    """Identifiers a module reads: Name ids and Attribute attrs (not docstrings)."""
+    """Identifiers a module reads: Name ids not assigned to and Attribute
+    attrs (not docstrings)."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -49,6 +53,20 @@ def test_every_public_definition_is_referenced():
                    and not node.name.startswith("_")]
     unused = {(module, name) for module, name in definitions if name not in referenced}
     assert definitions and unused == UNUSED_ALLOWED
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE name, private or public, counts as read when
+    # any module, its own included, loads it; as above, the set equality keeps
+    # the allow-list from outliving its entries
+    referenced = set().union(*(_referenced_names(path) for path in PACKAGE.glob("*.py")))
+    constants = [(path.stem, target.id) for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)]
+    unread = {(module, name) for module, name in constants if name not in referenced}
+    assert constants and unread == UNREAD_CONSTANTS_ALLOWED
 
 
 def test_readme_library_use_runs_as_written(capsys):

@@ -30,7 +30,7 @@ from biphoton_shaper import (
     photon_flux_limit,
     pump_envelope,
 )
-from biphoton_shaper import spectral_field
+from biphoton_shaper import bases, spectral_field
 from biphoton_shaper.bases import amplitude_svd
 from biphoton_shaper.config import DEFAULT_TAYLOR_A2, load_config, validate_config
 from biphoton_shaper.measurement import _product_signals, coincidence_signal
@@ -531,22 +531,22 @@ class TestApplyPsf:
         width = cells * small_grid.spacing
         assert apply_psf(amp, width).values.tobytes() == self._fftconvolve(amp, width).tobytes()
 
-    # The blocks of rows are ROW_BLOCK // workers high (64, 32, 21 and 4
-    # here), those of columns COLUMN_BLOCK // workers wide (32, 16, 10 and
-    # 2), and they run on a pool of that many threads; every
-    # split gives fftconvolve's bits.  The 257 data rows leave a one-row
-    # last block at every height; the 63 rows of the smaller grid, at the
-    # same spacing, fill three 21-row blocks exactly and are fewer than one
-    # 64-row block.  Without sched_getaffinity the pool
-    # has os.cpu_count() workers, or one when that is unknown.  Worker w runs
-    # every workers-th block from block w; sixteen workers on a short switch
-    # interval guard that split: a block skipped or run twice leaves garbage
-    # in, or transforms twice, its rows or columns.
+    # The blocks of rows and of columns are BLOCK // workers high or wide
+    # (32, 16, 10, 3 and 2 here), and they run on a pool of that many
+    # threads; every split gives fftconvolve's bits.  The 257 data rows leave
+    # a one-row last block at heights 32, 16 and 2; the 63 rows of the
+    # smaller grid, at the same spacing, fill twenty-one 3-row blocks exactly,
+    # and the 31 rows of the smallest are fewer than one 32-row block.
+    # Without sched_getaffinity the pool has os.cpu_count() workers, or one
+    # when that is unknown.  Worker w runs every workers-th block from block
+    # w; sixteen workers on a short switch interval guard that split: a block
+    # skipped or run twice leaves garbage in, or transforms twice, its rows
+    # or columns.
     @pytest.mark.parametrize("affinity, cpu_count, workers",
-                             [(1, None, 1), (2, None, 2), (3, None, 3), (16, None, 16),
-                              (None, 3, 3), (None, None, 1)],
-                             ids=["1", "2", "3", "16", "cpu_count-3", "cpu_count-None"])
-    @pytest.mark.parametrize("n", [257, 63])
+                             [(1, None, 1), (2, None, 2), (3, None, 3), (9, None, 9),
+                              (16, None, 16), (None, 3, 3), (None, None, 1)],
+                             ids=["1", "2", "3", "9", "16", "cpu_count-3", "cpu_count-None"])
+    @pytest.mark.parametrize("n", [257, 63, 31])
     def test_bit_identical_on_any_cpu_count(self, affinity, cpu_count, workers, n,
                                             monkeypatch):
         if affinity is None:  # a platform without sched_getaffinity
@@ -708,21 +708,48 @@ class TestApplyPsf:
         assert abs(es[1] - es[0]) / es[0] < 0.01
 
 
+class TestBlockSize:
+    """No output bit depends on ``spectral_field.BLOCK``: with 8- and 64-row
+    blocks the 257^2 build (its subnormal flush included), its blur on one
+    and on three workers and the Schmidt modes of both give the bytes of the
+    shipped 32.  bases imports the constant by value, so both are set."""
+
+    @staticmethod
+    def _outputs(block, small_grid, pump_cw):
+        outputs = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral_field, "BLOCK", block)
+            patch.setattr(bases, "BLOCK", block)
+            amp = build_joint_amplitude(small_grid, pump_cw, *make_crystals())
+            outputs["build"] = amp
+            for cpus in (1, 3):
+                patch.setattr(os, "sched_getaffinity", lambda pid, k=cpus: set(range(k)),
+                              raising=False)
+                outputs[f"blur on {cpus}"] = apply_psf(amp, PSF_WIDTH)
+            for name in ("build", "blur on 1"):
+                outputs[f"modes of {name}"] = amplitude_svd(outputs[name])[1]
+        return {name: getattr(out, "values", out).tobytes() for name, out in outputs.items()}
+
+    @pytest.fixture(scope="class")
+    def shipped(self, small_grid, pump_cw):
+        assert spectral_field.BLOCK == bases.BLOCK == 32
+        return self._outputs(32, small_grid, pump_cw)
+
+    @pytest.mark.parametrize("block", [8, 64])
+    def test_outputs_keep_their_bytes(self, block, shipped, small_grid, pump_cw):
+        got = self._outputs(block, small_grid, pump_cw)
+        assert [name for name in shipped if got[name] != shipped[name]] == []
+
+
 class TestPeakMemory:
     """Peak traced allocation at 1025^2, in planes of n^2 float64 (8.4 MB).
 
     tracemalloc sees numpy's arrays but not pocketfft's internal buffers, so
     these bound the Python-visible working set only; it sees the blur's
-    worker threads too.  Measured: the build peaks at 2.0 planes (4.0 with
-    the pump envelope on the whole grid, 8.0 with the phase matching there
-    too) and the blur at 2.93 with the row spectrum, kernel spectra and
-    worker buffers in one array whose front takes the output (2.80 with
-    16-column blocks, 3.19 with 64; 3.29 with its output planes in a
-    separate scratch array of the kernel spectra and column buffers, 3.63
-    with separate planes, 3.78
-    on one thread before numpy's transforms wrote into their destinations,
-    4.24 with one spectrum per live kernel row and per-block column buffers,
-    5.0 with every kernel row transformed, 13.3 through padded 2-D spectra).
+    worker threads too.  Measured: the build peaks at 2.04 planes, its raw
+    values and their normalized copy, and the blur at 2.91, the one array
+    that holds its row spectrum, kernel spectra and worker buffers and whose
+    front takes the output.
     """
 
     @pytest.fixture(scope="class")
@@ -755,12 +782,10 @@ class TestPeakMemory:
     def test_amplitude_svd(self, grid, pump_cw):
         """Full decomposition (modes) of the 1025^2 amplitude.
 
-        LAPACK's workspace is not traced.  Measured: the one n x n
-        eigenproblem peaked at 2.0 planes (S and H); split by mirror parity
-        it peaked at 1.72 with all n modes lifted, at 1.12 with only the
-        612 modes whose weight reaches the rank floor, each 64-row chunk
-        padded to n mirror coordinates before the lift, and at 1.02 with
-        each chunk lifted straight into its rows of the mode array.
+        LAPACK's workspace is not traced.  Measured: 1.02 planes, with the
+        amplitude split by mirror parity and only the 612 modes whose weight
+        reaches the rank floor lifted, a block at a time, straight into
+        their rows of the mode array.
         """
         spdc, sfg = make_crystals()
         amp = build_joint_amplitude(grid, pump_cw, spdc, sfg)
