@@ -2,7 +2,9 @@
 
 Configs are YAML key-value trees with a version tag.  Every key's type,
 default and lower bound is written once, in the schema tables below, which
-both :func:`default_config` and :func:`validate_config` read.  Validation is
+both :func:`default_config` and :func:`validate_config` read; where a typed
+object has a default of its own (the grid's center wavelength, the
+modulator's geometry), the table reads it from that class.  Validation is
 strict: unknown keys, missing required keys, non-finite numbers and
 out-of-range values raise :class:`ConfigError` carrying the offending key
 path, as does any value the typed objects reject while they are built.  All
@@ -79,13 +81,14 @@ _SCHEMA = {
     "seed": (int, 20240901, ">=", 0),
     "output_dir": (str, "results"),
     "grid": {"n_points": (int, 1025, ">=", 3), "omega_max": (float, 0.35, *_POSITIVE),
-             "center_wavelength_nm": (float, 1064.0, *_POSITIVE)},
+             "center_wavelength_nm": (float, SpectralGrid.center_wavelength, *_POSITIVE)},
     "pump": {"linewidth_mhz": (float, 5.0, *_POSITIVE)},
     "crystals": _CRYSTALS["taylor"],
     "dispersion": _DISPERSION["taylor"],
     "psf": {"delta_omega": (float, 9.6e-3, *_NON_NEGATIVE)},
-    "slm": {"n_pixels": (int, 640, ">=", 1), "pixel_width_um": (float, 100.0, *_POSITIVE),
-            "gap_um": (float, 3.0, *_NON_NEGATIVE)},
+    "slm": {"n_pixels": (int, SlmModel.n_pixels, ">=", 1),
+            "pixel_width_um": (float, SlmModel.pixel_width, *_POSITIVE),
+            "gap_um": (float, SlmModel.gap, *_NON_NEGATIVE)},
     "counting": {"peak_rate_hz": (float, 50.0, *_NON_NEGATIVE),
                  "background_rate_hz": (float, 11.0, *_NON_NEGATIVE),
                  "duration_s": (float, 300.0, *_NON_NEGATIVE)},

@@ -133,13 +133,16 @@ def gamma_fringe_model(phi, gamma1: float, gamma2: float, phi0: float = 0.0):
 class FitResult:
     """Nonlinear least-squares fit of a fringe model.
 
-    ``parameters`` and ``uncertainties`` (1-sigma, from the residual
-    covariance) are keyed by parameter name; ``residual_norm`` is the RMS of
-    the weighted residuals at the solution.
+    ``parameters``, ``uncertainties`` (1-sigma, from the residual
+    covariance) and ``at_bound`` (whether the parameter ends on one of its
+    bounds, where its uncertainty is not a confidence interval) are keyed by
+    parameter name; ``residual_norm`` is the RMS of the weighted residuals
+    at the solution.
     """
 
     parameters: dict
     uncertainties: dict
+    at_bound: dict
     residual_norm: float
 
 
@@ -188,6 +191,7 @@ def _fit(source, model, start, bounds, names, period, gradient=None):
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return FitResult(parameters=dict(zip(names, result.x)),
                      uncertainties=dict(zip(names, err)),
+                     at_bound=dict(zip(names, (result.active_mask != 0).tolist())),
                      residual_norm=float(np.sqrt(np.mean(result.fun**2))))
 
 

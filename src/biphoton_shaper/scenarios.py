@@ -58,16 +58,15 @@ class ScenarioContext:
 
     @cached_property
     def gamma(self):
-        """The amplitude; its ``window_edge_weight`` is stored on the context,
-        and a window that cuts it raises ResolutionError.  The scenario
-        runner drops it after its last reader (see GAMMA_READERS); a later
-        read builds the same amplitude again."""
+        """The amplitude; a window that cuts it raises ResolutionError.  The
+        scenario runner drops it after its last reader (see GAMMA_READERS); a
+        later read builds the same amplitude again."""
         amp = spectral_field.build_joint_amplitude(
             self.scenario.grid, self.scenario.pump, self.scenario.spdc, self.scenario.sfg)
-        self.window_edge_weight = _window_edge_weight(amp)
-        if self.window_edge_weight > WINDOW_EDGE_BOUND:
+        weight = _window_edge_weight(amp)
+        if weight > WINDOW_EDGE_BOUND:
             raise ResolutionError(
-                f"the grid window cuts the spectrum: {self.window_edge_weight:.3g} of "
+                f"the grid window cuts the spectrum: {weight:.3g} of "
                 f"|Gamma|^2 lies in the outer {WINDOW_EDGE_FRACTION:.0%} of the axes "
                 f"(> {WINDOW_EDGE_BOUND:g}); widen grid.omega_max = {self.grid.omega_max}")
         return amp
@@ -85,7 +84,7 @@ def _window_edge_weight(amp) -> float:
     k = max(1, math.ceil(WINDOW_EDGE_FRACTION * amp.grid.n_points))
     v = amp.values
     strips = (v[:k], v[-k:], v[k:-k, :k], v[k:-k, -k:])
-    return float(sum(np.sum(np.abs(s) ** 2) for s in strips) * amp.grid.spacing**2)
+    return float(sum(np.sum(np.square(s)) for s in strips) * amp.grid.spacing**2)
 
 
 def _fringe_table(scan: FringeScan):
@@ -136,7 +135,7 @@ def run_fig2_amplitude(ctx: ScenarioContext, req) -> ExperimentResult:
     effective = spectral_field.effective_pump(pump, ctx.grid).bandwidth
     report.update(pump_bandwidth_clamped=effective > pump.bandwidth,
                   pump_bandwidth_effective=effective,
-                  window_edge_weight=ctx.window_edge_weight,
+                  window_edge_weight=_window_edge_weight(ctx.gamma),
                   window_edge_weight_psf=_window_edge_weight(ctx.gamma_psf))
     # the loop ends on the blurred amplitude's spectrum
     summary = (f"{req.name}: blurred amplitude E={spectrum.entropy:.2f} ebits, "
@@ -211,6 +210,7 @@ def _qudit_fringes(req, amp, basis_i, slm=None):
         "equalization_spread": float(after.max() / after.min() - 1.0),
         "lambda": lam,
         "lambda_err": fit.uncertainties["lambda"],
+        "lambda_at_bound": fit.at_bound["lambda"],
         "visibility": vis,
         "visibility_critical": v_c,
         "bell_violation": passed,
@@ -250,6 +250,7 @@ def run_freq_bin_fringes(ctx: ScenarioContext, req) -> ExperimentResult:
         noisy = metrics.fit_fringe(record, d)
         report["lambda_from_counts"] = noisy.parameters["lambda"]
         report["lambda_from_counts_err"] = noisy.uncertainties["lambda"]
+        report["lambda_from_counts_at_bound"] = noisy.at_bound["lambda"]
         result.tables["counts"] = {"phi_rad": record.phi, "gross": record.gross,
                                    "background": record.background,
                                    "duration_s": np.full(len(record.phi), record.duration)}

@@ -240,7 +240,7 @@ class JointAmplitude:
         if self.values.shape != (self.grid.n_points, self.grid.n_points):
             raise GridError("amplitude shape does not match its grid")
         with np.errstate(over="ignore"):
-            norm = np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing**2)
+            norm = np.sqrt(np.sum(np.square(self.values)) * self.grid.spacing**2)
         if not np.isfinite(norm):
             raise NumericalError("amplitude norm is not finite")
         if norm == 0.0:
@@ -312,21 +312,10 @@ def effective_pump(pump: PumpSpec, grid: SpectralGrid) -> PumpSpec:
     return PumpSpec(bandwidth=max(pump.bandwidth, PUMP_CLAMP_CELLS * grid.spacing))
 
 
-# exp(-x) is +0.0 in float64 for every x above 745.14 (ln of the smallest
-# subnormal, with its rounding half-cell)
-_EXP_UNDERFLOW = 746.0
-
 # The blur leaves out the kernel rows and columns whose peak (of 1) is below
 # this: at eps^3 ~ 1.1e-47 no output bit moved in 200 cases of 129 to 1025
 # points, widths of 1 to 200 cells and five amplitude kinds; at 1e-25 some did.
 KERNEL_FLOOR = np.finfo(float).eps ** 3
-
-
-def _band_reach(width: float, spacing: float) -> int:
-    """Grid cells from the anti-diagonal beyond which :func:`_gaussian` of
-    (omega_i + omega_s)^2 with this width is +0.0, plus two cells for the
-    rounding of the axis."""
-    return int(np.ceil(width * np.sqrt(_EXP_UNDERFLOW / (2.0 * _LN2)) / spacing)) + 2
 
 
 def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
@@ -337,12 +326,11 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     detector acceptance when an upconversion crystal is given.  The pump
     envelope is that of :func:`effective_pump`.
 
-    The phase matching is evaluated only in the pump's band, the samples
-    where the envelope is nonzero (about 13% of a 1025^2 grid and 7% of a
-    2049^2 grid with the clamped continuous-wave pump).  The envelope itself
-    is evaluated one block of ``BLOCK`` rows at a time, on only the
-    columns where |omega_i + omega_s| can keep it above float64 underflow
-    (:func:`_band_reach`), so no full-grid temporary exists.  In the band
+    The envelope is evaluated one block of ``BLOCK`` whole rows at a time,
+    so no full-grid temporary exists.  Away from the anti-diagonal it
+    underflows to +0.0 by itself, and the phase matching is evaluated only
+    where it does not: the pump's band (about 13% of a 1025^2 grid and 7%
+    of a 2049^2 grid with the clamped continuous-wave pump).  In the band
     each sample is the product the full grid would give, bit for bit;
     outside it the amplitude is +0.0.  The envelope's underflow tail leaves
     subnormal samples at the band's edges (3496 at 1025^2, 7152 at 2049^2
@@ -356,19 +344,15 @@ def build_joint_amplitude(grid: SpectralGrid, pump: PumpSpec, spdc: CrystalSpec,
     ax = grid.axis()
     pc = grid.pump_center_frequency
     pump = effective_pump(pump, grid)
-    reach = _band_reach(pump.bandwidth, grid.spacing)
     values = np.zeros((n, n))
     for r in range(0, n, BLOCK):
-        rows = slice(r, min(r + BLOCK, n))
-        # omega_i + omega_s ~ 0 on the anti-diagonal, column n - 1 - row
-        lo, hi = max(n - rows.stop - reach, 0), min(n - rows.start + reach, n)
-        envelope = pump_envelope(ax[rows, None] + ax[lo:hi], pump)
+        envelope = pump_envelope(ax[r:r + BLOCK, None] + ax, pump)
         i, j = np.nonzero(envelope)
-        wi, ws = ax[r + i], ax[lo + j]
+        wi, ws = ax[r + i], ax[j]
         in_band = envelope[i, j] * phase_matching(wi, ws, spdc, pc)
         if sfg is not None:
             in_band = phase_matching(wi, ws, sfg, pc) * in_band
-        values[r + i, lo + j] = in_band
+        values[r + i, j] = in_band
     return JointAmplitude(grid=grid, values=values)
 
 

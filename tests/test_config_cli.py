@@ -42,6 +42,7 @@ from biphoton_shaper.scenarios import (
     ScenarioContext,
     _render_csv,
     _render_json,
+    _window_edge_weight,
     emit_outputs,
     run_scenario_experiments,
 )
@@ -319,9 +320,8 @@ class TestValidateConfig:
         # each reads about 1e-8, two decades below this and four below the
         # run's bound, so a bound that trips a workload fails here first
         for tree in benchmark_trees():
-            ctx = ScenarioContext(validate_config(tree))
-            ctx.gamma  # builds the amplitude and measures its window edge
-            assert ctx.window_edge_weight < 1e-6, tree.get("grid")
+            amp = ScenarioContext(validate_config(tree)).gamma
+            assert _window_edge_weight(amp) < 1e-6, tree.get("grid")
 
     def test_unknown_top_level_key(self):
         tree = default_config()
@@ -1128,6 +1128,31 @@ class TestGammaRelease:
         assert [list(table) for r in results for table in r.tables.values()] == [
             ["omega_i", "omega_s", "re"], ["omega_i", "omega_s", "re"],
             ["omega", "re_f0", "re_f1", "re_f2"], ["j", "beta"]]
+
+
+class TestFitBounds:
+    def test_default_run_flags_the_fits_that_end_on_the_lambda_bound(self):
+        # lambda <= 1 is the fringe fit's upper bound: the frequency-bin fits,
+        # counts fit included, and the Procrustean one end on it; the Schmidt
+        # mode fits stop 1.8e-8 and 3.9e-9 below it.  The experiments run in
+        # the config's context, so each keeps its seed.
+        scenario = validate_config(load_config(ROOT / "configs" / "default.yaml"))
+        ctx = ScenarioContext(scenario)
+        flags = {}
+        for req in scenario.experiments:
+            if req.id in ("freq_bin_fringes", "schmidt_fringes", "procrustean"):
+                report = EXPERIMENT_RUNNERS[req.id](ctx, req).report
+                flags[req.name] = {key: value for key, value in report.items()
+                                   if key.endswith("_at_bound")}
+        on_bound = {"lambda_at_bound": True}
+        assert flags == {
+            "freq_bin_fringes_d2": {**on_bound, "lambda_from_counts_at_bound": True},
+            "freq_bin_fringes_d3": on_bound,
+            "freq_bin_fringes_d4": on_bound,
+            "schmidt_fringes_d2": {"lambda_at_bound": False},
+            "schmidt_fringes_d3": {"lambda_at_bound": False},
+            "procrustean_d3": on_bound,
+        }
 
 
 class TestEmitOutputs:

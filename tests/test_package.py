@@ -1,14 +1,29 @@
 """The package's public surface: every exported name and every public
-module-level function and class is used by the package."""
+module-level function and class is used by the package, and every function
+the benchmark reads by name exists."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import json
 import re
 from pathlib import Path
 
 import biphoton_shaper
 
 PACKAGE = Path(biphoton_shaper.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+# The spans perfbench/run.py reads for its end-to-end metrics: setup_s from
+# the config loads, compute_s from the scenario run.
+PERFBENCH_SPANS = {"config.load_config", "config.validate_config",
+                   "scenarios.run_scenario_experiments"}
+
+# (module.function) names of BENCHMARK.json per-layer metrics that the
+# package no longer defines (ROADMAP item 9(b)); each reads 0.
+BENCHMARK_DEAD_NAMES = {"metrics.fit_cos4", "scenarios.run_bell_i2_sweep"}
 
 # (module, name) of the public definitions that no code of the package reads:
 # time_bins is exported for the time-bin runs of ROADMAP items 4 and 15, and
@@ -91,3 +106,30 @@ def test_only_metrics_imports_scipy():
             if any(module.split(".")[0] == "scipy" for module in modules):
                 importers.add(path.stem)
     assert importers == {"metrics"}
+
+
+def test_every_name_perfbench_reads_is_a_public_function():
+    # perfbench finds its spans by name, so a renamed or deleted function
+    # makes its metric read 0 without an error; the set equality keeps the
+    # dead-name list from outliving its entries
+    run_source = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+    assert all(f'"{name}"' in run_source for name in PERFBENCH_SPANS)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    # a per-layer metric is module.function.statistic
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    layered = {metric["name"].rsplit(".", 1)[0] for metric in per_layer}
+    names = PERFBENCH_SPANS | set(tracer.PROBES) | {
+        name for name in layered if "." in name and name.split(".")[0] in modules}
+
+    def is_public_function(name):
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"biphoton_shaper.{module_name}")
+        value = getattr(module, attr, None)
+        return (inspect.isfunction(value) and not attr.startswith("_")
+                and value.__module__ == module.__name__)
+
+    assert {name for name in names if not is_public_function(name)} == BENCHMARK_DEAD_NAMES

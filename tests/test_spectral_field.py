@@ -375,8 +375,8 @@ class TestBandLimitedBuild:
         self._check_oracle(n, pump_bandwidth, band_share, dispersion, with_sfg)
 
     def test_equals_full_grid_oracle_at_2049(self):
-        # the size of the schmidt_2049 benchmark, where the envelope's
-        # column window is the narrowest share of a row
+        # the size of the schmidt_2049 benchmark, where the pump's band is
+        # the narrowest share of a row
         self._check_oracle(2049, CW_BANDWIDTH, 0.07, "taylor", True)
 
     @staticmethod
@@ -746,10 +746,11 @@ class TestPeakMemory:
 
     tracemalloc sees numpy's arrays but not pocketfft's internal buffers, so
     these bound the Python-visible working set only; it sees the blur's
-    worker threads too.  Measured: the build peaks at 2.04 planes, its raw
-    values and their normalized copy, and the blur at 2.91, the one array
-    that holds its row spectrum, kernel spectra and worker buffers and whose
-    front takes the output.
+    worker threads too.  Measured: the build peaks at 2.038 planes, its raw
+    values and their normalized copy plus one block's temporaries of the
+    subnormal flush, and the blur at 2.91, the one array that holds its row
+    spectrum, kernel spectra and worker buffers and whose front takes the
+    output.
     """
 
     @pytest.fixture(scope="class")
